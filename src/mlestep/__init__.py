@@ -48,6 +48,7 @@ from .models import (
 from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
 from .process import (
     EstimatorPath,
+    Pipeline,
     full_mle_path,
     one_step_path,
     recurrent_path,

@@ -12,22 +12,22 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .density import kde, write_density_csv
 from .errors import MlestepError
+from .fisher import FISHER_METHODS
 from .mc import mc_config_from_dict, run_study, write_report_csv, write_report_json
 from .models import builtin_model_names, get_model
-from .preliminary import bayes, emm, learning_length, mle
+from .preliminary import learning_length
 from .process import (
-    full_mle_path,
-    one_step_path,
+    PRELIMINARY_KINDS,
+    PROCESS_KINDS,
+    Pipeline,
     path_to_json_dict,
-    recurrent_path,
-    second_preliminary_path,
-    two_step_path,
     write_path_csv,
 )
 from .simulate import (
@@ -36,13 +36,6 @@ from .simulate import (
     write_trajectory_csv,
     write_trajectory_json,
 )
-
-_PROCESSES = {
-    "one-step": one_step_path,
-    "second-preliminary": second_preliminary_path,
-    "two-step": two_step_path,
-    "recurrent": recurrent_path,
-}
 
 
 def _outdir(args) -> Path:
@@ -92,15 +85,7 @@ def _add_sim_flags(sub, require_model: bool) -> None:
 
 
 def cmd_simulate(args) -> int:
-    model = get_model(args.model)
-    traj = simulate(
-        model,
-        np.asarray(args.theta, dtype=float),
-        args.n,
-        seed=args.seed,
-        burn_in=args.burn_in,
-        x_init=args.x_init,
-    )
+    traj, _ = _load_or_simulate(args)
     out = _resolve_out(args, f"trajectory_{args.model}_{args.seed}.{args.format}")
     if args.format == "csv":
         write_trajectory_csv(traj, out)
@@ -111,36 +96,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    pipeline = Pipeline(
+        args.delta, args.preliminary, args.process, args.fisher, args.stride, args.grid_points
+    )
     traj, model = _load_or_simulate(args)
     N = learning_length(traj.n, args.delta)
-    if args.preliminary == "mle":
-        prelim = mle(traj, N, model, args.grid_points)
-    elif args.preliminary == "bayes":
-        prelim = bayes(traj, N, model, grid_points=args.grid_points)
-    else:
-        prelim = emm(traj, N, model)
-
-    config = {
-        "trajectory": traj.meta(),
-        "n": traj.n,
-        "delta": args.delta,
-        "preliminary": args.preliminary,
-        "process": args.process,
-        "fisher_method": args.fisher,
-        "stride": args.stride,
-        "grid_points": args.grid_points,
-    }
-    if args.process == "full-mle":
-        path = full_mle_path(traj, model, args.grid_points)
-    elif args.process == "recurrent":
-        path = recurrent_path(traj, model, prelim, args.fisher)
-    else:
-        path = _PROCESSES[args.process](traj, model, prelim, args.fisher, args.stride)
+    config = {"trajectory": traj.meta(), "n": traj.n, **asdict(pipeline)}
+    prelim, path = pipeline.run(traj, model)
 
     out_csv = _resolve_out(args, f"path_{args.process}.csv")
     write_path_csv(path, out_csv, config=config)
     summary = {
-        "preliminary": prelim.to_json_dict(),
+        "preliminary": prelim.to_json_dict() if prelim is not None else None,
         "N": int(N),
         "terminal": path.terminal.tolist(),
         "path": path_to_json_dict(path, with_entries=False),
@@ -205,13 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", default=None, help="trajectory JSON file")
     est.add_argument("--delta", type=float, default=0.75,
                      help="learning interval exponent: N ~ n**delta")
-    est.add_argument("--preliminary", choices=("mle", "bayes", "emm"), default="mle")
-    est.add_argument("--process",
-                     choices=("one-step", "second-preliminary", "two-step",
-                              "recurrent", "full-mle"),
+    est.add_argument("--preliminary", choices=tuple(PRELIMINARY_KINDS), default="mle")
+    # "none" writes no path
+    est.add_argument("--process", choices=tuple(k for k in PROCESS_KINDS if k != "none"),
                      default="one-step")
-    est.add_argument("--fisher", choices=("observed", "plugin", "factorized"),
-                     default="observed")
+    est.add_argument("--fisher", choices=tuple(FISHER_METHODS), default="observed")
     est.add_argument("--stride", type=int, default=None)
     est.add_argument("--grid-points", dest="grid_points", type=int, default=512)
     est.add_argument("--out", default=None)

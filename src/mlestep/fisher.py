@@ -15,6 +15,7 @@ gives a useful cross-check (the "triangle" tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate, linalg
@@ -59,8 +60,10 @@ class FisherMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues, computed once for the checks and the inversion."""
+        return np.linalg.eigvalsh(self.matrix)
 
     def to_json_dict(self) -> dict:
         """Row-major serialization."""
@@ -75,7 +78,8 @@ def noise_information(noise: NoiseDensity) -> float:
     """Integral of psi(u)^2 g(u) over the noise support window.
 
     Adaptive quadrature; 1.0 for the standard Gaussian. Raises if the result
-    is non-finite or non-positive.
+    is non-finite or non-positive. ``factorized_fisher`` runs it once per
+    NoiseDensity instance and keeps the value on that instance.
     """
 
     def integrand(u):
@@ -90,7 +94,7 @@ def noise_information(noise: NoiseDensity) -> float:
 
 def _checked(matrix: np.ndarray, method: str, sample_size: int) -> FisherMatrix:
     fm = FisherMatrix(matrix, method, sample_size)
-    if fm.min_eigenvalue() <= 0.0:
+    if fm.eigenvalues[0] <= 0.0:
         raise DegenerateInformationError(
             f"{method} information matrix is not positive definite "
             "(window too short, or the parameter carries no information)",
@@ -126,7 +130,9 @@ def factorized_fisher(theta, traj: Trajectory, window: ScoreWindow, model: Model
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     xp = traj.observations[window.start - 1 : window.end]
     ds = np.asarray(model.drift.dS(theta, xp), dtype=float)
-    ig = noise_information(model.noise)
+    if model.noise._information is None:
+        object.__setattr__(model.noise, "_information", noise_information(model.noise))
+    ig = model.noise._information
     return _checked(ig * ds.T @ ds / ds.shape[0], "factorized", window.length)
 
 
@@ -143,7 +149,7 @@ def invert_fisher(fm: FisherMatrix) -> np.ndarray:
     Uses a Cholesky solve; refuses indefinite matrices, condition numbers
     above 1e10, and inverses whose residual exceeds 1e-8.
     """
-    eig = np.linalg.eigvalsh(fm.matrix)
+    eig = fm.eigenvalues
     if eig[0] <= 0.0:
         raise DegenerateInformationError(
             "information matrix is not positive definite", matrix=fm.matrix

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -21,14 +21,8 @@ from .errors import MlestepError, StudyError
 from .fisher import FisherMatrix, plugin_fisher, invert_fisher
 from .likelihood import ScoreWindow
 from .models import ModelSpec, get_model
-from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
-from .process import (
-    full_mle_path,
-    one_step_path,
-    second_preliminary_path,
-    two_step_path,
-    two_step_terminal,
-)
+from .preliminary import learning_length
+from .process import Pipeline
 from .simulate import simulate
 
 __all__ = [
@@ -43,8 +37,6 @@ __all__ = [
     "write_report_csv",
 ]
 
-PRELIMINARY_KINDS = ("mle", "bayes", "emm")
-PROCESS_KINDS = ("none", "one-step", "second-preliminary", "two-step", "full-mle")
 QUANTILE_LEVELS = (5, 25, 50, 75, 95)
 
 ORACLE_LENGTH = 1_000_000
@@ -54,7 +46,7 @@ _oracle_cache: dict = {}
 
 @dataclass(frozen=True)
 class McConfig:
-    """Configuration of one Monte Carlo study."""
+    """Configuration of one Monte Carlo study; ``spec`` is its pipeline."""
 
     model_name: str
     theta0: np.ndarray
@@ -71,16 +63,23 @@ class McConfig:
     grid_points: int = 512
     # explicit d x d reference information; skips the long oracle run when set
     reference_information: tuple | None = None
+    spec: Pipeline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
         object.__setattr__(self, "theta0", theta0)
         if self.replications < 2:
             raise ValueError("a study needs at least 2 replications")
-        if self.preliminary not in PRELIMINARY_KINDS:
-            raise ValueError(f"preliminary must be one of {PRELIMINARY_KINDS}")
-        if self.process not in PROCESS_KINDS:
-            raise ValueError(f"process must be one of {PROCESS_KINDS}")
+        stride = self.n if self.stride is None else self.stride  # terminals only
+        spec = Pipeline(
+            self.delta, self.preliminary, self.process, self.fisher_method, stride, self.grid_points
+        )
+        object.__setattr__(self, "spec", spec)
+        N = learning_length(self.n, self.delta)
+        if N >= self.n:
+            raise ValueError(f"n={self.n} leaves no transitions after the learning interval N={N}")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         model = get_model(self.model_name)
         if not model.domain.contains(theta0):
             raise ValueError(f"theta0 {theta0} is not interior to the domain of {self.model_name!r}")
@@ -112,7 +111,7 @@ class McConfig:
 
 
 def mc_config_from_dict(payload: dict) -> McConfig:
-    known = {f for f in McConfig.__dataclass_fields__}
+    known = {f.name for f in fields(McConfig) if f.init}
     extra = set(payload) - known
     if extra:
         raise ValueError(f"unknown study config fields: {sorted(extra)}")
@@ -150,34 +149,12 @@ def oracle_information(model: ModelSpec, theta0, n_oracle: int = ORACLE_LENGTH) 
     return _oracle_cache[key]
 
 
-def _preliminary(cfg: McConfig, traj, N: int, model: ModelSpec) -> PreliminaryEstimate:
-    if cfg.preliminary == "mle":
-        return mle(traj, N, model, cfg.grid_points)
-    if cfg.preliminary == "bayes":
-        return bayes(traj, N, model, grid_points=cfg.grid_points)
-    return emm(traj, N, model)
-
-
 def _replicate(cfg: McConfig, seed: int) -> np.ndarray:
     """One replication; returns the terminal estimate."""
     model = get_model(cfg.model_name)
-    traj = simulate(
-        model, cfg.theta0, cfg.n, seed=seed, burn_in=cfg.burn_in, x_init=cfg.x_init
-    )
-    if cfg.process == "full-mle":
-        return full_mle_path(traj, model, cfg.grid_points, [cfg.n]).terminal
-    N = learning_length(cfg.n, cfg.delta)
-    prelim = _preliminary(cfg, traj, N, model)
-    if cfg.process == "none":
-        return prelim.theta
-    if cfg.process == "two-step":
-        # terminal-only studies skip the per-k information re-estimation
-        if cfg.stride is None:
-            return two_step_terminal(traj, model, prelim, cfg.fisher_method)
-        return two_step_path(traj, model, prelim, cfg.fisher_method, cfg.stride).terminal
-    stride = cfg.stride if cfg.stride is not None else cfg.n
-    fn = one_step_path if cfg.process == "one-step" else second_preliminary_path
-    return fn(traj, model, prelim, cfg.fisher_method, stride).terminal
+    traj = simulate(model, cfg.theta0, cfg.n, seed=seed, burn_in=cfg.burn_in, x_init=cfg.x_init)
+    prelim, path = cfg.spec.run(traj, model)
+    return prelim.theta if path is None else path.terminal
 
 
 def _replicate_safe(cfg: McConfig, index: int) -> tuple:

@@ -17,7 +17,7 @@ All callables must be pure: no hidden state, safe to share across tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -117,6 +117,8 @@ class NoiseDensity:
     dpsi: Callable
     sampler: Callable
     support: tuple[float, float]
+    # noise information, filled in by the first factorized information estimate
+    _information: float | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 from .fisher import FISHER_METHODS, invert_fisher
 from .likelihood import ScoreWindow, grad_terms, loglik_grad
 from .models import ModelSpec
-from .preliminary import PreliminaryEstimate, mle as _grid_mle
+from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
 from .simulate import Trajectory
 
 __all__ = [
@@ -38,6 +38,9 @@ __all__ = [
     "two_step_path",
     "recurrent_path",
     "full_mle_path",
+    "PRELIMINARY_KINDS",
+    "PROCESS_KINDS",
+    "Pipeline",
     "write_path_csv",
     "path_to_json_dict",
 ]
@@ -90,24 +93,34 @@ def _emitted_ks(N: int, n: int, stride: int | None) -> np.ndarray:
         stride = 1 if n <= 10_000 else max(1, n // 1000)
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if stride >= n - N:
+        return np.array([n])
     ks = np.arange(N + 1, n + 1, stride, dtype=int)
     if ks[-1] != n:
         ks = np.append(ks, n)
     return ks
 
 
-def _interior_start(prelim: PreliminaryEstimate, model: ModelSpec) -> np.ndarray:
-    theta = np.atleast_1d(np.asarray(prelim.theta, dtype=float))
+def _into_domain(theta: np.ndarray, model: ModelSpec, what: str) -> np.ndarray:
     proj = model.domain.project(theta)
     if not np.array_equal(proj, theta):
-        logger.info("preliminary estimate %s projected into the domain", theta)
+        logger.info("%s %s projected into the domain", what, theta)
     return proj
 
 
-def _frozen_information(theta0, traj: Trajectory, model: ModelSpec, fisher_method: str):
-    # Estimated once on the full sample: a learning window of a few dozen
-    # points gives an estimate noisy enough to destabilize the correction.
-    return FISHER_METHODS[fisher_method](theta0, traj, ScoreWindow(1, traj.n), model)
+def _frozen_start(
+    traj: Trajectory, model: ModelSpec, prelim: PreliminaryEstimate, fisher_method: str
+):
+    """The preliminary in the domain, and the inverse information frozen there.
+
+    Estimated once on the full sample: a learning window of a few dozen points
+    gives an estimate noisy enough to destabilize the correction.
+    """
+    if prelim.learning_length >= traj.n:
+        raise ValueError("learning interval leaves no observations to process")
+    theta0 = _into_domain(prelim.theta, model, "preliminary estimate")
+    info = FISHER_METHODS[fisher_method](theta0, traj, ScoreWindow(1, traj.n), model)
+    return theta0, invert_fisher(info)
 
 
 def _frozen_correction(
@@ -121,10 +134,7 @@ def _frozen_correction(
 ) -> EstimatorPath:
     """Shared engine: correction with the information frozen at the preliminary."""
     n, N = traj.n, prelim.learning_length
-    if N >= n:
-        raise ValueError("learning interval leaves no observations to process")
-    theta0 = _interior_start(prelim, model)
-    inv = invert_fisher(_frozen_information(theta0, traj, model, fisher_method))
+    theta0, inv = _frozen_start(traj, model, prelim, fisher_method)
     grads = grad_terms(theta0, traj, ScoreWindow(score_start, n), model)
     csum = np.cumsum(grads, axis=0)
     ks = _emitted_ks(N, n, stride)
@@ -142,7 +152,8 @@ def one_step_path(
 ) -> EstimatorPath:
     """Score-corrected path using transitions after the learning interval.
 
-    For each emitted k (every stride-th index from N+1, always including n):
+    For each emitted k (every stride-th index from N+1, always including n;
+    n alone when stride >= n - N):
 
         theta_k = prelim + (1/k) I(prelim)^{-1} sum_{j=N+1..k} loglik_grad
 
@@ -189,38 +200,12 @@ def two_step_path(
     fisher_fn = FISHER_METHODS[fisher_method]
     thetas = np.empty_like(base.thetas)
     for i, k in enumerate(base.ks):
-        mid = model.domain.project(base.thetas[i])
-        if not np.array_equal(mid, base.thetas[i]):
-            logger.info(
-                "second preliminary estimate %s at k=%d projected into the domain",
-                base.thetas[i],
-                k,
-            )
+        mid = _into_domain(base.thetas[i], model, f"second preliminary estimate at k={k}")
         window = ScoreWindow(1, int(k))
         inv = invert_fisher(fisher_fn(mid, traj, window, model))
         total = grad_terms(mid, traj, window, model).sum(axis=0)
         thetas[i] = mid + inv @ total / k
     return EstimatorPath(base.ks, thetas, "two-step", base.N, prelim, base.n)
-
-
-def two_step_terminal(
-    traj: Trajectory,
-    model: ModelSpec,
-    prelim: PreliminaryEstimate,
-    fisher_method: str = "observed",
-) -> np.ndarray:
-    """The two-step estimate at k = n only, skipping intermediate emissions."""
-    n, N = traj.n, prelim.learning_length
-    if N >= n:
-        raise ValueError("learning interval leaves no observations to process")
-    theta0 = _interior_start(prelim, model)
-    inv = invert_fisher(_frozen_information(theta0, traj, model, fisher_method))
-    window = ScoreWindow(1, n)
-    total = grad_terms(theta0, traj, window, model).sum(axis=0)
-    mid = model.domain.project(theta0 + inv @ total / n)
-    inv2 = invert_fisher(FISHER_METHODS[fisher_method](mid, traj, window, model))
-    total2 = grad_terms(mid, traj, window, model).sum(axis=0)
-    return mid + inv2 @ total2 / n
 
 
 def recurrent_path(
@@ -243,10 +228,7 @@ def recurrent_path(
     ``one_step_path``.
     """
     n, N = traj.n, prelim.learning_length
-    if N >= n:
-        raise ValueError("learning interval leaves no observations to process")
-    theta0 = _interior_start(prelim, model)
-    inv = invert_fisher(_frozen_information(theta0, traj, model, fisher_method))
+    theta0, inv = _frozen_start(traj, model, prelim, fisher_method)
     obs = traj.observations
     k0 = N + 1
     if full_window:
@@ -281,9 +263,75 @@ def full_mle_path(
     if ks.size == 0 or ks[0] < 1 or ks[-1] > n:
         raise ValueError("checkpoints must lie in [1, n]")
     thetas = np.array(
-        [_grid_mle(traj, int(k), model, grid_points).theta for k in ks]
+        [mle(traj, int(k), model, grid_points).theta for k in ks]
     )
     return EstimatorPath(ks, thetas, "full-mle", 0, None, n)
+
+
+# --- Pipelines -------------------------------------------------------------------
+
+# Pipeline.run looks both tables up at call time, so a wrapped entry (a
+# tracer, a test double) is the one that runs.
+PRELIMINARY_KINDS = {"mle": mle, "bayes": bayes, "emm": emm}
+PROCESS_KINDS = {
+    "none": None,
+    "one-step": one_step_path,
+    "second-preliminary": second_preliminary_path,
+    "two-step": two_step_path,
+    "recurrent": recurrent_path,
+    "full-mle": full_mle_path,
+}
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One estimator-process, as the CLI and the Monte Carlo harness run it.
+
+    A preliminary estimate on the learning interval N = n**delta, then a
+    process: ``none`` stops there, and ``full-mle`` skips the preliminary.
+    ``stride`` thins the emitted indices of the batch paths; ``recurrent``
+    emits every index. ``grid_points`` sizes the grids of ``mle``, ``bayes``
+    and ``full-mle``.
+    """
+
+    delta: float
+    preliminary: str = "mle"
+    process: str = "one-step"
+    fisher_method: str = "observed"
+    stride: int | None = None
+    grid_points: int = 512
+
+    def __post_init__(self):
+        # membership in a tuple, not a dict: an unhashable value read from a
+        # config file is rejected here instead of raising TypeError
+        if self.preliminary not in tuple(PRELIMINARY_KINDS):
+            raise ValueError(f"preliminary must be one of {tuple(PRELIMINARY_KINDS)}")
+        if self.process not in tuple(PROCESS_KINDS):
+            raise ValueError(f"process must be one of {tuple(PROCESS_KINDS)}")
+        if self.fisher_method not in tuple(FISHER_METHODS):
+            raise ValueError(f"fisher_method must be one of {tuple(FISHER_METHODS)}")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.stride is not None and self.stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if self.grid_points < 3:
+            raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
+
+    def run(
+        self, traj: Trajectory, model: ModelSpec
+    ) -> tuple[PreliminaryEstimate | None, EstimatorPath | None]:
+        """(preliminary estimate or None, path or None) for one trajectory."""
+        path_fn = PROCESS_KINDS[self.process]
+        if self.process == "full-mle":
+            return None, path_fn(traj, model, self.grid_points)
+        N = learning_length(traj.n, self.delta)
+        grid = {} if self.preliminary == "emm" else {"grid_points": self.grid_points}
+        prelim = PRELIMINARY_KINDS[self.preliminary](traj, N, model, **grid)
+        if path_fn is None:
+            return prelim, None
+        if self.process == "recurrent":
+            return prelim, path_fn(traj, model, prelim, self.fisher_method)
+        return prelim, path_fn(traj, model, prelim, self.fisher_method, self.stride)
 
 
 # --- Serialization --------------------------------------------------------------

@@ -93,6 +93,28 @@ class TestEstimateCommand:
         assert int(rows[-1][0]) == 1000
         assert rows[0][3] == "one-step"
 
+    @pytest.mark.parametrize("preliminary,process,fisher", [
+        ("mle", "one-step", "factorized"),
+        ("emm", "two-step", "plugin"),
+        ("mle", "full-mle", "observed"),
+    ])
+    def test_terminal_matches_study_replication(self, tmp_path, preliminary, process, fisher):
+        # one pipeline description: the CLI and the harness agree bit for bit
+        out = tmp_path / "path.csv"
+        code = run_cli(
+            "estimate", "--model", "example2", "--theta", "0.5", "--n", "600",
+            "--seed", "8", "--delta", "0.5", "--preliminary", preliminary,
+            "--process", process, "--fisher", fisher, "--out", str(out),
+        )
+        assert code == 0
+        summary = json.loads(out.with_suffix(".summary.json").read_text())
+        cfg = ms.McConfig(
+            "example2", 0.5, 600, 0.5, preliminary=preliminary, process=process,
+            fisher_method=fisher, reference_information=((2.15,),),
+        )
+        np.testing.assert_array_equal(summary["terminal"], mc._replicate(cfg, 8))
+        assert (summary["preliminary"] is None) == (process == "full-mle")
+
     def test_reads_trajectory_file(self, tmp_path):
         traj_path = tmp_path / "traj.json"
         run_cli(
@@ -192,10 +214,14 @@ class TestMcCommand:
 
     def test_invalid_config_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.json"
-        self._write_config(cfg_path, bogus_field=1)
-        code = run_cli("mc", "--config", str(cfg_path), "--out", str(tmp_path / "r.json"))
-        assert code == 1
-        assert "unknown" in capsys.readouterr().err
+        for overrides, message in (
+            (dict(bogus_field=1), "unknown"),
+            (dict(fisher_method="bogus"), "fisher_method"),
+        ):
+            self._write_config(cfg_path, **overrides)
+            code = run_cli("mc", "--config", str(cfg_path), "--out", str(tmp_path / "r.json"))
+            assert code == 1
+            assert message in capsys.readouterr().err
 
     def test_replication_failures_propagate(self, tmp_path, capsys, monkeypatch):
         def broken(cfg, seed):

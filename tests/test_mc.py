@@ -46,10 +46,23 @@ class TestMcConfig:
             ms.McConfig("linear", 0.95, 100, 0.5)
 
     def test_rejects_unknown_pipeline(self):
-        with pytest.raises(ValueError, match="preliminary"):
-            ms.McConfig("linear", 0.5, 100, 0.5, preliminary="magic")
-        with pytest.raises(ValueError, match="process"):
-            ms.McConfig("linear", 0.5, 100, 0.5, process="three-step")
+        # each bad field fails at construction, naming the field
+        cases = [
+            (dict(preliminary="magic"), "preliminary"),
+            (dict(process="three-step"), "process"),
+            (dict(process=["one-step"]), "process"),
+            (dict(fisher_method="bogus"), "fisher_method"),
+            (dict(stride=0), "stride"),
+            (dict(delta=1.5), "delta"),
+            (dict(n=1), "n must"),
+            (dict(n=2), "n=2"),
+            (dict(grid_points=1), "grid_points"),
+            (dict(burn_in=-1), "burn_in"),
+        ]
+        for overrides, field in cases:
+            kwargs = {"model_name": "linear", "theta0": 0.5, "n": 100, "delta": 0.5}
+            with pytest.raises(ValueError, match=field):
+                ms.McConfig(**{**kwargs, **overrides})
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -98,6 +111,23 @@ class TestRunStudy:
         par = ms.run_study(cfg, workers=2)
         np.testing.assert_array_equal(seq.terminal_errors, par.terminal_errors)
         assert seq.failures == par.failures
+
+    def test_two_step_terminal_is_the_path_terminal(self, example2):
+        n = 400
+        cfg = ms.McConfig(
+            "example2", 0.5, n, 0.375, preliminary="emm", process="two-step",
+            fisher_method="plugin", replications=3, base_seed=5,
+            reference_information=((2.15,),),
+        )
+        report = ms.run_study(cfg)
+        N = ms.learning_length(n, 0.375)
+        for i, seed in enumerate(report.seeds):
+            traj = ms.simulate(example2, 0.5, n, seed=int(seed))
+            path = ms.two_step_path(traj, example2, ms.emm(traj, N, example2), "plugin", stride=n)
+            assert list(path.ks) == [n]
+            np.testing.assert_array_equal(
+                report.terminal_errors[i], np.sqrt(n) * (path.terminal - 0.5)
+            )
 
     def test_failures_recorded_and_skipped(self, monkeypatch):
         real = mc._replicate

@@ -10,6 +10,7 @@ from mlestep.likelihood import ScoreWindow, grad_terms, loglik_grad
 from mlestep.preliminary import PreliminaryEstimate, emm, learning_length, mle
 from mlestep.process import (
     EstimatorPath,
+    Pipeline,
     full_mle_path,
     one_step_path,
     path_to_json_dict,
@@ -85,6 +86,10 @@ class TestEmission:
         path = one_step_path(traj, example2, prelim, stride=400)
         assert path.ks[0] == 101
         assert path.ks[-1] == 1003
+        # a stride reaching past the last index emits the terminal alone
+        for stride in (903, 1003):
+            path = one_step_path(traj, example2, prelim, stride=stride)
+            assert list(path.ks) == [1003]
 
     def test_stride_invariance(self, example2):
         traj = ms.simulate(example2, 0.5, 1000, seed=2)
@@ -258,6 +263,24 @@ class TestFullMle:
         assert list(path.ks) == [50]
         assert path.kind == "full-mle"
         assert path.preliminary is None
+
+
+class TestPipeline:
+    def test_rejects_bad_fields_by_name(self):
+        for kwargs, field in (
+            (dict(delta=0.0), "delta"),
+            (dict(delta=0.5, fisher_method="exact"), "fisher_method"),
+            (dict(delta=0.5, stride=0), "stride"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                Pipeline(**kwargs)
+
+    def test_none_skips_the_path_and_full_mle_the_preliminary(self, example2):
+        traj = ms.simulate(example2, 0.5, 300, seed=1)
+        prelim, path = Pipeline(0.5, "emm", "none").run(traj, example2)
+        assert path is None and prelim.learning_length == learning_length(300, 0.5)
+        prelim, path = Pipeline(0.5, "mle", "full-mle").run(traj, example2)
+        assert prelim is None and path.kind == "full-mle"
 
 
 class TestSerialization:
