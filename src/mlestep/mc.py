@@ -5,13 +5,18 @@ process, collects the terminal errors normalized by sqrt(n), and compares
 their spread against the inverse of a long-run reference information matrix.
 Replications use seeds base_seed + i, so a report is a pure function of its
 configuration.
+
+The engine simulates the seeds in blocks of at most _BLOCK_ROWS rows, all
+rows of a block in lockstep, and runs every study that shares the block's
+trajectories on each row before it drops the block: studies compared side
+by side then simulate each seed once (common random numbers).
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +28,7 @@ from .likelihood import ScoreWindow
 from .models import ModelSpec, get_model
 from .preliminary import learning_length
 from .process import Pipeline
-from .simulate import simulate
+from .simulate import Trajectory, simulate, simulate_paths
 
 __all__ = [
     "McConfig",
@@ -42,6 +47,10 @@ QUANTILE_LEVELS = (5, 25, 50, 75, 95)
 ORACLE_LENGTH = 1_000_000
 _ORACLE_SEED = 20_240_001
 _oracle_cache: dict = {}
+
+# rows simulated together; at n = 1e4 a block holds about 11 MB of noise and states
+_BLOCK_ROWS = 64
+_FAILURES = (MlestepError, ValueError, FloatingPointError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -70,14 +79,16 @@ class McConfig:
         object.__setattr__(self, "theta0", theta0)
         if self.replications < 2:
             raise ValueError("a study needs at least 2 replications")
-        stride = self.n if self.stride is None else self.stride  # terminals only
         spec = Pipeline(
-            self.delta, self.preliminary, self.process, self.fisher_method, stride, self.grid_points
+            self.delta, self.preliminary, self.process, self.fisher_method, self.stride,
+            self.grid_points,
         )
-        object.__setattr__(self, "spec", spec)
         N = learning_length(self.n, self.delta)
         if N >= self.n:
             raise ValueError(f"n={self.n} leaves no transitions after the learning interval N={N}")
+        # a study reads terminals only, so its paths emit k = n alone; the
+        # configured stride is validated and echoed but changes nothing
+        object.__setattr__(self, "spec", replace(spec, stride=self.n))
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         model = get_model(self.model_name)
@@ -149,20 +160,79 @@ def oracle_information(model: ModelSpec, theta0, n_oracle: int = ORACLE_LENGTH) 
     return _oracle_cache[key]
 
 
-def _replicate(cfg: McConfig, seed: int) -> np.ndarray:
-    """One replication; returns the terminal estimate."""
-    model = get_model(cfg.model_name)
-    traj = simulate(model, cfg.theta0, cfg.n, seed=seed, burn_in=cfg.burn_in, x_init=cfg.x_init)
+def _replicate(cfg: McConfig, traj: Trajectory, model: ModelSpec) -> np.ndarray:
+    """One replication: the terminal estimate of cfg's pipeline on traj."""
     prelim, path = cfg.spec.run(traj, model)
     return prelim.theta if path is None else path.terminal
 
 
-def _replicate_safe(cfg: McConfig, index: int) -> tuple:
-    seed = int(cfg.base_seed + index)
+def _outcome(fn, *args, **kwargs) -> tuple:
+    """(value, None), or (None, message) when fn fails."""
     try:
-        return index, _replicate(cfg, seed), None
-    except (MlestepError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return fn(*args, **kwargs), None
+    except _FAILURES as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _run_block(cfgs: tuple, start: int, stop: int) -> list[list[tuple]]:
+    """Outcomes of replications start..stop-1 for each study of a group.
+
+    The group shares its trajectories (see _trajectory_key), so the block is
+    simulated once. If any row fails, the block is simulated again seed by
+    seed, so that only the failing rows fail, with simulate's message.
+    """
+    head = cfgs[0]
+    model = get_model(head.model_name)
+    seeds = [int(head.base_seed + i) for i in range(start, stop)]
+    sim = dict(burn_in=head.burn_in, x_init=head.x_init)
+    try:
+        rows = simulate_paths(model, head.theta0, head.n, seeds, **sim)
+    except _FAILURES:
+        trajs = [_outcome(simulate, model, head.theta0, head.n, seed, **sim) for seed in seeds]
+    else:
+        trajs = [
+            (Trajectory(row, head.theta0, seed, head.burn_in, model.name), None)
+            for seed, row in zip(seeds, rows)
+        ]
+    return [
+        [(None, fail) if traj is None else _outcome(_replicate, cfg, traj, model)
+         for traj, fail in trajs]
+        for cfg in cfgs
+    ]
+
+
+def _trajectory_key(cfg: McConfig) -> tuple:
+    """Studies with equal keys simulate exactly the same trajectories."""
+    return (
+        cfg.model_name, cfg.theta0.tobytes(), cfg.n, cfg.base_seed, cfg.replications,
+        cfg.burn_in, cfg.x_init,
+    )
+
+
+def _run_replications(cfgs: Sequence[McConfig], workers: int) -> list[list[tuple]]:
+    """Per study, the (terminal or None, failure message or None) of each
+    replication. The result does not depend on the worker count."""
+    groups: dict = {}
+    for index, cfg in enumerate(cfgs):
+        groups.setdefault(_trajectory_key(cfg), []).append(index)
+    jobs, owners = [], []
+    for members in groups.values():
+        replications = cfgs[members[0]].replications
+        for start in range(0, replications, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, replications)
+            jobs.append((tuple(cfgs[i] for i in members), start, stop))
+            owners.append(members)
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_run_block, *zip(*jobs)))
+    else:
+        blocks = [_run_block(*job) for job in jobs]
+    outcomes: list[list[tuple]] = [[] for _ in cfgs]
+    for members, block in zip(owners, blocks):
+        for index, rows in zip(members, block):
+            outcomes[index].extend(rows)
+    return outcomes
 
 
 def _quantile_table(errors: np.ndarray, ref_inv: np.ndarray) -> dict:
@@ -174,31 +244,19 @@ def _quantile_table(errors: np.ndarray, ref_inv: np.ndarray) -> dict:
     return {"empirical": empirical, "gaussian": gaussian}
 
 
-def run_study(cfg: McConfig, workers: int = 1) -> McReport:
-    """Run the configured study and aggregate the terminal errors.
-
-    Replication i uses seed base_seed + i. Failed replications are recorded
-    and skipped; the study errors out if more than 10 percent fail. The
-    report is identical whichever worker count executes it.
-    """
-    model = get_model(cfg.model_name)
+def _reference_inverse(cfg: McConfig) -> np.ndarray:
     if cfg.reference_information is not None:
         reference = FisherMatrix(
             np.asarray(cfg.reference_information, dtype=float), "reference", 0
         )
     else:
-        reference = oracle_information(model, cfg.theta0)
-    ref_inv = invert_fisher(reference)
-    indices = range(cfg.replications)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replicate_safe, [cfg] * cfg.replications, indices))
-    else:
-        outcomes = [_replicate_safe(cfg, i) for i in indices]
-    outcomes.sort(key=lambda item: item[0])
+        reference = oracle_information(get_model(cfg.model_name), cfg.theta0)
+    return invert_fisher(reference)
 
+
+def _report(cfg: McConfig, ref_inv: np.ndarray, outcomes: list[tuple]) -> McReport:
     rows, failures = [], []
-    for index, theta, message in outcomes:
+    for index, (theta, message) in enumerate(outcomes):
         if message is None:
             rows.append(theta)
         else:
@@ -222,8 +280,31 @@ def run_study(cfg: McConfig, workers: int = 1) -> McReport:
     )
 
 
+def _run_studies(cfgs: Sequence[McConfig], workers: int) -> list[McReport]:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    ref_invs = [_reference_inverse(cfg) for cfg in cfgs]
+    outcomes = _run_replications(cfgs, workers)
+    return [_report(*item) for item in zip(cfgs, ref_invs, outcomes)]
+
+
+def run_study(cfg: McConfig, workers: int = 1) -> McReport:
+    """Run the configured study and aggregate the terminal errors.
+
+    Replication i uses seed base_seed + i. Failed replications are recorded
+    and skipped; the study errors out if more than 10 percent fail. The
+    report is identical whichever worker count executes it; workers > 1
+    runs blocks of replications in that many processes at most.
+    """
+    return _run_studies([cfg], workers)[0]
+
+
 def compare_estimators(cfgs: Sequence[McConfig], workers: int = 1) -> list[dict]:
-    """Run several pipelines over a shared model/theta0/n and tabulate them."""
+    """Run several pipelines over a shared model/theta0/n and tabulate them.
+
+    Studies that also share base_seed, replications, burn_in and x_init run
+    on the same simulated trajectories, each simulated once.
+    """
     if not cfgs:
         raise ValueError("no study configurations given")
     base = cfgs[0]
@@ -234,19 +315,16 @@ def compare_estimators(cfgs: Sequence[McConfig], workers: int = 1) -> list[dict]
             or cfg.n != base.n
         ):
             raise ValueError("compared studies must share model, theta0, and n")
-    rows = []
-    for cfg in cfgs:
-        report = run_study(cfg, workers=workers)
-        rows.append(
-            {
-                "pipeline": cfg.pipeline(),
-                "delta": float(cfg.delta),
-                "variance": report.empirical_covariance.tolist(),
-                "quantiles": report.quantiles["empirical"],
-                "replications_used": report.replications_used,
-            }
-        )
-    return rows
+    return [
+        {
+            "pipeline": cfg.pipeline(),
+            "delta": float(cfg.delta),
+            "variance": report.empirical_covariance.tolist(),
+            "quantiles": report.quantiles["empirical"],
+            "replications_used": report.replications_used,
+        }
+        for cfg, report in zip(cfgs, _run_studies(cfgs, workers))
+    ]
 
 
 # --- Serialization --------------------------------------------------------------

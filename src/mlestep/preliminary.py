@@ -109,7 +109,8 @@ def mle(traj: Trajectory, N: int, model: ModelSpec, grid_points: int = 512) -> P
     Coarse grid scan followed by golden-section refinement of the bracketing
     cell to 1e-8 in theta; grid ties break toward the smaller value. A flat
     likelihood (no information in the window) skips refinement and is flagged
-    in the diagnostics.
+    in the diagnostics. A NaN on the grid raises EstimationError naming the
+    first grid value that gives one.
     """
     _require_scalar(model, "mle")
     if N > traj.n:
@@ -118,6 +119,11 @@ def mle(traj: Trajectory, N: int, model: ModelSpec, grid_points: int = 512) -> P
         raise ValueError("grid_points must be >= 3")
     grid = _grid(model, grid_points)
     values = np.array([_learning_loglik(np.array([t]), traj, N, model) for t in grid])
+    nan = np.isnan(values)
+    if np.any(nan):
+        raise EstimationError(
+            f"conditional likelihood is NaN at theta={float(grid[np.argmax(nan)])} on the grid"
+        )
     if np.all(np.isneginf(values)):
         raise EstimationError("conditional likelihood is -inf on the entire grid")
     top = float(values.max())

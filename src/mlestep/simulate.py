@@ -76,6 +76,7 @@ def simulate_paths(
     Returns an array of shape (len(seeds), n + 1); row i is exactly the
     observation vector that ``simulate`` produces for seeds[i], because each
     row consumes its own generator stream and the recursion is elementwise.
+    A lone seed is stepped as a numpy scalar rather than a 1-element array.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if not model.domain.contains(theta):
@@ -94,16 +95,23 @@ def simulate_paths(
         noise[i] = model.noise.sampler(rng, total)
 
     S = model.drift.S
-    out = np.empty((len(seeds), n + 1))
-    x = np.full(len(seeds), float(x_init))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(total):
-            x = S(theta, x) + noise[:, step]
-            if step >= burn_in:
-                out[:, step - burn_in] = x
-    if not np.all(np.isfinite(out)):
-        row = int(np.where(~np.all(np.isfinite(out), axis=1))[0][0])
-        step = _first_bad_step(S, theta, noise[row], x_init)
+    if len(seeds) == 1:
+        # a lone chain steps as a numpy scalar, several times cheaper per step
+        # than a 1-element array
+        out = _scalar_chain(S, theta, noise[0], x_init)[np.newaxis, burn_in:]
+    else:
+        out = np.empty((len(seeds), n + 1))
+        x = np.full(len(seeds), float(x_init))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(total):
+                x = S(theta, x) + noise[:, step]
+                if step >= burn_in:
+                    out[:, step - burn_in] = x
+    finite = np.all(np.isfinite(out), axis=1)
+    if not np.all(finite):
+        row = int(np.argmin(finite))
+        # replay the stream to locate the first non-finite state (1-based)
+        step = int(np.argmin(np.isfinite(_scalar_chain(S, theta, noise[row], x_init)))) + 1
         raise SimulationDiverged(
             f"state became non-finite at generation step {step} "
             f"(seed {int(seeds[row])}); the parameter may be non-ergodic",
@@ -112,16 +120,17 @@ def simulate_paths(
     return out
 
 
-def _first_bad_step(S, theta, noise_row, x_init) -> int:
-    """Replay one noise stream to locate the first non-finite state (1-based)."""
-    # numpy scalars keep overflow as inf instead of raising like python floats
+def _scalar_chain(S, theta, noise_row, x_init) -> np.ndarray:
+    """Every generated state of one chain, stepped as a numpy scalar."""
+    # each eps is a numpy scalar, so every state is one too: numpy scalars
+    # keep overflow as inf instead of raising like python floats
+    states = np.empty(noise_row.size)
     x = np.float64(x_init)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, eps in enumerate(noise_row, start=1):
-            x = np.float64(S(theta, x) + eps)
-            if not np.isfinite(x):
-                return step
-    return len(noise_row)
+        for step, eps in enumerate(noise_row):
+            x = S(theta, x) + eps
+            states[step] = x
+    return states
 
 
 def simulate(

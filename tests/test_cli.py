@@ -112,7 +112,9 @@ class TestEstimateCommand:
             "example2", 0.5, 600, 0.5, preliminary=preliminary, process=process,
             fisher_method=fisher, reference_information=((2.15,),),
         )
-        np.testing.assert_array_equal(summary["terminal"], mc._replicate(cfg, 8))
+        model = ms.get_model("example2")
+        traj = ms.simulate(model, 0.5, 600, seed=8)
+        np.testing.assert_array_equal(summary["terminal"], mc._replicate(cfg, traj, model))
         assert (summary["preliminary"] is None) == (process == "full-mle")
 
     def test_reads_trajectory_file(self, tmp_path):
@@ -135,6 +137,14 @@ class TestEstimateCommand:
         code = run_cli("estimate", "--delta", "0.75")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        # the recurrent path writes every k, so a stride is refused, not ignored
+        code = run_cli(
+            "estimate", "--model", "example2", "--theta", "0.5", "--n", "200",
+            "--process", "recurrent", "--stride", "50",
+        )
+        assert code == 1
+        assert "--stride" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_degenerate_information_surfaces_as_error(self, capsys, tmp_path):
         from helpers import zero_model
@@ -214,17 +224,21 @@ class TestMcCommand:
 
     def test_invalid_config_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.json"
-        for overrides, message in (
-            (dict(bogus_field=1), "unknown"),
-            (dict(fisher_method="bogus"), "fisher_method"),
+        for overrides, flags, message in (
+            (dict(bogus_field=1), (), "unknown"),
+            (dict(fisher_method="bogus"), (), "fisher_method"),
+            ({}, ("--workers", "0"), "workers"),
+            ({}, ("--workers", "-1"), "workers"),
         ):
             self._write_config(cfg_path, **overrides)
-            code = run_cli("mc", "--config", str(cfg_path), "--out", str(tmp_path / "r.json"))
+            code = run_cli(
+                "mc", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "r.json")
+            )
             assert code == 1
             assert message in capsys.readouterr().err
 
     def test_replication_failures_propagate(self, tmp_path, capsys, monkeypatch):
-        def broken(cfg, seed):
+        def broken(cfg, traj, model):
             raise ValueError("all replications down")
 
         monkeypatch.setattr(mc, "_replicate", broken)

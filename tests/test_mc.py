@@ -5,10 +5,12 @@ import pytest
 
 import mlestep as ms
 from mlestep import mc
-from mlestep.errors import StudyError
+from mlestep.errors import SimulationDiverged, StudyError
 from mlestep.models import Drift, ModelSpec, NoiseDensity, ParamDomain, register_model
 from mlestep.models import _linear_drift, _linear_drift_grad, _linear_drift_hess
 from mlestep.models import _gauss_logpdf, _gauss_pdf, _gauss_score, _gauss_score_deriv
+
+from helpers import cubic_model
 
 
 def _zero_sampler(rng, size=None):
@@ -34,6 +36,7 @@ def silent_linear_model():
 
 
 register_model("silent-linear", silent_linear_model)
+register_model("cubic", cubic_model)
 
 
 class TestMcConfig:
@@ -103,14 +106,64 @@ class TestRunStudy:
         assert a.quantiles == b.quantiles
 
     def test_parallel_matches_sequential(self):
+        # one block, and two blocks whose second is a lone chain
+        for replications in (8, mc._BLOCK_ROWS + 1):
+            cfg = ms.McConfig(
+                "linear", 0.5, 400, 0.6, preliminary="mle", process="one-step",
+                replications=replications, base_seed=3, reference_information=((4.0 / 3.0,),),
+            )
+            seq = ms.run_study(cfg, workers=1)
+            par = ms.run_study(cfg, workers=2)
+            np.testing.assert_array_equal(seq.terminal_errors, par.terminal_errors)
+            assert seq.failures == par.failures
+
+    def test_rejects_bad_worker_count(self):
         cfg = ms.McConfig(
-            "linear", 0.5, 400, 0.6, preliminary="mle", process="one-step",
-            replications=8, base_seed=3, reference_information=((4.0 / 3.0,),),
+            "linear", 0.5, 400, 0.6, replications=2, reference_information=((4.0 / 3.0,),),
         )
-        seq = ms.run_study(cfg, workers=1)
-        par = ms.run_study(cfg, workers=2)
-        np.testing.assert_array_equal(seq.terminal_errors, par.terminal_errors)
-        assert seq.failures == par.failures
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                ms.run_study(cfg, workers=workers)
+            with pytest.raises(ValueError, match="workers"):
+                ms.compare_estimators([cfg], workers=workers)
+
+    def test_stride_does_not_change_terminals(self):
+        for process in ("one-step", "two-step"):
+            shared = dict(
+                model_name="example2", theta0=0.5, n=400, delta=0.375, preliminary="emm",
+                process=process, fisher_method="plugin", replications=3,
+                reference_information=((2.15,),),
+            )
+            thin = ms.run_study(ms.McConfig(**shared))
+            dense = ms.run_study(ms.McConfig(stride=1, **shared))
+            assert dense.config.to_json_dict()["stride"] == 1
+            assert dense.config.spec.stride == 400  # paths emit k = n only
+            np.testing.assert_allclose(
+                dense.terminal_errors, thin.terminal_errors, rtol=0.0, atol=1e-12
+            )
+
+    def test_diverging_rows_fail_alone(self):
+        # theta x^3 escapes to infinity within 8 steps on a few seeds only
+        n, theta0 = 7, 0.5
+        cfg = ms.McConfig(
+            "cubic", theta0, n, 0.5, preliminary="emm", process="none",
+            replications=mc._BLOCK_ROWS + 6, burn_in=0, reference_information=((1.0,),),
+        )
+        report = ms.run_study(cfg)
+        model = ms.get_model("cubic")
+        expected, survivors = {}, []
+        for i in range(cfg.replications):
+            try:
+                traj = ms.simulate(model, theta0, n, seed=i, burn_in=0)
+            except SimulationDiverged as exc:
+                expected[i] = f"SimulationDiverged: {exc}"
+            else:
+                survivors.append(mc._replicate(cfg, traj, model))
+        assert 0 < len(expected) < cfg.replications
+        assert dict(report.failures) == expected
+        np.testing.assert_array_equal(
+            report.terminal_errors, np.sqrt(n) * (np.array(survivors) - theta0)
+        )
 
     def test_two_step_terminal_is_the_path_terminal(self, example2):
         n = 400
@@ -132,10 +185,10 @@ class TestRunStudy:
     def test_failures_recorded_and_skipped(self, monkeypatch):
         real = mc._replicate
 
-        def flaky(cfg, seed):
-            if seed % 7 == 0:
+        def flaky(cfg, traj, model):
+            if traj.seed % 7 == 0:
                 raise ValueError("synthetic failure")
-            return real(cfg, seed)
+            return real(cfg, traj, model)
 
         monkeypatch.setattr(mc, "_replicate", flaky)
         cfg = ms.McConfig(
@@ -149,7 +202,7 @@ class TestRunStudy:
         assert all("synthetic failure" in msg for _, msg in report.failures)
 
     def test_too_many_failures_error(self, monkeypatch):
-        def broken(cfg, seed):
+        def broken(cfg, traj, model):
             raise ValueError("always down")
 
         monkeypatch.setattr(mc, "_replicate", broken)
@@ -203,6 +256,31 @@ class TestCompare:
         assert len(rows) == 1
         assert rows[0]["pipeline"] == "mle+one-step"
         assert rows[0]["replications_used"] == 10
+
+    def test_each_seed_simulated_once(self, monkeypatch):
+        simulated = []
+        real = mc.simulate_paths
+
+        def spy(model, theta, n, seeds, **kwargs):
+            simulated.extend(seeds)
+            return real(model, theta, n, seeds, **kwargs)
+
+        monkeypatch.setattr(mc, "simulate_paths", spy)
+        shared = dict(
+            model_name="example2", theta0=0.5, n=300, delta=0.6, replications=5,
+            base_seed=11, reference_information=((2.15,),),
+        )
+        cfgs = [
+            ms.McConfig(preliminary="emm", process="none", **shared),
+            ms.McConfig(preliminary="mle", process="one-step", **shared),
+            ms.McConfig(preliminary="mle", process="full-mle", **shared),
+        ]
+        rows = ms.compare_estimators(cfgs)
+        assert simulated == list(range(11, 16))
+        for cfg, row in zip(cfgs, rows):
+            alone = ms.run_study(cfg)
+            assert row["variance"] == alone.empirical_covariance.tolist()
+            assert row["quantiles"] == alone.quantiles["empirical"]
 
     def test_efficiency_ordering_example2(self, example2):
         # EMM alone is rate-suboptimal; one-step reaches the MLE's spread

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,24 @@ class TestGridMle:
         traj = make_traj([0.0, 10.0, -10.0, 10.0], 0.0, "box")
         with pytest.raises(EstimationError, match="-inf"):
             mle(traj, 3, model)
+
+    def test_nan_on_grid_errors(self, linear):
+        # the drift is undefined (NaN) for theta < 0, which argmax would pick
+        def S(theta, x):
+            return np.where(theta[0] < 0.0, np.nan, theta[0] * np.asarray(x, dtype=float))
+
+        model = ms.ModelSpec(
+            drift=ms.Drift(S, linear.drift.dS, linear.drift.d2S),
+            noise=linear.noise,
+            domain=linear.domain,
+            name="half-defined",
+        )
+        traj = ms.simulate(linear, 0.5, 200, seed=3)
+        first = float(model.domain.project(model.domain.lower)[0])
+        with pytest.raises(EstimationError, match=re.escape(f"NaN at theta={first} ")):
+            mle(traj, 200, model)
+        # the same grid without NaN still estimates
+        assert mle(traj, 200, linear).theta[0] == pytest.approx(0.5, abs=0.3)
 
     def test_matches_dense_grid_argmax(self, linear):
         # oracle: brute-force argmax on a 1e5-point grid

@@ -12,7 +12,7 @@ from mlestep.simulate import (
     write_trajectory_json,
 )
 
-from helpers import cubic_model, make_traj, zero_model
+from helpers import cubic_model, make_traj, pair_model, zero_model
 
 
 class TestTrajectoryType:
@@ -43,10 +43,18 @@ class TestSimulate:
         b = ms.simulate(linear, 0.5, 500, seed=10)
         assert not np.array_equal(a.observations, b.observations)
 
-    def test_lockstep_rows_match_single_runs(self, example2):
-        batch = ms.simulate_paths(example2, 0.5, 400, seeds=[3, 4, 5])
+    @pytest.mark.parametrize("factory,theta", [
+        (ms.example1_model, 2.5),
+        (ms.example2_model, 0.5),
+        (ms.linear_model, 0.5),
+        (pair_model, [0.1, -0.2]),
+    ], ids=["example1", "example2", "linear", "pair"])
+    def test_lockstep_rows_match_single_runs(self, factory, theta):
+        # a lone chain steps as a scalar, the batch as arrays: same bits
+        model = factory()
+        batch = ms.simulate_paths(model, theta, 400, seeds=[3, 4, 5])
         for i, seed in enumerate([3, 4, 5]):
-            solo = ms.simulate(example2, 0.5, 400, seed=seed)
+            solo = ms.simulate(model, theta, 400, seed=seed)
             np.testing.assert_array_equal(batch[i], solo.observations)
 
     def test_zero_drift_gives_iid_noise(self):
@@ -81,6 +89,11 @@ class TestSimulate:
             ms.simulate(model, 0.5, 500, seed=2, burn_in=0)
         assert err.value.step >= 1
         assert "step" in str(err.value)
+        # in lockstep, the first diverging row raises simulate's own error
+        with pytest.raises(SimulationDiverged) as batch_err:
+            ms.simulate_paths(model, 0.5, 500, seeds=[2, 3], burn_in=0)
+        assert str(batch_err.value) == str(err.value)
+        assert batch_err.value.step == err.value.step
 
     def test_burn_in_shifts_the_stream(self, linear):
         # with burn_in = b, the retained states continue the same noise stream
