@@ -96,8 +96,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.process == "recurrent" and args.stride is not None:
-        raise ValueError("--stride does not apply to --process recurrent, which writes every k")
     pipeline = Pipeline(
         args.delta, args.preliminary, args.process, args.fisher, args.stride, args.grid_points
     )

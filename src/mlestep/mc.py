@@ -6,8 +6,8 @@ their spread against the inverse of a long-run reference information matrix.
 Replications use seeds base_seed + i, so a report is a pure function of its
 configuration.
 
-The engine simulates the seeds in blocks of at most _BLOCK_ROWS rows, all
-rows of a block in lockstep, and runs every study that shares the block's
+The engine simulates the seeds in blocks (see _block_bounds), all rows of a
+block in lockstep, and runs every study that shares the block's
 trajectories on each row before it drops the block: studies compared side
 by side then simulate each seed once (common random numbers).
 """
@@ -48,8 +48,10 @@ ORACLE_LENGTH = 1_000_000
 _ORACLE_SEED = 20_240_001
 _oracle_cache: dict = {}
 
-# rows simulated together; at n = 1e4 a block holds about 11 MB of noise and states
+# a block simulates at most _BLOCK_ROWS rows together and holds at most about
+# _BLOCK_BYTES of noise and states: 64 rows at n = 1e4, one row at n = 1e6
 _BLOCK_ROWS = 64
+_BLOCK_BYTES = 16 * 2**20
 _FAILURES = (MlestepError, ValueError, FloatingPointError, np.linalg.LinAlgError)
 
 
@@ -80,15 +82,19 @@ class McConfig:
         if self.replications < 2:
             raise ValueError("a study needs at least 2 replications")
         spec = Pipeline(
-            self.delta, self.preliminary, self.process, self.fisher_method, self.stride,
+            self.delta, self.preliminary, self.process, self.fisher_method, None,
             self.grid_points,
         )
+        if self.stride is not None and self.stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
         N = learning_length(self.n, self.delta)
         if N >= self.n:
             raise ValueError(f"n={self.n} leaves no transitions after the learning interval N={N}")
-        # a study reads terminals only, so its paths emit k = n alone; the
-        # configured stride is validated and echoed but changes nothing
-        object.__setattr__(self, "spec", replace(spec, stride=self.n))
+        # a study reads terminals only, so its batch paths emit k = n alone;
+        # the configured stride is validated and echoed but changes nothing
+        if self.process != "recurrent":
+            spec = replace(spec, stride=self.n)
+        object.__setattr__(self, "spec", spec)
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         model = get_model(self.model_name)
@@ -209,6 +215,20 @@ def _trajectory_key(cfg: McConfig) -> tuple:
     )
 
 
+def _block_bounds(cfg: McConfig, workers: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of cfg's replications, rows spread evenly.
+
+    A block has at most _BLOCK_ROWS rows and _BLOCK_BYTES of noise and states
+    (one row at least). With several workers the block count is rounded up to
+    a multiple of the worker count, so each process runs an equal share.
+    """
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (16 * (cfg.burn_in + cfg.n + 1))))
+    count = -(-cfg.replications // rows)
+    count = min(cfg.replications, -(-count // workers) * workers)
+    edges = [cfg.replications * j // count for j in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _run_replications(cfgs: Sequence[McConfig], workers: int) -> list[list[tuple]]:
     """Per study, the (terminal or None, failure message or None) of each
     replication. The result does not depend on the worker count."""
@@ -217,9 +237,7 @@ def _run_replications(cfgs: Sequence[McConfig], workers: int) -> list[list[tuple
         groups.setdefault(_trajectory_key(cfg), []).append(index)
     jobs, owners = [], []
     for members in groups.values():
-        replications = cfgs[members[0]].replications
-        for start in range(0, replications, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, replications)
+        for start, stop in _block_bounds(cfgs[members[0]], workers):
             jobs.append((tuple(cfgs[i] for i in members), start, stop))
             owners.append(members)
     workers = min(workers, len(jobs))

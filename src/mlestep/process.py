@@ -290,8 +290,8 @@ class Pipeline:
     A preliminary estimate on the learning interval N = n**delta, then a
     process: ``none`` stops there, and ``full-mle`` skips the preliminary.
     ``stride`` thins the emitted indices of the batch paths; ``recurrent``
-    emits every index. ``grid_points`` sizes the grids of ``mle``, ``bayes``
-    and ``full-mle``.
+    emits every index and takes no stride. ``grid_points`` sizes the grids
+    of ``mle``, ``bayes`` and ``full-mle``.
     """
 
     delta: float
@@ -314,6 +314,8 @@ class Pipeline:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.stride is not None and self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if self.stride is not None and self.process == "recurrent":
+            raise ValueError("stride does not apply to process 'recurrent', which emits every k")
         if self.grid_points < 3:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
 

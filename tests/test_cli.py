@@ -143,7 +143,8 @@ class TestEstimateCommand:
             "--process", "recurrent", "--stride", "50",
         )
         assert code == 1
-        assert "--stride" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stride" in err and "recurrent" in err
         assert not list(tmp_path.iterdir())
 
     def test_degenerate_information_surfaces_as_error(self, capsys, tmp_path):

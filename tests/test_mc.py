@@ -106,8 +106,9 @@ class TestRunStudy:
         assert a.quantiles == b.quantiles
 
     def test_parallel_matches_sequential(self):
-        # one block, and two blocks whose second is a lone chain
-        for replications in (8, mc._BLOCK_ROWS + 1):
+        # two blocks with two workers, and three blocks with one worker but
+        # four with two
+        for replications in (8, 2 * mc._BLOCK_ROWS + 1):
             cfg = ms.McConfig(
                 "linear", 0.5, 400, 0.6, preliminary="mle", process="one-step",
                 replications=replications, base_seed=3, reference_information=((4.0 / 3.0,),),
@@ -116,6 +117,46 @@ class TestRunStudy:
             par = ms.run_study(cfg, workers=2)
             np.testing.assert_array_equal(seq.terminal_errors, par.terminal_errors)
             assert seq.failures == par.failures
+
+    def test_block_bounds(self):
+        def cfg(n, replications):
+            return ms.McConfig(
+                "linear", 0.5, n, 0.6, replications=replications,
+                reference_information=((4.0 / 3.0,),),
+            )
+
+        def sizes(bounds):
+            assert bounds[0][0] == 0 and all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            return [stop - start for start, stop in bounds]
+
+        assert sizes(mc._block_bounds(cfg(10_000, 300), 1)) == [60] * 5
+        # each of 4 workers gets two blocks, as it got 75 replications before
+        assert sizes(mc._block_bounds(cfg(10_000, 300), 4)) == [37, 38] * 4
+        assert sizes(mc._block_bounds(cfg(10_000, 8), 2)) == [4, 4]
+        assert sizes(mc._block_bounds(cfg(10_000, 3), 8)) == [1, 1, 1]
+        # long chains fall back to fewer rows per block, down to one
+        assert sizes(mc._block_bounds(cfg(100_000, 20), 1)) == [10, 10]
+        assert sizes(mc._block_bounds(cfg(1_000_000, 3), 1)) == [1, 1, 1]
+
+    def test_small_blocks_match_large(self, monkeypatch):
+        cfg = ms.McConfig(
+            "example2", 0.5, 400, 0.5, preliminary="emm", process="one-step",
+            replications=7, base_seed=2, reference_information=((2.15,),),
+        )
+        large = ms.run_study(cfg)
+        # a byte budget of three rows at this n
+        monkeypatch.setattr(mc, "_BLOCK_BYTES", 3 * 16 * (cfg.burn_in + cfg.n + 1))
+        calls = []
+        real = mc.simulate_paths
+
+        def spy(model, theta, n, seeds, **kwargs):
+            calls.append(list(seeds))
+            return real(model, theta, n, seeds, **kwargs)
+
+        monkeypatch.setattr(mc, "simulate_paths", spy)
+        small = ms.run_study(cfg)
+        assert calls == [[2, 3], [4, 5], [6, 7, 8]]
+        np.testing.assert_array_equal(small.terminal_errors, large.terminal_errors)
 
     def test_rejects_bad_worker_count(self):
         cfg = ms.McConfig(
@@ -141,6 +182,9 @@ class TestRunStudy:
             np.testing.assert_allclose(
                 dense.terminal_errors, thin.terminal_errors, rtol=0.0, atol=1e-12
             )
+        # a recurrent study loads with a stride, but its pipeline takes none
+        cfg = ms.McConfig("linear", 0.5, 100, 0.5, process="recurrent", stride=5)
+        assert cfg.to_json_dict()["stride"] == 5 and cfg.spec.stride is None
 
     def test_diverging_rows_fail_alone(self):
         # theta x^3 escapes to infinity within 8 steps on a few seeds only

@@ -271,6 +271,7 @@ class TestPipeline:
             (dict(delta=0.0), "delta"),
             (dict(delta=0.5, fisher_method="exact"), "fisher_method"),
             (dict(delta=0.5, stride=0), "stride"),
+            (dict(delta=0.5, process="recurrent", stride=50), "stride"),
         ):
             with pytest.raises(ValueError, match=field):
                 Pipeline(**kwargs)
