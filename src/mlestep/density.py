@@ -13,6 +13,7 @@ __all__ = ["DensityEstimate", "kde", "write_density_csv"]
 
 _DEFAULT_GRID_POINTS = 512
 _CHUNK = 2048
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,29 @@ def kde(traj: Trajectory, grid=None, bandwidth: float | None = None) -> DensityE
         grid = np.linspace(xs.min() - 4.0 * h, xs.max() + 4.0 * h, _DEFAULT_GRID_POINTS)
     else:
         grid = np.asarray(grid, dtype=float)
-    acc = np.zeros(np.atleast_1d(grid).size)
+    size = np.atleast_1d(grid).size
+    acc = np.zeros(size)
+    # a chunk is evaluated _BLOCK rows at a time into buffers that stay in
+    # cache; row 0 of ``block`` carries the chunk's running column sum, so the
+    # rows are added in the same order as one sum over the whole chunk
+    z = np.empty((_BLOCK, size))
+    block = np.empty((_BLOCK + 1, size))
+    running = np.empty(size)
     for start in range(0, n, _CHUNK):
-        z = (xs[start : start + _CHUNK, np.newaxis] - grid[np.newaxis, :]) / h
-        acc += np.exp(-0.5 * z * z).sum(axis=0)
+        stop = min(start + _CHUNK, n)
+        block[0] = 0.0
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            m = hi - lo
+            zb, rows = z[:m], block[1 : m + 1]
+            np.subtract(xs[lo:hi, np.newaxis], grid, out=zb)
+            zb /= h
+            np.multiply(-0.5, zb, out=rows)
+            rows *= zb
+            np.exp(rows, out=rows)
+            block[: m + 1].sum(axis=0, out=running)
+            block[0] = running
+        acc += block[0]
     values = acc / (n * h * np.sqrt(2.0 * np.pi))
     return DensityEstimate(grid=grid, values=values, bandwidth=h, n_used=n)
 
@@ -75,5 +95,4 @@ def write_density_csv(est: DensityEstimate, path, config: dict | None = None) ->
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(meta) + "\n")
         fh.write("x,density\n")
-        for x, v in zip(est.grid, est.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")
+        fh.writelines("%.17g,%.17g\n" % row for row in zip(est.grid.tolist(), est.values.tolist()))

@@ -14,6 +14,7 @@ gives a useful cross-check (the "triangle" tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,8 +93,21 @@ def noise_information(noise: NoiseDensity) -> float:
     return float(value)
 
 
+def _require_finite(fm: FisherMatrix) -> None:
+    # inf/nan slip past the sign and condition checks (inf/inf is nan, and a
+    # comparison with nan is False), so they are refused first; the
+    # eigenvalues ascend, so the two ends bound the rest
+    eig = fm.eigenvalues if np.isfinite(fm.matrix).all() else None
+    if eig is None or not (math.isfinite(eig[0]) and math.isfinite(eig[-1])):
+        raise DegenerateInformationError(
+            f"{fm.method} information matrix has non-finite entries or eigenvalues",
+            matrix=fm.matrix,
+        )
+
+
 def _checked(matrix: np.ndarray, method: str, sample_size: int) -> FisherMatrix:
     fm = FisherMatrix(matrix, method, sample_size)
+    _require_finite(fm)
     if fm.eigenvalues[0] <= 0.0:
         raise DegenerateInformationError(
             f"{method} information matrix is not positive definite "
@@ -146,9 +160,11 @@ FISHER_METHODS = {
 def invert_fisher(fm: FisherMatrix) -> np.ndarray:
     """Invert a positive-definite information matrix with conditioning guards.
 
-    Uses a Cholesky solve; refuses indefinite matrices, condition numbers
-    above 1e10, and inverses whose residual exceeds 1e-8.
+    Uses a Cholesky solve; refuses matrices with non-finite entries or
+    eigenvalues, indefinite matrices, condition numbers above 1e10, and
+    inverses whose residual exceeds 1e-8.
     """
+    _require_finite(fm)
     eig = fm.eigenvalues
     if eig[0] <= 0.0:
         raise DegenerateInformationError(
@@ -160,8 +176,9 @@ def invert_fisher(fm: FisherMatrix) -> np.ndarray:
             f"information matrix condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}",
             matrix=fm.matrix,
         )
-    chol = linalg.cho_factor(fm.matrix)
-    inv = linalg.cho_solve(chol, np.eye(fm.dim))
+    # _require_finite has already done scipy's finiteness scan
+    chol = linalg.cho_factor(fm.matrix, check_finite=False)
+    inv = linalg.cho_solve(chol, np.eye(fm.dim), check_finite=False)
     residual = float(np.abs(fm.matrix @ inv - np.eye(fm.dim)).max())
     if residual > 1e-8:
         raise DegenerateInformationError(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import FISHER_METHODS, invert_fisher
-from .likelihood import ScoreWindow, grad_terms, loglik_grad
+from .likelihood import ScoreWindow, grad_terms
 from .models import ModelSpec
 from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
 from .simulate import Trajectory
@@ -229,20 +229,26 @@ def recurrent_path(
     """
     n, N = traj.n, prelim.learning_length
     theta0, inv = _frozen_start(traj, model, prelim, fisher_method)
-    obs = traj.observations
     k0 = N + 1
-    if full_window:
-        head = grad_terms(theta0, traj, ScoreWindow(1, k0), model).sum(axis=0)
-    else:
-        head = loglik_grad(theta0, obs[k0 - 1], obs[k0], model)
+    # every score term from one vectorized evaluation: the first k0 - start + 1
+    # seed the recursion, the rest enter it one per step as
+    # I^{-1} loglik_grad(prelim, X_k, X_{k+1}), k = k0..n-1
+    start = 1 if full_window else k0
+    terms = grad_terms(theta0, traj, ScoreWindow(start, n), model)
+    head = terms[: k0 - start + 1].sum(axis=0)
+    corrections = terms[k0 - start + 1 :] @ inv.T
     ks = np.arange(k0, n + 1, dtype=int)
     thetas = np.empty((ks.size, model.dim))
-    current = theta0 + inv @ head / k0
-    thetas[0] = current
-    for k in range(k0, n):
-        step = loglik_grad(theta0, obs[k], obs[k + 1], model)
-        current = (k * current + theta0 + inv @ step) / (k + 1)
-        thetas[k - k0 + 1] = current
+    thetas[0] = theta0 + inv @ head / k0
+    # python floats, one component at a time: each step adds k*theta_k,
+    # prelim and the correction in that order, as the vector form would
+    for i in range(model.dim):
+        current, prelim_i = float(thetas[0, i]), float(theta0[i])
+        column = [current]
+        for k, w in zip(range(k0, n), corrections[:, i].tolist()):
+            current = (k * current + prelim_i + w) / (k + 1)
+            column.append(current)
+        thetas[:, i] = column
     kind = "recurrent" if full_window else "recurrent-windowed"
     return EstimatorPath(ks, thetas, kind, N, prelim, n)
 
@@ -343,12 +349,12 @@ def write_path_csv(path_obj: EstimatorPath, file_path, config: dict | None = Non
     """Write `k,s,theta_1..theta_d,kind` rows with a leading # config line."""
     d = path_obj.thetas.shape[1]
     header = "k,s," + ",".join(f"theta_{i + 1}" for i in range(d)) + ",kind"
+    row_format = "%d," + "%.17g," * (d + 1) + path_obj.kind.replace("%", "%%") + "\n"
+    rows = zip(path_obj.ks.tolist(), path_obj.s_values().tolist(), *path_obj.thetas.T.tolist())
     with open(file_path, "w") as fh:
         fh.write("# " + json.dumps(config if config is not None else path_to_json_dict(path_obj, with_entries=False)) + "\n")
         fh.write(header + "\n")
-        for k, s, theta in zip(path_obj.ks, path_obj.s_values(), path_obj.thetas):
-            values = ",".join(f"{t:.17g}" for t in theta)
-            fh.write(f"{k},{s:.17g},{values},{path_obj.kind}\n")
+        fh.writelines(row_format % values for values in rows)
 
 
 def path_to_json_dict(path_obj: EstimatorPath, config: dict | None = None, with_entries: bool = True) -> dict:

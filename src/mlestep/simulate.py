@@ -166,15 +166,14 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(traj.meta()) + "\n")
         fh.write("index,x\n")
-        for i, x in enumerate(traj.observations):
-            fh.write(f"{i},{x:.17g}\n")
+        fh.writelines("%d,%.17g\n" % row for row in enumerate(traj.observations.tolist()))
 
 
 def write_trajectory_json(traj: Trajectory, path) -> None:
     payload = dict(traj.meta(), observations=traj.observations.tolist())
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        # json.dumps runs the C encoder; json.dump streams through the python one
+        fh.write(json.dumps(payload) + "\n")
 
 
 def read_trajectory_json(path) -> Trajectory:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import mlestep as ms
+
+# property tests draw a fixed, small set of examples: the suite stays
+# deterministic and writes no example database
+settings.register_profile("mlestep", derandomize=True, deadline=None, max_examples=25, database=None)
+settings.load_profile("mlestep")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -55,6 +57,16 @@ class TestKde:
         assert est.grid[0] <= xs.min() - 3.9 * est.bandwidth
         assert est.grid[-1] >= xs.max() + 3.9 * est.bandwidth
 
+    @pytest.mark.parametrize("n,grid", [(5037, None), (100, None), (100, [0.25]), (5037, [0.25])])
+    def test_matches_unchunked_direct_sum(self, linear, n, grid):
+        # sizes off the 128-row blocks and 2048-row chunks, n below one block,
+        # and a one-point grid
+        traj = ms.simulate(linear, 0.5, n, seed=n)
+        est = kde(traj, grid=grid)
+        xs, h = traj.observations[1:], est.bandwidth
+        direct = np.exp(-0.5 * ((xs[:, None] - est.grid) / h) ** 2).sum(0)
+        np.testing.assert_allclose(est.values, direct / (n * h * np.sqrt(2.0 * np.pi)), rtol=1e-13)
+
 
 class TestDensityEstimateType:
     def test_rejects_negative_values(self):
@@ -80,3 +92,19 @@ class TestCsv:
         assert lines[0].startswith("# ")
         assert lines[1] == "x,density"
         assert len(lines) == 2 + est.grid.size
+
+    def test_bytes_match_reference_formatter(self, tmp_path, linear):
+        est = kde(ms.simulate(linear, 0.5, 700, seed=4))
+        est = DensityEstimate(est.grid, np.concatenate([[0.0, 5e-324, 1e-300], est.values[3:]]),
+                              est.bandwidth, est.n_used)
+        config = {"model": "linear", "note": "100%"}
+        out = tmp_path / "density.csv"
+        write_density_csv(est, out, config=config)
+        meta = dict(config, bandwidth=est.bandwidth, n_used=est.n_used)
+        expected = "# " + json.dumps(meta) + "\nx,density\n"
+        expected += "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(est.grid, est.values))
+        assert out.read_bytes() == expected.encode()
+        rows = np.array([[float(c) for c in line.split(",")]
+                         for line in out.read_text().splitlines()[2:]])
+        assert np.array_equal(rows[:, 0], est.grid)
+        assert np.array_equal(rows[:, 1], est.values)

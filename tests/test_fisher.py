@@ -3,7 +3,7 @@ import pytest
 
 import mlestep as ms
 from mlestep.errors import DegenerateInformationError
-from mlestep.fisher import FisherMatrix, invert_fisher, noise_information
+from mlestep.fisher import FisherMatrix, _checked, invert_fisher, noise_information
 from mlestep.likelihood import ScoreWindow
 
 from helpers import make_traj, zero_model
@@ -158,3 +158,17 @@ class TestInvert:
         fm = FisherMatrix(np.diag([1.0, 1e-11]), "observed", 10)
         with pytest.raises(DegenerateInformationError, match="condition"):
             invert_fisher(fm)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[np.inf]], [[np.nan]], [[2.0, np.inf], [np.inf, 1.0]]],
+        ids=["inf", "nan", "2x2-inf"],
+    )
+    def test_non_finite_rejected(self, matrix):
+        matrix = np.array(matrix)
+        with np.errstate(invalid="ignore"):  # the symmetry check subtracts inf from inf
+            fm = FisherMatrix(matrix, "observed", 10)
+            for check in (lambda: _checked(matrix, "observed", 10), lambda: invert_fisher(fm)):
+                with pytest.raises(DegenerateInformationError, match="non-finite") as err:
+                    check()
+                np.testing.assert_array_equal(err.value.matrix, fm.matrix)

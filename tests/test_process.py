@@ -3,9 +3,11 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, strategies as st
 
 import mlestep as ms
-from mlestep.errors import MlestepError
+from mlestep.errors import DegenerateInformationError, MlestepError
+from mlestep.fisher import FISHER_METHODS
 from mlestep.likelihood import ScoreWindow, grad_terms, loglik_grad
 from mlestep.preliminary import PreliminaryEstimate, emm, learning_length, mle
 from mlestep.process import (
@@ -20,7 +22,7 @@ from mlestep.process import (
     write_path_csv,
 )
 
-from helpers import make_traj, noiseless_linear_traj
+from helpers import make_traj, noiseless_linear_traj, pair_model
 
 
 def fixed_prelim(theta, N):
@@ -165,6 +167,39 @@ class TestRecurrent:
         rec = recurrent_path(traj, example1, prelim, "observed", full_window=False)
         assert np.abs(batch.thetas - rec.thetas).max() <= 1e-10
 
+    @staticmethod
+    def _recurrent_and_batch(case, full_window):
+        factory, theta, seed, n, delta, fisher_method = case
+        model = factory()
+        traj = ms.simulate(model, theta, n, seed=seed)
+        prelim = mle(traj, learning_length(n, delta), model)
+        batch_fn = second_preliminary_path if full_window else one_step_path
+        try:
+            batch = batch_fn(traj, model, prelim, fisher_method, stride=1)
+        except DegenerateInformationError:
+            reject()
+        return recurrent_path(traj, model, prelim, fisher_method, full_window), batch
+
+    _cases = st.tuples(
+        st.sampled_from([(ms.example1_model, 2.5), (ms.example2_model, 0.5), (ms.linear_model, 0.5)]),
+        st.integers(0, 2**31 - 1),
+        st.integers(50, 3000),
+        st.floats(0.4, 0.8),
+        st.sampled_from(tuple(FISHER_METHODS)),
+    ).map(lambda t: (*t[0], *t[1:]))
+
+    @given(case=_cases)
+    def test_full_window_equals_second_preliminary_property(self, case):
+        rec, batch = self._recurrent_and_batch(case, full_window=True)
+        np.testing.assert_array_equal(rec.ks, batch.ks)
+        np.testing.assert_allclose(rec.thetas, batch.thetas, rtol=0, atol=1e-10)
+
+    @given(case=_cases)
+    def test_windowed_equals_one_step_property(self, case):
+        rec, batch = self._recurrent_and_batch(case, full_window=False)
+        np.testing.assert_array_equal(rec.ks, batch.ks)
+        np.testing.assert_allclose(rec.thetas, batch.thetas, rtol=0, atol=1e-10)
+
     def test_recursion_formula(self, example2):
         # each update is (k * theta_k + prelim + I^{-1} grad) / (k + 1)
         traj = ms.simulate(example2, 0.5, 200, seed=9)
@@ -298,6 +333,63 @@ class TestSerialization:
         first = lines[2].split(",")
         assert int(first[0]) == path.ks[0]
         assert first[3] == "one-step"
+
+    @staticmethod
+    def _reference_csv(path_obj, config):
+        """The per-row f-string formatter the writer must reproduce byte for byte."""
+        d = path_obj.thetas.shape[1]
+        lines = ["# " + json.dumps(config) + "\n",
+                 "k,s," + ",".join(f"theta_{i + 1}" for i in range(d)) + ",kind\n"]
+        for k, s, theta in zip(path_obj.ks, path_obj.s_values(), path_obj.thetas):
+            values = ",".join(f"{t:.17g}" for t in theta)
+            lines.append(f"{k},{s:.17g},{values},{path_obj.kind}\n")
+        return "".join(lines)
+
+    @staticmethod
+    def _pair_path(kind):
+        # two-parameter path from pair_model's score terms, with awkward values
+        model = pair_model()
+        traj = ms.simulate(model, [0.1, -0.2], 400, seed=3)
+        theta0 = np.array([0.1, -0.2])
+        ks = np.arange(31, 401, 7)
+        acc = np.cumsum(grad_terms(theta0, traj, ScoreWindow(1, 400), model), axis=0)
+        thetas = theta0 + acc[ks - 1] / ks[:, np.newaxis]
+        thetas[:5] = [[-0.0, 5e-324], [1e300, -1e-300], [1.0, -3.0], [0.1, 1 / 3], [2**-52, 1e16]]
+        return EstimatorPath(ks, thetas, kind, 30, fixed_prelim(theta0, 30), 400)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_csv_bytes_match_reference_formatter(self, tmp_path, example2, dim):
+        if dim == 1:
+            traj = ms.simulate(example2, 0.5, 3000, seed=4)
+            path = recurrent_path(traj, example2, emm(traj, 400, example2), "observed")
+            kinds = [path.kind]
+        else:
+            path = self._pair_path("two-step")
+            kinds = ["two-step", "100% two-step %d"]
+        config = {"seed": 4, "note": "50% of {k}"}
+        for kind in kinds:
+            path = EstimatorPath(path.ks, path.thetas, kind, path.N, path.preliminary, path.n)
+            out = tmp_path / "path.csv"
+            write_path_csv(path, out, config=config)
+            assert out.read_bytes() == self._reference_csv(path, config).encode()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_csv_round_trip_exact(self, tmp_path, example2, dim):
+        if dim == 1:
+            traj = ms.simulate(example2, 0.5, 2000, seed=6)
+            path = one_step_path(traj, example2, emm(traj, 300, example2), stride=1)
+        else:
+            path = self._pair_path("one-step")
+        out = tmp_path / "path.csv"
+        write_path_csv(path, out)
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        np.testing.assert_array_equal([int(r[0]) for r in rows], path.ks)
+        assert np.array_equal(np.array([float(r[1]) for r in rows]), path.s_values())
+        parsed = np.array([[float(v) for v in r[2:-1]] for r in rows])
+        assert np.array_equal(parsed, path.thetas)
+        # -0.0 == 0.0, so check the sign bit survives too
+        assert np.array_equal(np.signbit(parsed), np.signbit(path.thetas))
+        assert {r[-1] for r in rows} == {path.kind}
 
     def test_json_payload(self, example2):
         traj = ms.simulate(example2, 0.5, 300, seed=7)

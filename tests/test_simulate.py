@@ -124,3 +124,42 @@ class TestSerialization:
         assert back.burn_in == traj.burn_in
         assert back.model_name == traj.model_name
         np.testing.assert_array_equal(back.true_theta, traj.true_theta)
+
+    @staticmethod
+    def _awkward_traj(example2):
+        traj = ms.simulate(example2, 0.5, 500, seed=12)
+        obs = traj.observations.copy()
+        obs[:6] = [-0.0, 5e-324, 1e300, -1e-300, 1 / 3, 2.0**60]
+        return make_traj(obs, 0.5, "example2", seed=12, burn_in=1000)
+
+    def test_csv_bytes_match_reference_formatter(self, tmp_path, example2):
+        traj = self._awkward_traj(example2)
+        out = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, out)
+        expected = "# " + json.dumps(traj.meta()) + "\nindex,x\n"
+        expected += "".join(f"{i},{x:.17g}\n" for i, x in enumerate(traj.observations))
+        assert out.read_bytes() == expected.encode()
+
+    def test_csv_round_trip_exact(self, tmp_path, example2):
+        traj = self._awkward_traj(example2)
+        out = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, out)
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [int(r[0]) for r in rows] == list(range(traj.n + 1))
+        xs = np.array([float(r[1]) for r in rows])
+        assert np.array_equal(xs, traj.observations)
+        assert np.array_equal(np.signbit(xs), np.signbit(traj.observations))
+
+    def test_json_bytes_match_reference_encoder(self, tmp_path, example2):
+        traj = self._awkward_traj(example2)
+        out = tmp_path / "traj.json"
+        write_trajectory_json(traj, out)
+        # the streaming encoder the writer replaced
+        ref = tmp_path / "ref.json"
+        with open(ref, "w") as fh:
+            json.dump(dict(traj.meta(), observations=traj.observations.tolist()), fh)
+            fh.write("\n")
+        assert out.read_bytes() == ref.read_bytes()
+        back = read_trajectory_json(out)
+        assert np.array_equal(back.observations, traj.observations)
+        assert np.array_equal(np.signbit(back.observations), np.signbit(traj.observations))
