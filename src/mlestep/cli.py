@@ -3,13 +3,15 @@
 Every output file embeds the configuration that produced it, so runs can be
 reproduced from the files alone. The default output directory is taken from
 the MLESTEP_OUTDIR environment variable, falling back to the current
-directory.
+directory. ``--log-level INFO`` prints the package's log records (such as
+domain projections) on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import asdict
@@ -154,6 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mlestep",
         description="Estimator processes for nonlinear AR(1) Markov sequences",
     )
+    parser.add_argument("--log-level", dest="log_level", type=str.upper, default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="print mlestep log records at this level and above on stderr")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--outdir", default=None,
                         help="output directory (default: $MLESTEP_OUTDIR or .)")
@@ -202,11 +207,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # the handler lives for this call only, so repeated calls in one process
+    # do not stack handlers
+    logger = logging.getLogger("mlestep")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = logger.level
+    logger.setLevel(args.log_level)
+    logger.addHandler(handler)
     try:
         return args.func(args)
     except (MlestepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,11 @@ the window length:
 
 At the true parameter all three are consistent for the same matrix, which
 gives a useful cross-check (the "triangle" tests).
+
+Each estimator is the window mean of a per-transition term (``INFORMATION_TERMS``),
+and ``stacked_inverses`` runs the inversion guards over a stack of matrices:
+together they let the two-step path re-estimate the information at every k
+from prefix sums.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .errors import DegenerateInformationError
-from .likelihood import ScoreWindow, grad_terms, hess_terms
+from .likelihood import ScoreWindow, grad_terms, hess_terms, loglik_hess
 from .models import ModelSpec, NoiseDensity
 from .simulate import Trajectory
 
@@ -34,6 +39,8 @@ __all__ = [
     "factorized_fisher",
     "invert_fisher",
     "FISHER_METHODS",
+    "INFORMATION_TERMS",
+    "stacked_inverses",
 ]
 
 _COND_LIMIT = 1e10
@@ -52,10 +59,14 @@ class FisherMatrix:
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("information matrix must be square")
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
-            raise ValueError("information matrix is not symmetric")
-        object.__setattr__(self, "matrix", 0.5 * (m + m.T))
+        # a non-finite matrix is kept as given (inf - inf would be nan, with a
+        # warning); _checked and invert_fisher refuse it
+        if np.isfinite(m).all():
+            scale = max(1.0, float(np.abs(m).max()))
+            if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
+                raise ValueError("information matrix is not symmetric")
+            m = 0.5 * (m + m.T)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -144,16 +155,50 @@ def factorized_fisher(theta, traj: Trajectory, window: ScoreWindow, model: Model
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     xp = traj.observations[window.start - 1 : window.end]
     ds = np.asarray(model.drift.dS(theta, xp), dtype=float)
-    if model.noise._information is None:
-        object.__setattr__(model.noise, "_information", noise_information(model.noise))
-    ig = model.noise._information
+    ig = _cached_noise_information(model.noise)
     return _checked(ig * ds.T @ ds / ds.shape[0], "factorized", window.length)
+
+
+def _cached_noise_information(noise: NoiseDensity) -> float:
+    if noise._information is None:
+        object.__setattr__(noise, "_information", noise_information(noise))
+    return noise._information
 
 
 FISHER_METHODS = {
     "observed": observed_fisher,
     "plugin": plugin_fisher,
     "factorized": factorized_fisher,
+}
+
+
+# --- Per-transition information terms ---------------------------------------------
+# Each takes theta, the paired observations of some transitions, the model and
+# the score terms already evaluated there (shape (L, d)), and returns the
+# (L, d, d) terms whose mean over a window is the matching estimator above.
+
+
+def observed_terms(theta, x_prev, x_next, model: ModelSpec, scores: np.ndarray) -> np.ndarray:
+    """Negative log-likelihood Hessians (``observed_fisher``)."""
+    return -loglik_hess(theta, x_prev, x_next, model)
+
+
+def plugin_terms(theta, x_prev, x_next, model: ModelSpec, scores: np.ndarray) -> np.ndarray:
+    """Outer products of the score terms (``plugin_fisher``)."""
+    return scores[:, :, np.newaxis] * scores[:, np.newaxis, :]
+
+
+def factorized_terms(theta, x_prev, x_next, model: ModelSpec, scores: np.ndarray) -> np.ndarray:
+    """Noise information times outer products of drift gradients (``factorized_fisher``)."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    ds = np.asarray(model.drift.dS(theta, x_prev), dtype=float)
+    return _cached_noise_information(model.noise) * (ds[:, :, np.newaxis] * ds[:, np.newaxis, :])
+
+
+INFORMATION_TERMS = {
+    "observed": observed_terms,
+    "plugin": plugin_terms,
+    "factorized": factorized_terms,
 }
 
 
@@ -185,3 +230,36 @@ def invert_fisher(fm: FisherMatrix) -> np.ndarray:
             f"inversion residual {residual:.3e} exceeds 1e-8", matrix=fm.matrix
         )
     return inv
+
+
+def stacked_inverses(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The guards of ``FisherMatrix``, ``_checked`` and ``invert_fisher``, run
+    at once over a (B, d, d) stack of information matrices.
+
+    Returns the inverses of the symmetrized matrices and a flag per matrix
+    that fails a guard: a non-finite entry or eigenvalue, asymmetry, an
+    eigenvalue <= 0, a condition number above 1e10, or an inversion residual
+    above 1e-8. Flagged rows hold no inverse; the caller passes them to
+    ``_checked`` + ``invert_fisher``, which decide and raise.
+    """
+    m = np.asarray(matrices, dtype=float)
+    d = m.shape[-1]
+    inverses = np.full_like(m, np.nan)
+    flagged = np.ones(m.shape[0], dtype=bool)
+    # each check narrows the rows still passing, so none sees a row an
+    # earlier check failed (eigvalsh and inv never see a non-finite matrix)
+    rows = np.flatnonzero(np.isfinite(m).all(axis=(1, 2)))
+    sub = m[rows]
+    scale = np.maximum(1.0, np.abs(sub).max(axis=(1, 2)))
+    keep = np.abs(sub - sub.swapaxes(1, 2)).max(axis=(1, 2)) <= _SYM_TOL * scale
+    rows, sub = rows[keep], sub[keep]
+    sub = 0.5 * (sub + sub.swapaxes(1, 2))
+    eig = np.linalg.eigvalsh(sub)
+    keep = np.isfinite(eig[:, 0]) & np.isfinite(eig[:, -1]) & (eig[:, 0] > 0.0)
+    keep[keep] = ~(eig[keep, -1] / eig[keep, 0] > _COND_LIMIT)
+    rows, sub = rows[keep], sub[keep]
+    inv = np.linalg.inv(sub)
+    keep = np.abs(sub @ inv - np.eye(d)).max(axis=(1, 2)) <= 1e-8
+    inverses[rows[keep]] = inv[keep]
+    flagged[rows[keep]] = False
+    return inverses, flagged

@@ -131,13 +131,15 @@ class ModelSpec:
     name: str
 
     def __post_init__(self):
-        theta = self.domain.midpoint()
-        grad = np.asarray(self.drift.dS(theta, 0.7))
-        if grad.shape != (self.domain.dim,):
-            raise ValueError(
-                f"drift gradient at a probe point has shape {grad.shape}, "
-                f"expected ({self.domain.dim},)"
-            )
+        # the shape conventions of the module docstring, at a scalar probe x
+        theta, d = self.domain.midpoint(), self.domain.dim
+        for name, what, expected in (("S", "value", ()), ("dS", "gradient", (d,)),
+                                     ("d2S", "Hessian", (d, d))):
+            shape = np.shape(getattr(self.drift, name)(theta, 0.7))
+            if shape != expected:
+                raise ValueError(
+                    f"drift {what} {name} at a probe point has shape {shape}, expected {expected}"
+                )
 
     @property
     def dim(self) -> int:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import FISHER_METHODS, invert_fisher
-from .likelihood import ScoreWindow, grad_terms
+from .fisher import FISHER_METHODS, INFORMATION_TERMS, _checked, invert_fisher, stacked_inverses
+from .likelihood import ScoreWindow, grad_terms, loglik_grad
 from .models import ModelSpec
 from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
 from .simulate import Trajectory
@@ -181,6 +181,11 @@ def second_preliminary_path(
     )
 
 
+# Bytes of score and information terms one block of two_step_path holds:
+# (d + d*d) floats per transition and row, transitions 1..n per row.
+_BLOCK_BYTES = 2 << 20
+
+
 def two_step_path(
     traj: Trajectory,
     model: ModelSpec,
@@ -195,17 +200,59 @@ def two_step_path(
     on the window [1, k], and the correction is applied there:
 
         theta_k = theta2_k + (1/k) I(theta2_k)^{-1} sum_{j=1..k} loglik_grad
+
+    The ks are taken in blocks (see ``_two_step_block``): the score and
+    information sums are sequential prefix sums, so theta_k depends only on
+    theta2_k and transitions 1..k, and a stride-s path equals the stride-1
+    path at the same ks exactly. A refusal is the one ``_checked`` and
+    ``invert_fisher`` raise at the first k whose matrix fails a guard.
     """
     base = second_preliminary_path(traj, model, prelim, fisher_method, stride)
-    fisher_fn = FISHER_METHODS[fisher_method]
-    thetas = np.empty_like(base.thetas)
-    for i, k in enumerate(base.ks):
-        mid = _into_domain(base.thetas[i], model, f"second preliminary estimate at k={k}")
-        window = ScoreWindow(1, int(k))
-        inv = invert_fisher(fisher_fn(mid, traj, window, model))
-        total = grad_terms(mid, traj, window, model).sum(axis=0)
-        thetas[i] = mid + inv @ total / k
+    if base.ks[0] < model.dim:
+        raise ValueError("window is shorter than the parameter dimension")
+    d = model.dim
+    rows = max(1, _BLOCK_BYTES // (8 * d * (d + 1) * traj.n))
+    thetas = np.concatenate([
+        _two_step_block(traj, model, fisher_method, base.ks[i : i + rows], base.thetas[i : i + rows])
+        for i in range(0, base.ks.size, rows)
+    ])
     return EstimatorPath(base.ks, thetas, "two-step", base.N, prelim, base.n)
+
+
+def _two_step_block(
+    traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray, second: np.ndarray
+) -> np.ndarray:
+    """Two-step values at ks from their second preliminary values.
+
+    Row b holds the score and information terms of transitions 1..k_b at its
+    own projected value, zero after k_b; a cumulative sum along the
+    transitions read at k_b gives its window sums.
+    """
+    mids = model.domain.project(second)
+    moved = np.any(mids != second, axis=1)
+    obs = traj.observations
+    d = model.dim
+    scores = np.zeros((ks.size, int(ks[-1]), d))
+    terms = np.zeros((ks.size, int(ks[-1]), d, d))
+    terms_fn = INFORMATION_TERMS[fisher_method]
+    for b, k in enumerate(ks.tolist()):
+        xp, xn = obs[:k], obs[1 : k + 1]
+        scores[b, :k] = loglik_grad(mids[b], xp, xn, model)
+        terms[b, :k] = terms_fn(mids[b], xp, xn, model, scores[b, :k])
+    at_k = (np.arange(ks.size), ks - 1)
+    totals = np.cumsum(scores, axis=1, out=scores)[at_k]
+    infos = np.cumsum(terms, axis=1, out=terms)[at_k] / ks[:, np.newaxis, np.newaxis]
+    inverses, flagged = stacked_inverses(infos)
+    # projections are logged in k order up to the k that is refused, if any
+    logged = 0
+    for r in [*np.flatnonzero(flagged).tolist(), ks.size]:
+        for i in np.flatnonzero(moved[logged : r + 1]) + logged:
+            logger.info("%s %s projected into the domain",
+                        f"second preliminary estimate at k={ks[i]}", second[i])
+        logged = r + 1
+        if r < ks.size:
+            inverses[r] = invert_fisher(_checked(infos[r], fisher_method, int(ks[r])))
+    return mids + (inverses @ totals[:, :, np.newaxis])[:, :, 0] / ks[:, np.newaxis]
 
 
 def recurrent_path(

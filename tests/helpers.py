@@ -2,7 +2,10 @@
 
 import numpy as np
 
+from mlestep.fisher import FISHER_METHODS, invert_fisher
+from mlestep.likelihood import ScoreWindow, grad_terms
 from mlestep.models import Drift, ModelSpec, NoiseDensity, ParamDomain, gaussian_noise
+from mlestep.process import EstimatorPath, _into_domain, second_preliminary_path
 from mlestep.simulate import Trajectory
 
 
@@ -119,6 +122,31 @@ def pair_model():
     )
 
 
+def _cos_S(theta, x):
+    return theta[0] * x + np.exp(theta[1]) * np.cos(x)
+
+
+def _cos_dS(theta, x):
+    x = np.asarray(x, dtype=float)
+    return np.stack([x, np.exp(theta[1]) * np.cos(x)], axis=-1)
+
+
+def _cos_d2S(theta, x):
+    out = np.zeros(np.shape(x) + (2, 2))
+    out[..., 1, 1] = np.exp(theta[1]) * np.cos(x)
+    return out
+
+
+def cos_model():
+    """Two-parameter fixture theta_1 x + exp(theta_2) cos(x) with a regular,
+    well-conditioned information matrix (``pair_model``'s is singular)."""
+    return ModelSpec(
+        drift=Drift(_cos_S, _cos_dS, _cos_d2S),
+        noise=gaussian_noise(),
+        domain=ParamDomain([-0.5, -0.5], [0.5, 0.5]),
+        name="cos",
+    )
+
 def _box_pdf(u, half=1.0):
     u = np.asarray(u, dtype=float)
     return np.where(np.abs(u) <= half, 0.5 / half, 0.0)
@@ -167,3 +195,18 @@ def noiseless_linear_traj(theta0=0.5, n=200, x_init=2.0):
     for j in range(1, n + 1):
         obs[j] = theta0 * obs[j - 1]
     return make_traj(obs, theta=theta0, model_name="linear")
+
+
+def two_step_reference(traj, model, prelim, fisher_method="observed", stride=None):
+    """``two_step_path`` one k at a time: project, window estimator, guarded
+    inversion and score sum over [1, k] at each emitted k."""
+    base = second_preliminary_path(traj, model, prelim, fisher_method, stride)
+    fisher_fn = FISHER_METHODS[fisher_method]
+    thetas = np.empty_like(base.thetas)
+    for i, k in enumerate(base.ks):
+        mid = _into_domain(base.thetas[i], model, f"second preliminary estimate at k={k}")
+        window = ScoreWindow(1, int(k))
+        inv = invert_fisher(fisher_fn(mid, traj, window, model))
+        total = grad_terms(mid, traj, window, model).sum(axis=0)
+        thetas[i] = mid + inv @ total / k
+    return EstimatorPath(base.ks, thetas, "two-step", base.N, prelim, base.n)

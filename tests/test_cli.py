@@ -166,6 +166,30 @@ class TestEstimateCommand:
         assert "positive definite" in capsys.readouterr().err
 
 
+    def test_log_level_prints_projections_on_stderr(self, tmp_path, capsys):
+        # example1 at n=300, seed 2: the second preliminary values leave (2, 5)
+        args = ["estimate", "--model", "example1", "--theta", "2.5", "--n", "300",
+                "--seed", "2", "--delta", "0.375", "--process", "two-step",
+                "--fisher", "plugin"]
+        outputs = []
+        for level in ([], ["--log-level", "INFO"]):
+            out = tmp_path / f"p{len(level)}.csv"
+            assert run_cli(*level, *args, "--out", str(out)) == 0
+            captured = capsys.readouterr()
+            outputs.append((captured, out.read_text().splitlines()[1:]))
+        (quiet, quiet_rows), (loud, loud_rows) = outputs
+        assert quiet.err == ""
+        lines = loud.err.splitlines()
+        assert lines and all(
+            line.startswith("INFO mlestep.process: second preliminary estimate at k=")
+            and line.endswith("projected into the domain")
+            for line in lines
+        )
+        # the written path and the printed terminal do not depend on the level
+        assert loud_rows == quiet_rows
+        assert json.loads(loud.out)["terminal"] == json.loads(quiet.out)["terminal"]
+
+
 class TestKdeCommand:
     def test_rows_header_and_bandwidth_echo(self, tmp_path, capsys):
         out = tmp_path / "density.csv"

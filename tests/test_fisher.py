@@ -1,9 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import mlestep as ms
 from mlestep.errors import DegenerateInformationError
-from mlestep.fisher import FisherMatrix, _checked, invert_fisher, noise_information
+from mlestep.fisher import (
+    FisherMatrix,
+    _checked,
+    invert_fisher,
+    noise_information,
+    stacked_inverses,
+)
 from mlestep.likelihood import ScoreWindow
 
 from helpers import make_traj, zero_model
@@ -166,9 +174,35 @@ class TestInvert:
     )
     def test_non_finite_rejected(self, matrix):
         matrix = np.array(matrix)
-        with np.errstate(invalid="ignore"):  # the symmetry check subtracts inf from inf
+        # refused without a RuntimeWarning on the way (inf - inf is nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fm = FisherMatrix(matrix, "observed", 10)
             for check in (lambda: _checked(matrix, "observed", 10), lambda: invert_fisher(fm)):
                 with pytest.raises(DegenerateInformationError, match="non-finite") as err:
                     check()
                 np.testing.assert_array_equal(err.value.matrix, fm.matrix)
+
+    def test_stacked_guards_flag_what_the_scalar_guards_refuse(self):
+        stack = np.array([
+            [[2.0, 1.0], [1.0, 2.0]],
+            [[2.0, np.inf], [np.inf, 1.0]],
+            [[1.0, 0.5], [0.2, 1.0]],
+            [[1.0, 0.0], [0.0, -1.0]],
+            [[1.0, 0.0], [0.0, 1e-11]],
+            [[4.0, 1.0], [1.0, 3.0]],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inverses, flagged = stacked_inverses(stack)
+        np.testing.assert_array_equal(flagged, [False, True, True, True, True, False])
+        for matrix, inverse, flag in zip(stack, inverses, flagged):
+            if flag:
+                with pytest.raises((DegenerateInformationError, ValueError)):
+                    invert_fisher(_checked(matrix, "observed", 10))
+            else:
+                expected = invert_fisher(_checked(matrix, "observed", 10))
+                np.testing.assert_allclose(inverse, expected, rtol=1e-14)
+        # nothing left to invert
+        _, flagged = stacked_inverses(stack[1:5])
+        assert flagged.all()

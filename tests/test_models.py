@@ -188,3 +188,26 @@ class TestRegistry:
                 domain=ParamDomain([0.0, 0.0], [1.0, 1.0]),
                 name="bad",
             )
+
+    @pytest.mark.parametrize(
+        "part,bad",
+        [
+            ("S", lambda theta, x: np.zeros(3)),
+            ("d2S", lambda theta, x: np.zeros(5)),
+            ("d2S", lambda theta, x: np.zeros(np.shape(x) + (1,))),
+        ],
+        ids=["S-shape-3", "d2S-shape-5", "d2S-missing-axis"],
+    )
+    def test_value_and_hessian_shapes_probed(self, linear, part, bad):
+        from dataclasses import replace
+
+        from mlestep.models import ModelSpec
+
+        with pytest.raises(ValueError, match=rf"drift \w+ {part} at a probe point") as err:
+            ModelSpec(
+                drift=replace(linear.drift, **{part: bad}),
+                noise=linear.noise,
+                domain=linear.domain,
+                name="bad",
+            )
+        assert "expected" in str(err.value)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, strategies as st
 
 import mlestep as ms
+from mlestep import fisher as fisher_module, process as process_module
 from mlestep.errors import DegenerateInformationError, MlestepError
 from mlestep.fisher import FISHER_METHODS
 from mlestep.likelihood import ScoreWindow, grad_terms, loglik_grad
@@ -22,7 +23,7 @@ from mlestep.process import (
     write_path_csv,
 )
 
-from helpers import make_traj, noiseless_linear_traj, pair_model
+from helpers import cos_model, make_traj, noiseless_linear_traj, pair_model, two_step_reference
 
 
 def fixed_prelim(theta, N):
@@ -108,6 +109,29 @@ class TestEmission:
         sparse = two_step_path(traj, example2, prelim, "factorized", stride=140)
         for k, theta in zip(sparse.ks, sparse.thetas):
             np.testing.assert_array_equal(dense.at(int(k)), theta)
+
+    _stride_cases = st.tuples(
+        st.sampled_from([(ms.example1_model, 2.5), (ms.example2_model, 0.5), (ms.linear_model, 0.5)]),
+        st.integers(0, 2**31 - 1),
+        st.integers(50, 1500),
+        st.floats(0.3, 0.8),
+        st.sampled_from(tuple(FISHER_METHODS)),
+        st.integers(2, 200),
+    ).map(lambda t: (*t[0], *t[1:]))
+
+    @given(case=_stride_cases)
+    def test_stride_subsamples_the_dense_path_property(self, case):
+        factory, theta, seed, n, delta, fisher_method, stride = case
+        model = factory()
+        traj = ms.simulate(model, theta, n, seed=seed)
+        prelim = mle(traj, learning_length(n, delta), model)
+        for path_fn in (one_step_path, second_preliminary_path, two_step_path):
+            try:
+                dense = path_fn(traj, model, prelim, fisher_method, stride=1)
+            except DegenerateInformationError:
+                reject()
+            sparse = path_fn(traj, model, prelim, fisher_method, stride=stride)
+            np.testing.assert_array_equal(sparse.thetas, dense.thetas[sparse.ks - dense.ks[0]])
 
     def test_determinism(self, example2):
         traj = ms.simulate(example2, 0.5, 500, seed=3)
@@ -215,6 +239,109 @@ class TestRecurrent:
             expected = (k * path.thetas[i] + theta0 + inv @ step) / (k + 1)
             np.testing.assert_allclose(path.thetas[i + 1], expected, atol=1e-14)
 
+
+def _two_step_outcome(monkeypatch, path_fn, *args):
+    """(path, None) of one call, or (None, (k, type, message, matrix)) of its
+    refusal, k being the sample size of the last matrix ``_checked`` saw."""
+    sizes = []
+    checked = fisher_module._checked
+
+    def spy(matrix, method, sample_size):
+        sizes.append(sample_size)
+        return checked(matrix, method, sample_size)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fisher_module, "_checked", spy)
+        patch.setattr(process_module, "_checked", spy)
+        try:
+            return path_fn(*args), None
+        except DegenerateInformationError as exc:
+            return None, (sizes[-1], type(exc), str(exc), exc.matrix)
+
+
+class TestTwoStepEngine:
+    """two_step_path against ``helpers.two_step_reference``, the per-k loop.
+
+    The engine's score and information sums are sequential prefix sums, the
+    reference's pairwise and BLAS sums, and the engine inverts by LU where
+    the reference uses Cholesky, so values agree to rounding: within 1e-12 of
+    the path's scale, since single values may sit near zero.
+    """
+
+    @staticmethod
+    def _assert_matches(monkeypatch, *args) -> bool:
+        ref, ref_err = _two_step_outcome(monkeypatch, two_step_reference, *args)
+        new, new_err = _two_step_outcome(monkeypatch, two_step_path, *args)
+        assert (ref_err is None) == (new_err is None), (ref_err, new_err)
+        if ref_err is not None:
+            assert new_err[:3] == ref_err[:3]
+            np.testing.assert_allclose(new_err[3], ref_err[3], rtol=1e-12)
+            return False
+        np.testing.assert_array_equal(new.ks, ref.ks)
+        assert np.abs(new.thetas - ref.thetas).max() <= 1e-12 * np.abs(ref.thetas).max()
+        return True
+
+    @pytest.mark.parametrize(
+        "factory,theta",
+        [(ms.example1_model, [2.5]), (ms.example2_model, [0.5]), (ms.linear_model, [0.5]),
+         (pair_model, [0.1, -0.1]), (cos_model, [0.2, 0.1])],
+        ids=["example1", "example2", "linear", "pair", "cos"],
+    )
+    def test_matches_per_k_reference(self, monkeypatch, factory, theta):
+        model = factory()
+        n = 300
+        N = learning_length(n, 0.375)
+        compared = 0
+        for seed in range(2):
+            traj = ms.simulate(model, theta, n, seed=seed)
+            # the preliminaries take scalar parameters only
+            prelim = emm(traj, N, model) if model.dim == 1 else fixed_prelim(np.add(theta, 0.05), N)
+            for fisher_method in FISHER_METHODS:
+                for stride in (1, 7, n):
+                    compared += self._assert_matches(
+                        monkeypatch, traj, model, prelim, fisher_method, stride
+                    )
+        # pair_model's information is singular: every request is refused
+        assert compared == 0 if factory is pair_model else compared >= 12
+
+    @pytest.mark.parametrize("rows", [1, 4, None], ids=["rows-1", "rows-4", "default"])
+    def test_refusal_matches_reference(self, example1, monkeypatch, rows):
+        # example1 at n=400, seed 18, mle: the observed information at the
+        # second preliminary value is not positive definite at k=78
+        if rows is not None:
+            monkeypatch.setattr(process_module, "_BLOCK_BYTES", rows * 16 * 400)
+        traj = ms.simulate(example1, 2.5, 400, seed=18)
+        prelim = mle(traj, learning_length(400, 0.375), example1)
+        args = (traj, example1, prelim, "observed", 1)
+        ref_err = _two_step_outcome(monkeypatch, two_step_reference, *args)[1]
+        new_err = _two_step_outcome(monkeypatch, two_step_path, *args)[1]
+        assert ref_err[0] == new_err[0] == 78
+        assert new_err[1:3] == ref_err[1:3]
+        assert "not positive definite" in new_err[2]
+        np.testing.assert_allclose(new_err[3], ref_err[3], rtol=1e-12)
+
+    @pytest.mark.parametrize("prelim_theta", [None, 6.0], ids=["mle", "outside"])
+    def test_projection_log_lines_match_reference(self, example1, caplog, prelim_theta):
+        traj = ms.simulate(example1, 2.5, 300, seed=2)
+        N = learning_length(300, 0.375)
+        prelim = mle(traj, N, example1) if prelim_theta is None else fixed_prelim(prelim_theta, N)
+        lines = []
+        for path_fn in (two_step_reference, two_step_path):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="mlestep.process"):
+                path_fn(traj, example1, prelim, "plugin", 1)
+            lines.append([rec.getMessage() for rec in caplog.records])
+        assert lines[1] == lines[0]
+        assert any(line.startswith("second preliminary estimate at k=") for line in lines[1])
+
+    def test_values_do_not_depend_on_the_block_size(self, example2, monkeypatch):
+        traj = ms.simulate(example2, 0.5, 500, seed=4)
+        prelim = emm(traj, learning_length(500, 0.375), example2)
+        whole = two_step_path(traj, example2, prelim, "observed", 1)
+        for rows in (1, 3, 64):
+            monkeypatch.setattr(process_module, "_BLOCK_BYTES", rows * 16 * traj.n)
+            blocked = two_step_path(traj, example2, prelim, "observed", 1)
+            np.testing.assert_array_equal(blocked.thetas, whole.thetas)
 
 class TestAsymptoticBehavior:
     def test_one_step_coverage_example2(self, example2):
