@@ -198,7 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mc = commands.add_parser("mc", help="run a Monte Carlo study from a config file",
                              parents=[common])
     mc.add_argument("--config", required=True, help="study config JSON file")
-    mc.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    mc.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                    help="worker processes (default: the CPU count, here %(default)s); "
+                         "a study starts no more processes than it has seed blocks")
     mc.add_argument("--out", default=None)
     mc.set_defaults(func=cmd_mc)
 

@@ -11,7 +11,7 @@ the window length:
 At the true parameter all three are consistent for the same matrix, which
 gives a useful cross-check (the "triangle" tests).
 
-Each estimator is the window mean of a per-transition term (``INFORMATION_TERMS``),
+Each estimator is the window mean of a per-transition term (``information_terms``),
 and ``stacked_inverses`` runs the inversion guards over a stack of matrices:
 together they let the two-step path re-estimate the information at every k
 from prefix sums.
@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .errors import DegenerateInformationError
-from .likelihood import ScoreWindow, grad_terms, hess_terms, loglik_hess
+from .likelihood import ScoreWindow, grad_terms, hess_terms
 from .models import ModelSpec, NoiseDensity
 from .simulate import Trajectory
 
@@ -39,7 +39,7 @@ __all__ = [
     "factorized_fisher",
     "invert_fisher",
     "FISHER_METHODS",
-    "INFORMATION_TERMS",
+    "information_terms",
     "stacked_inverses",
 ]
 
@@ -173,33 +173,29 @@ FISHER_METHODS = {
 
 
 # --- Per-transition information terms ---------------------------------------------
-# Each takes theta, the paired observations of some transitions, the model and
-# the score terms already evaluated there (shape (L, d)), and returns the
-# (L, d, d) terms whose mean over a window is the matching estimator above.
 
 
-def observed_terms(theta, x_prev, x_next, model: ModelSpec, scores: np.ndarray) -> np.ndarray:
-    """Negative log-likelihood Hessians (``observed_fisher``)."""
-    return -loglik_hess(theta, x_prev, x_next, model)
+def information_terms(theta, x_prev, x_next, model: ModelSpec, method: str):
+    """Score terms (L, d) of L paired observations, and the (L, d, d) terms
+    whose mean over a window is ``method``'s estimator above.
 
-
-def plugin_terms(theta, x_prev, x_next, model: ModelSpec, scores: np.ndarray) -> np.ndarray:
-    """Outer products of the score terms (``plugin_fisher``)."""
-    return scores[:, :, np.newaxis] * scores[:, np.newaxis, :]
-
-
-def factorized_terms(theta, x_prev, x_next, model: ModelSpec, scores: np.ndarray) -> np.ndarray:
-    """Noise information times outer products of drift gradients (``factorized_fisher``)."""
+    The drift, its gradient and the noise score are evaluated once and shared:
+    the scores take the operations of ``loglik_grad``, the observed terms
+    those of ``-loglik_hess``, so both are bit-identical to theirs.
+    """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    u = np.asarray(x_next, dtype=float) - model.drift.S(theta, x_prev)
+    psi = np.asarray(model.noise.psi(u), dtype=float)
     ds = np.asarray(model.drift.dS(theta, x_prev), dtype=float)
-    return _cached_noise_information(model.noise) * (ds[:, :, np.newaxis] * ds[:, np.newaxis, :])
-
-
-INFORMATION_TERMS = {
-    "observed": observed_terms,
-    "plugin": plugin_terms,
-    "factorized": factorized_terms,
-}
+    scores = -psi[..., np.newaxis] * ds
+    if method == "plugin":
+        return scores, scores[:, :, np.newaxis] * scores[:, np.newaxis, :]
+    outer = ds[:, :, np.newaxis] * ds[:, np.newaxis, :]
+    if method == "factorized":
+        return scores, _cached_noise_information(model.noise) * outer
+    dpsi = np.asarray(model.noise.dpsi(u), dtype=float)
+    hess = np.asarray(model.drift.d2S(theta, x_prev), dtype=float)
+    return scores, -(dpsi[:, np.newaxis, np.newaxis] * outer - psi[:, np.newaxis, np.newaxis] * hess)
 
 
 def invert_fisher(fm: FisherMatrix) -> np.ndarray:

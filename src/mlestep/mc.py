@@ -98,6 +98,11 @@ class McConfig:
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         model = get_model(self.model_name)
+        if theta0.shape != (model.dim,):
+            raise ValueError(
+                f"theta0 has shape {theta0.shape}; model {self.model_name!r} takes a vector "
+                f"of length {model.dim}"
+            )
         if not model.domain.contains(theta0):
             raise ValueError(f"theta0 {theta0} is not interior to the domain of {self.model_name!r}")
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import FISHER_METHODS, INFORMATION_TERMS, _checked, invert_fisher, stacked_inverses
-from .likelihood import ScoreWindow, grad_terms, loglik_grad
+from .fisher import FISHER_METHODS, _checked, information_terms, invert_fisher, stacked_inverses
+from .likelihood import ScoreWindow, grad_terms
 from .models import ModelSpec
 from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
 from .simulate import Trajectory
@@ -181,9 +181,21 @@ def second_preliminary_path(
     )
 
 
-# Bytes of score and information terms one block of two_step_path holds:
+# Bytes of score and information terms one block of the exact engine holds:
 # (d + d*d) floats per transition and row, transitions 1..n per row.
 _BLOCK_BYTES = 2 << 20
+
+# Chebyshev points of the second kind on [-1, 1], ascending. The interpolated
+# engine takes M of them, every (128 // (M - 1))-th, so each doubling of M
+# evaluates only the new points.
+_NODE_COUNTS = (33, 65, 129)
+_UNIT_NODES = np.sin(np.pi * np.arange(-64, 65) / 128)
+# M is accepted once the last eighth of each Chebyshev series lies below this
+# fraction of its largest coefficient
+_TAIL_TOL = 1e-14
+# an interpolated information this close to zero, relative to the node values
+# at its k, is recomputed exactly
+_NEAR_SINGULAR = 1e-8
 
 
 def two_step_path(
@@ -201,28 +213,39 @@ def two_step_path(
 
         theta_k = theta2_k + (1/k) I(theta2_k)^{-1} sum_{j=1..k} loglik_grad
 
-    The ks are taken in blocks (see ``_two_step_block``): the score and
-    information sums are sequential prefix sums, so theta_k depends only on
-    theta2_k and transitions 1..k, and a stride-s path equals the stride-1
-    path at the same ks exactly. A refusal is the one ``_checked`` and
-    ``invert_fisher`` raise at the first k whose matrix fails a guard.
+    For d = 1 the window sums at k < n are interpolated in theta
+    (``_interpolated_two_step``); the terminal k = n, d > 1, and paths whose
+    interpolant is not resolved run the exact engine (``_two_step_block``).
+    Which engine serves a k, and its value, depend only on k, n and the path,
+    so a stride-s path equals the stride-1 path at the same ks exactly. A
+    refusal is the one ``_checked`` and ``invert_fisher`` raise at the first
+    k whose exact matrix fails a guard.
     """
     base = second_preliminary_path(traj, model, prelim, fisher_method, stride)
     if base.ks[0] < model.dim:
         raise ValueError("window is shorter than the parameter dimension")
-    d = model.dim
-    rows = max(1, _BLOCK_BYTES // (8 * d * (d + 1) * traj.n))
-    thetas = np.concatenate([
-        _two_step_block(traj, model, fisher_method, base.ks[i : i + rows], base.thetas[i : i + rows])
-        for i in range(0, base.ks.size, rows)
-    ])
-    return EstimatorPath(base.ks, thetas, "two-step", base.N, prelim, base.n)
+    ks, second = base.ks, base.thetas
+    thetas = None
+    if model.dim == 1 and ks.size > 1:
+        thetas = _interpolated_two_step(traj, model, fisher_method, ks, second)
+    if thetas is None:
+        d = model.dim
+        rows = max(1, _BLOCK_BYTES // (8 * d * (d + 1) * traj.n))
+        thetas = np.concatenate([
+            _two_step_block(traj, model, fisher_method, ks[i : i + rows], second[i : i + rows])
+            for i in range(0, ks.size, rows)
+        ])
+    return EstimatorPath(ks, thetas, "two-step", base.N, prelim, base.n)
+
+
+def _log_projected(k: int, theta: np.ndarray) -> None:
+    logger.info("%s %s projected into the domain", f"second preliminary estimate at k={k}", theta)
 
 
 def _two_step_block(
     traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray, second: np.ndarray
 ) -> np.ndarray:
-    """Two-step values at ks from their second preliminary values.
+    """Two-step values at ks from their second preliminary values, exactly.
 
     Row b holds the score and information terms of transitions 1..k_b at its
     own projected value, zero after k_b; a cumulative sum along the
@@ -234,11 +257,10 @@ def _two_step_block(
     d = model.dim
     scores = np.zeros((ks.size, int(ks[-1]), d))
     terms = np.zeros((ks.size, int(ks[-1]), d, d))
-    terms_fn = INFORMATION_TERMS[fisher_method]
     for b, k in enumerate(ks.tolist()):
-        xp, xn = obs[:k], obs[1 : k + 1]
-        scores[b, :k] = loglik_grad(mids[b], xp, xn, model)
-        terms[b, :k] = terms_fn(mids[b], xp, xn, model, scores[b, :k])
+        scores[b, :k], terms[b, :k] = information_terms(
+            mids[b], obs[:k], obs[1 : k + 1], model, fisher_method
+        )
     at_k = (np.arange(ks.size), ks - 1)
     totals = np.cumsum(scores, axis=1, out=scores)[at_k]
     infos = np.cumsum(terms, axis=1, out=terms)[at_k] / ks[:, np.newaxis, np.newaxis]
@@ -247,12 +269,120 @@ def _two_step_block(
     logged = 0
     for r in [*np.flatnonzero(flagged).tolist(), ks.size]:
         for i in np.flatnonzero(moved[logged : r + 1]) + logged:
-            logger.info("%s %s projected into the domain",
-                        f"second preliminary estimate at k={ks[i]}", second[i])
+            _log_projected(ks[i], second[i])
         logged = r + 1
         if r < ks.size:
             inverses[r] = invert_fisher(_checked(infos[r], fisher_method, int(ks[r])))
     return mids + (inverses @ totals[:, :, np.newaxis])[:, :, 0] / ks[:, np.newaxis]
+
+
+def _interpolated_two_step(
+    traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray, second: np.ndarray
+) -> np.ndarray | None:
+    """Two-step values for d = 1 from window sums interpolated in theta, or
+    None if the interpolant is not resolved (see ``_node_sums``).
+
+    Each k < n reads its score and information sums off the Chebyshev
+    interpolants through the node sums at k, at its own projected value. The
+    terminal, and every row whose interpolated information fails a guard of
+    ``stacked_inverses`` or lies within _NEAR_SINGULAR of zero, is recomputed
+    by ``_two_step_block``, which also refuses.
+    """
+    resolved = _node_sums(traj, model, fisher_method, ks)
+    if resolved is None:
+        return None
+    nodes, sums = resolved
+    inner = ks[:-1, np.newaxis]
+    mids = model.domain.project(second[:-1])
+    totals, infos = _barycentric(nodes, sums[:, :, :-1], mids[:, 0])
+    inverses, flagged = stacked_inverses((infos[:, np.newaxis] / inner)[:, :, np.newaxis])
+    flagged |= infos <= _NEAR_SINGULAR * np.abs(sums[:, 1, :-1]).max(axis=0)
+    thetas = np.empty_like(second)
+    thetas[:-1] = mids + (inverses @ totals[:, np.newaxis, np.newaxis])[:, :, 0] / inner
+    # projections are logged in k order, up to the k that is refused, if any
+    moved = mids[:, 0] != second[:-1, 0]
+    logged = 0
+    for r in [*np.flatnonzero(flagged).tolist(), ks.size - 1]:
+        for i in np.flatnonzero(moved[logged:r]) + logged:
+            _log_projected(ks[i], second[i])
+        thetas[r] = _two_step_block(traj, model, fisher_method, ks[r : r + 1], second[r : r + 1])[0]
+        logged = r + 1
+    return thetas
+
+
+def _node_sums(
+    traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """M Chebyshev points spanning the projected box (d = 1), and the score
+    and information sums over transitions 1..k at each point, read at every k
+    in ks: shape (M, 2, ks.size).
+
+    M doubles from 33 until the series through the sums at k = ks[0] = N+1
+    and k = ks[-1] = n are resolved (``_resolved``). None if they are not by
+    M = 129, or if a sum is not finite.
+    """
+    lo, hi = model.domain.project([-np.inf])[0], model.domain.project([np.inf])[0]
+    grid = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _UNIT_NODES
+    grid[0], grid[-1] = lo, hi
+    n = int(ks[-1])
+    xp, xn = traj.observations[:n], traj.observations[1 : n + 1]
+    at = ks - 1
+    rows = {}
+    for M in _NODE_COUNTS:
+        picked = range(0, grid.size, (grid.size - 1) // (M - 1))
+        for i in picked:
+            if i not in rows:
+                scores, terms = information_terms(grid[i : i + 1], xp, xn, model, fisher_method)
+                rows[i] = np.stack([np.cumsum(scores[:, 0])[at], np.cumsum(terms[:, 0, 0])[at]])
+                if not np.isfinite(rows[i]).all():
+                    return None
+        if _resolved(np.array([rows[i][:, [0, -1]] for i in picked])):
+            # filled row by row as the rows are released, so the node sums
+            # are never held twice
+            sums = np.empty((M, 2, ks.size))
+            for j, i in enumerate(picked):
+                sums[j] = rows.pop(i)
+            return grid[picked.start :: picked.step], sums
+    return None
+
+
+def _resolved(values: np.ndarray) -> bool:
+    """Whether the Chebyshev series through the values at the M points
+    (axis 0) have decayed: in each, the last M // 8 coefficients lie below
+    _TAIL_TOL of the largest."""
+    m = values.shape[0] - 1
+    j = np.arange(m + 1)
+    basis = np.cos(np.pi * np.outer(j, j) / m)
+    basis[:, [0, -1]] *= 0.5
+    coefficients = np.abs(np.tensordot(basis, values, axes=1))
+    coefficients[[0, -1]] *= 0.5
+    tail = coefficients[-(values.shape[0] // 8) :].max(axis=0)
+    return bool(np.all(tail <= _TAIL_TOL * coefficients.max(axis=0)))
+
+
+def _barycentric(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Values at x (K,) of the polynomials through (nodes, values[:, v, k]),
+    nodes being Chebyshev points of the second kind: the second barycentric
+    formula. values has shape (M, V, K), the result (V, K). Each k is
+    computed on its own, in node order, and an x on a node takes the node's
+    value."""
+    weights = np.ones(nodes.size)
+    weights[1::2] = -1.0
+    weights[[0, -1]] *= 0.5
+    num = np.zeros(values.shape[1:])
+    den = np.zeros(x.size)
+    on_node = np.full(x.size, -1)
+    for j, (node, w) in enumerate(zip(nodes.tolist(), weights.tolist())):
+        diff = x - node
+        hit = diff == 0.0
+        on_node[hit] = j
+        c = w / np.where(hit, 1.0, diff)
+        num += c * values[j]
+        den += c
+    out = num / den
+    hits = np.flatnonzero(on_node >= 0)
+    out[:, hits] = values[on_node[hits], :, hits].T
+    return out
 
 
 def recurrent_path(

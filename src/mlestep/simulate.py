@@ -79,6 +79,10 @@ def simulate_paths(
     A lone seed is stepped as a numpy scalar rather than a 1-element array.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape != (model.dim,):
+        raise ValueError(
+            f"theta has shape {theta.shape}; model {model.name!r} takes a vector of length {model.dim}"
+        )
     if not model.domain.contains(theta):
         raise ValueError(f"theta {theta} is not interior to the domain of {model.name!r}")
     if n < 1:

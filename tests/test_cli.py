@@ -29,6 +29,17 @@ class TestSimulateCommand:
             run_cli("simulate", "--theta", "0.5", "--n", "100")
         assert err.value.code == 2
 
+    def test_theta_of_wrong_length_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "traj.json"
+        code = run_cli(
+            "simulate", "--model", "example2", "--theta", "0.5", "0.3",
+            "--n", "50", "--format", "json", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta has shape (2,)") and "length 1" in err
+        assert not out.exists()
+
     def test_json_format_carries_metadata(self, tmp_path):
         out = tmp_path / "traj.json"
         code = run_cli(

@@ -48,6 +48,11 @@ class TestMcConfig:
         with pytest.raises(ValueError, match="interior"):
             ms.McConfig("linear", 0.95, 100, 0.5)
 
+    def test_rejects_theta0_of_wrong_length(self):
+        with pytest.raises(ValueError, match=r"theta0 has shape \(2,\).*length 1"):
+            ms.McConfig("example2", [0.5, 0.3], 2000, 0.75, preliminary="emm", process="none",
+                        replications=4)
+
     def test_rejects_unknown_pipeline(self):
         # each bad field fails at construction, naming the field
         cases = [

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, reject, strategies as st
 
 import mlestep as ms
-from mlestep import fisher as fisher_module, process as process_module
+from mlestep import fisher as fisher_module, models as models_module, process as process_module
 from mlestep.errors import DegenerateInformationError, MlestepError
 from mlestep.fisher import FISHER_METHODS
 from mlestep.likelihood import ScoreWindow, grad_terms, loglik_grad
+from mlestep.models import Drift, ModelSpec, ParamDomain, gaussian_noise
 from mlestep.preliminary import PreliminaryEstimate, emm, learning_length, mle
 from mlestep.process import (
     EstimatorPath,
@@ -23,7 +24,14 @@ from mlestep.process import (
     write_path_csv,
 )
 
-from helpers import cos_model, make_traj, noiseless_linear_traj, pair_model, two_step_reference
+from helpers import (
+    arctan_model,
+    cos_model,
+    make_traj,
+    noiseless_linear_traj,
+    pair_model,
+    two_step_reference,
+)
 
 
 def fixed_prelim(theta, N):
@@ -240,6 +248,13 @@ class TestRecurrent:
             np.testing.assert_allclose(path.thetas[i + 1], expected, atol=1e-14)
 
 
+def _shift_grad_nan_near_top(theta, x):
+    """example2's drift gradient, NaN above theta = 0.99: of the values a
+    two-step path evaluates there, only the top Chebyshev points reach it."""
+    grad = models_module._shift_drift_grad(theta, x)
+    return grad * np.nan if theta[0] > 0.99 else grad
+
+
 def _two_step_outcome(monkeypatch, path_fn, *args):
     """(path, None) of one call, or (None, (k, type, message, matrix)) of its
     refusal, k being the sample size of the last matrix ``_checked`` saw."""
@@ -342,6 +357,107 @@ class TestTwoStepEngine:
             monkeypatch.setattr(process_module, "_BLOCK_BYTES", rows * 16 * traj.n)
             blocked = two_step_path(traj, example2, prelim, "observed", 1)
             np.testing.assert_array_equal(blocked.thetas, whole.thetas)
+
+    def test_exact_engine_values_do_not_depend_on_the_block_size(self, monkeypatch):
+        # d = 2 always runs the exact engine in blocks
+        model = cos_model()
+        traj = ms.simulate(model, [0.2, 0.1], 300, seed=4)
+        prelim = fixed_prelim([0.25, 0.15], learning_length(300, 0.375))
+        whole = two_step_path(traj, model, prelim, "plugin", 1)
+        for rows in (1, 3, 64):
+            monkeypatch.setattr(process_module, "_BLOCK_BYTES", rows * 48 * traj.n)
+            blocked = two_step_path(traj, model, prelim, "plugin", 1)
+            np.testing.assert_array_equal(blocked.thetas, whole.thetas)
+
+    @pytest.mark.parametrize(
+        "factory,theta",
+        [(ms.example1_model, 2.5), (ms.example2_model, 0.5), (ms.linear_model, 0.5)],
+        ids=["example1", "example2", "linear"],
+    )
+    def test_terminal_equals_the_terminal_only_request(self, factory, theta):
+        model = factory()
+        n = 400
+        traj = ms.simulate(model, theta, n, seed=3)
+        prelim = emm(traj, learning_length(n, 0.375), model)
+        for fisher_method in FISHER_METHODS:
+            dense = two_step_path(traj, model, prelim, fisher_method, 1)
+            alone = two_step_path(traj, model, prelim, fisher_method, n)
+            assert alone.ks.tolist() == [n]
+            np.testing.assert_array_equal(dense.terminal, alone.terminal)
+
+    @staticmethod
+    def _exact_rows(monkeypatch) -> list:
+        """The ks the exact engine computes, appended as it runs."""
+        seen = []
+        block = process_module._two_step_block
+
+        def spy(traj, model, fisher_method, ks, second):
+            seen.extend(ks.tolist())
+            return block(traj, model, fisher_method, ks, second)
+
+        monkeypatch.setattr(process_module, "_two_step_block", spy)
+        return seen
+
+    def test_unresolved_interpolant_runs_the_exact_engine(self, monkeypatch):
+        # arctan_model's branch points sit next to the box, so 129 Chebyshev
+        # points do not resolve its window sums
+        model = arctan_model()
+        traj = ms.simulate(model, 0.2, 300, seed=0)
+        prelim = emm(traj, learning_length(300, 0.375), model)
+        exact = self._exact_rows(monkeypatch)
+        compared = 0
+        for fisher_method in FISHER_METHODS:
+            for stride in (1, 7):
+                exact.clear()
+                if self._assert_matches(monkeypatch, traj, model, prelim, fisher_method, stride):
+                    compared += 1
+                    ks = second_preliminary_path(traj, model, prelim, fisher_method, stride).ks
+                    assert exact == ks.tolist()
+        assert compared >= 4
+
+    def test_non_finite_node_sums_run_the_exact_engine(self, monkeypatch):
+        model = ModelSpec(
+            Drift(models_module._shift_drift, _shift_grad_nan_near_top, models_module._shift_drift_hess),
+            gaussian_noise(), ParamDomain([-1.0], [1.0]), "example2-nan-near-top",
+        )
+        traj = ms.simulate(model, 0.0, 300, seed=1)
+        prelim = emm(traj, learning_length(300, 0.375), model)
+        exact = self._exact_rows(monkeypatch)
+        compared = 0
+        for fisher_method in FISHER_METHODS:
+            exact.clear()
+            if self._assert_matches(monkeypatch, traj, model, prelim, fisher_method, 1):
+                compared += 1
+                ks = second_preliminary_path(traj, model, prelim, fisher_method, 1).ks
+                assert exact == ks.tolist()
+        assert compared >= 2
+
+    def test_information_near_zero_is_recomputed_exactly(self, example1, monkeypatch):
+        # the refusal of test_refusal_matches_reference, with the interpolated
+        # information at k=78 lifted just above zero: the guards pass it, and
+        # only the band around the threshold sends it to the exact engine
+        traj = ms.simulate(example1, 2.5, 400, seed=18)
+        prelim = mle(traj, learning_length(400, 0.375), example1)
+        row = 78 - (prelim.learning_length + 1)
+        interpolate = process_module._barycentric
+        lifted = []
+
+        def lift(nodes, values, x):
+            out = interpolate(nodes, values, x)
+            out[1, row] = 1e-9 * np.abs(values[:, 1, row]).max()
+            lifted.append(out[1, row])
+            return out
+
+        monkeypatch.setattr(process_module, "_barycentric", lift)
+        exact = self._exact_rows(monkeypatch)
+        args = (traj, example1, prelim, "observed", 1)
+        ref_err = _two_step_outcome(monkeypatch, two_step_reference, *args)[1]
+        new_err = _two_step_outcome(monkeypatch, two_step_path, *args)[1]
+        assert lifted[0] > 0.0
+        assert not fisher_module.stacked_inverses(np.array([[[lifted[0] / 78]]]))[1][0]
+        assert exact[-1] == new_err[0] == ref_err[0] == 78
+        assert new_err[1:3] == ref_err[1:3]
+        np.testing.assert_allclose(new_err[3], ref_err[3], rtol=1e-12)
 
 class TestAsymptoticBehavior:
     def test_one_step_coverage_example2(self, example2):

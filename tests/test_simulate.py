@@ -77,6 +77,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match="interior"):
             ms.simulate(linear, 0.95, 100, seed=0)
 
+    def test_theta_of_wrong_length_rejected(self, example2):
+        with pytest.raises(ValueError, match=r"theta has shape \(2,\).*length 1"):
+            ms.simulate(example2, [0.5, 0.3], 100, seed=0)
+
     def test_validates_sizes(self, linear):
         with pytest.raises(ValueError):
             ms.simulate(linear, 0.5, 0, seed=0)
