@@ -196,6 +196,10 @@ _TAIL_TOL = 1e-14
 # an interpolated information this close to zero, relative to the node values
 # at its k, is recomputed exactly
 _NEAR_SINGULAR = 1e-8
+# Bytes of node sums (2 floats per point and emitted k) the interpolated
+# engine holds: up to 129 points this keeps the sums at 16k ks; a path with
+# more recomputes them in chunks of ks of this size.
+_NODE_BYTES = 32 << 20
 
 
 def two_step_path(
@@ -216,6 +220,10 @@ def two_step_path(
     For d = 1 the window sums at k < n are interpolated in theta
     (``_interpolated_two_step``); the terminal k = n, d > 1, and paths whose
     interpolant is not resolved run the exact engine (``_two_step_block``).
+    The interpolation costs about (M + 1) n term evaluations however many
+    ks are emitted, the exact engine the sum of the emitted ks: a gain when
+    the ks are many (|ks| well above 2 (M + 1) for evenly spread ks), a loss
+    for a coarse stride.
     Which engine serves a k, and its value, depend only on k, n and the path,
     so a stride-s path equals the stride-1 path at the same ks exactly. A
     refusal is the one ``_checked`` and ``invert_fisher`` raise at the first
@@ -294,9 +302,12 @@ def _interpolated_two_step(
     nodes, sums = resolved
     inner = ks[:-1, np.newaxis]
     mids = model.domain.project(second[:-1])
-    totals, infos = _barycentric(nodes, sums[:, :, :-1], mids[:, 0])
+    totals, infos, scale = np.empty((3, inner.size))
+    for rows, chunk in _node_chunks(traj, model, fisher_method, nodes, ks[:-1], sums):
+        totals[rows], infos[rows] = _barycentric(nodes, chunk, mids[rows, 0])
+        scale[rows] = np.abs(chunk[:, 1]).max(axis=0)
     inverses, flagged = stacked_inverses((infos[:, np.newaxis] / inner)[:, :, np.newaxis])
-    flagged |= infos <= _NEAR_SINGULAR * np.abs(sums[:, 1, :-1]).max(axis=0)
+    flagged |= infos <= _NEAR_SINGULAR * scale
     thetas = np.empty_like(second)
     thetas[:-1] = mids + (inverses @ totals[:, np.newaxis, np.newaxis])[:, :, 0] / inner
     # projections are logged in k order, up to the k that is refused, if any
@@ -310,40 +321,87 @@ def _interpolated_two_step(
     return thetas
 
 
+def _prefix_sums(
+    node: float, x_prev, x_next, model: ModelSpec, fisher_method: str, at, start=(0.0, 0.0)
+) -> np.ndarray:
+    """Score and information sums over the transitions up to each index in
+    ``at`` at one point, (2, at.size). They start from ``start`` and add in
+    order, so a path summed in pieces, each starting from the last sums of
+    the one before, gives the same bits."""
+    scores, terms = information_terms(np.array([node]), x_prev, x_next, model, fisher_method)
+    rows = (scores[:, 0], terms[:, 0, 0])
+    for row, first in zip(rows, start):
+        row[0] += first
+    return np.stack([np.cumsum(row)[at] for row in rows])
+
+
 def _node_sums(
     traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray | None] | None:
     """M Chebyshev points spanning the projected box (d = 1), and the score
     and information sums over transitions 1..k at each point, read at every k
-    in ks: shape (M, 2, ks.size).
+    in ks: shape (M, 2, ks.size). The sums are None if at 129 points they
+    would exceed _NODE_BYTES; ``_node_chunks`` then recomputes them.
 
     M doubles from 33 until the series through the sums at k = ks[0] = N+1
     and k = ks[-1] = n are resolved (``_resolved``). None if they are not by
-    M = 129, or if a sum is not finite.
+    M = 129, or if a sum is not finite (a prefix sum that is not finite
+    leaves the sum at n not finite).
     """
     lo, hi = model.domain.project([-np.inf])[0], model.domain.project([np.inf])[0]
     grid = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _UNIT_NODES
     grid[0], grid[-1] = lo, hi
     n = int(ks[-1])
     xp, xn = traj.observations[:n], traj.observations[1 : n + 1]
-    at = ks - 1
+    kept = 16 * _NODE_COUNTS[-1] * ks.size <= _NODE_BYTES
+    at = ks - 1 if kept else ks[[0, -1]] - 1
     rows = {}
     for M in _NODE_COUNTS:
         picked = range(0, grid.size, (grid.size - 1) // (M - 1))
         for i in picked:
             if i not in rows:
-                scores, terms = information_terms(grid[i : i + 1], xp, xn, model, fisher_method)
-                rows[i] = np.stack([np.cumsum(scores[:, 0])[at], np.cumsum(terms[:, 0, 0])[at]])
-                if not np.isfinite(rows[i]).all():
+                rows[i] = _prefix_sums(grid[i], xp, xn, model, fisher_method, at)
+                if not np.isfinite(rows[i][:, -1]).all():
                     return None
         if _resolved(np.array([rows[i][:, [0, -1]] for i in picked])):
+            nodes = grid[picked.start :: picked.step]
+            if not kept:
+                return nodes, None
             # filled row by row as the rows are released, so the node sums
             # are never held twice
             sums = np.empty((M, 2, ks.size))
             for j, i in enumerate(picked):
                 sums[j] = rows.pop(i)
-            return grid[picked.start :: picked.step], sums
+            return nodes, sums
     return None
+
+
+def _node_chunks(
+    traj: Trajectory, model: ModelSpec, fisher_method: str, nodes: np.ndarray,
+    ks: np.ndarray, sums: np.ndarray | None,
+):
+    """(rows, node sums at ks[rows]) covering ks in order: the kept sums in
+    one piece, or, if ``_node_sums`` did not keep them, recomputed in chunks
+    of about _NODE_BYTES, each continuing the prefix sums of the last."""
+    if sums is not None:
+        yield slice(None), sums[:, :, : ks.size]
+        return
+    obs = traj.observations
+    width = max(1, _NODE_BYTES // (16 * nodes.size))
+    carry = np.zeros((nodes.size, 2))
+    done = 0
+    for lo in range(0, ks.size, width):
+        part = ks[lo : lo + width]
+        end = int(part[-1])
+        chunk = np.empty((nodes.size, 2, part.size))
+        for j, node in enumerate(nodes.tolist()):
+            chunk[j] = _prefix_sums(
+                node, obs[done:end], obs[done + 1 : end + 1], model, fisher_method,
+                part - 1 - done, carry[j],
+            )
+        # the part's last k is its last transition
+        carry, done = chunk[:, :, -1], end
+        yield slice(lo, lo + part.size), chunk
 
 
 def _resolved(values: np.ndarray) -> bool:

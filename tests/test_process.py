@@ -350,24 +350,29 @@ class TestTwoStepEngine:
         assert any(line.startswith("second preliminary estimate at k=") for line in lines[1])
 
     def test_values_do_not_depend_on_the_block_size(self, example2, monkeypatch):
-        traj = ms.simulate(example2, 0.5, 500, seed=4)
-        prelim = emm(traj, learning_length(500, 0.375), example2)
-        whole = two_step_path(traj, example2, prelim, "observed", 1)
-        for rows in (1, 3, 64):
-            monkeypatch.setattr(process_module, "_BLOCK_BYTES", rows * 16 * traj.n)
-            blocked = two_step_path(traj, example2, prelim, "observed", 1)
-            np.testing.assert_array_equal(blocked.thetas, whole.thetas)
-
-    def test_exact_engine_values_do_not_depend_on_the_block_size(self, monkeypatch):
-        # d = 2 always runs the exact engine in blocks
-        model = cos_model()
-        traj = ms.simulate(model, [0.2, 0.1], 300, seed=4)
-        prelim = fixed_prelim([0.25, 0.15], learning_length(300, 0.375))
-        whole = two_step_path(traj, model, prelim, "plugin", 1)
-        for rows in (1, 3, 64):
-            monkeypatch.setattr(process_module, "_BLOCK_BYTES", rows * 48 * traj.n)
-            blocked = two_step_path(traj, model, prelim, "plugin", 1)
-            np.testing.assert_array_equal(blocked.thetas, whole.thetas)
+        # the exact engine (d = 2) in blocks of 1, 3 and 64 rows, and the
+        # interpolated one (d = 1) with its node sums recomputed in chunks of
+        # a few ks, each point evaluated once more per chunk, not kept whole
+        evaluations = []
+        prefix_sums = process_module._prefix_sums
+        monkeypatch.setattr(
+            process_module, "_prefix_sums", lambda *a: evaluations.append(1) or prefix_sums(*a)
+        )
+        cos = cos_model()
+        cases = [
+            (cos, ms.simulate(cos, [0.2, 0.1], 300, seed=4), "plugin", "_BLOCK_BYTES", 48 * 300),
+            (example2, ms.simulate(example2, 0.5, 500, seed=4), "observed", "_NODE_BYTES", 16 * 129),
+        ]
+        for model, traj, fisher_method, budget, bytes_per_row in cases:
+            N = learning_length(traj.n, 0.375)
+            prelim = emm(traj, N, model) if model.dim == 1 else fixed_prelim([0.25, 0.15], N)
+            whole = two_step_path(traj, model, prelim, fisher_method, 1)
+            for rows in (1, 3, 64):
+                evaluations.clear()
+                monkeypatch.setattr(process_module, budget, rows * bytes_per_row)
+                blocked = two_step_path(traj, model, prelim, fisher_method, 1)
+                np.testing.assert_array_equal(blocked.thetas, whole.thetas)
+            assert len(evaluations) > 129 or model.dim > 1
 
     @pytest.mark.parametrize(
         "factory,theta",
