@@ -27,7 +27,7 @@ from .fisher import FisherMatrix, plugin_fisher, invert_fisher
 from .likelihood import ScoreWindow
 from .models import ModelSpec, get_model
 from .preliminary import learning_length
-from .process import Pipeline
+from .process import Pipeline, _require_integers
 from .simulate import Trajectory, simulate, simulate_paths
 
 __all__ = [
@@ -77,6 +77,8 @@ class McConfig:
     spec: Pipeline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # grid_points is checked by the Pipeline built below
+        _require_integers(self, ("n", "replications", "base_seed", "stride", "burn_in"))
         theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
         object.__setattr__(self, "theta0", theta0)
         if self.replications < 2:

@@ -12,6 +12,14 @@ x a scalar or an array:
     dS(theta, x)  -> shape x.shape + (d,)
     d2S(theta, x) -> shape x.shape + (d, d)
 
+A drift S may also broadcast theta: given theta of shape (d, B, 1) and x of
+shape (N,), it returns the (B, N) array whose row b equals S(theta[:, b, 0], x)
+exactly. The built-in drifts do, since they only index theta[0] and use numpy
+arithmetic. ``ModelSpec`` probes for this at construction, and the grid
+preliminaries then evaluate the likelihood for many theta in one call; a drift
+that raises, returns another shape or other values there is evaluated one
+theta at a time, so the convention is optional.
+
 All callables must be pure: no hidden state, safe to share across tasks.
 """
 
@@ -129,6 +137,8 @@ class ModelSpec:
     noise: NoiseDensity
     domain: ParamDomain
     name: str
+    # whether drift.S broadcasts theta (module docstring), set by the probe
+    _broadcasts_theta: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the shape conventions of the module docstring, at a scalar probe x
@@ -140,6 +150,22 @@ class ModelSpec:
                 raise ValueError(
                     f"drift {what} {name} at a probe point has shape {shape}, expected {expected}"
                 )
+        object.__setattr__(self, "_broadcasts_theta", self._probe_broadcast())
+
+    def _probe_broadcast(self) -> bool:
+        """True if S at a stacked theta equals S at each theta, bit for bit."""
+        lo, width = self.domain.lower, self.domain.width
+        thetas = lo[:, np.newaxis] + width[:, np.newaxis] * np.array([0.2, 0.45, 0.7, 0.9])
+        x = np.array([-2.3, -0.4, 0.0, 0.7, 1.9])
+        with np.errstate(all="ignore"):
+            try:
+                stacked = np.asarray(self.drift.S(thetas[:, :, np.newaxis], x))
+                single = np.array([self.drift.S(t, x) for t in thetas.T])
+            except Exception:  # broadcasting is optional: any failure means no
+                return False
+        return stacked.shape == single.shape == (thetas.shape[1], x.size) and bool(
+            np.array_equal(stacked, single, equal_nan=True)
+        )
 
     @property
     def dim(self) -> int:

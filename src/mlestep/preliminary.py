@@ -30,6 +30,9 @@ __all__ = [
 
 _GOLDEN_TOL = 1e-8
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+# likelihood terms per grid block, B = _GRID_TERMS // N theta values: 256 KiB
+# per float64 temporary; twice that ran 2-3x slower on example2 for N >= 1000
+_GRID_TERMS = 32768
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,30 @@ def _learning_loglik(theta, traj: Trajectory, N: int, model: ModelSpec) -> float
     return float(np.sum(loglik(theta, obs[:N], obs[1 : N + 1], model)))
 
 
+def _grid_loglik(grid: np.ndarray, traj: Trajectory, N: int, model: ModelSpec) -> np.ndarray:
+    """``_learning_loglik`` at each grid value, the same bits, in theta blocks.
+
+    A drift that broadcasts theta (see ``mlestep.models``) gets blocks of
+    B = _GRID_TERMS // N values, as theta of shape (1, B, 1); any other drift
+    gets one plain theta vector per call. A NaN raises EstimationError naming
+    the first grid value that gives one.
+    """
+    obs = traj.observations
+    xp, xn = obs[:N], obs[1 : N + 1]
+    size = max(1, _GRID_TERMS // N) if model._broadcasts_theta else 1
+    values = np.empty(grid.size)
+    for start in range(0, grid.size, size):
+        block = grid[start : start + size]
+        theta = block[np.newaxis, :, np.newaxis] if size > 1 else block
+        values[start : start + size] = np.sum(loglik(theta, xp, xn, model), axis=-1)
+    nan = np.isnan(values)
+    if np.any(nan):
+        raise EstimationError(
+            f"conditional likelihood is NaN at theta={float(grid[np.argmax(nan)])} on the grid"
+        )
+    return values
+
+
 def _golden_max(f, a: float, b: float, tol: float) -> float:
     """Golden-section maximizer on [a, b]; ties resolve toward smaller values."""
     c = b - _INV_PHI * (b - a)
@@ -118,12 +145,7 @@ def mle(traj: Trajectory, N: int, model: ModelSpec, grid_points: int = 512) -> P
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     grid = _grid(model, grid_points)
-    values = np.array([_learning_loglik(np.array([t]), traj, N, model) for t in grid])
-    nan = np.isnan(values)
-    if np.any(nan):
-        raise EstimationError(
-            f"conditional likelihood is NaN at theta={float(grid[np.argmax(nan)])} on the grid"
-        )
+    values = _grid_loglik(grid, traj, N, model)
     if np.all(np.isneginf(values)):
         raise EstimationError("conditional likelihood is -inf on the entire grid")
     top = float(values.max())
@@ -158,7 +180,9 @@ def bayes(
     The posterior weights combine the conditional likelihood of the first N
     transitions with the prior on a uniform grid; integration is Simpson
     quadrature on weights rescaled by the maximum log-weight, so very small
-    likelihood values do not underflow.
+    likelihood values do not underflow. A NaN likelihood on the grid raises
+    EstimationError as in ``mle``; a prior value that is negative or not
+    finite raises ValueError.
     """
     _require_scalar(model, "bayes")
     if N > traj.n:
@@ -168,11 +192,11 @@ def bayes(
     # Simpson quadrature wants an odd point count
     pts = grid_points if grid_points % 2 == 1 else grid_points + 1
     grid = _grid(model, pts)
-    logw = np.array([_learning_loglik(np.array([t]), traj, N, model) for t in grid])
+    logw = _grid_loglik(grid, traj, N, model)
     if prior is not None:
         pvals = np.array([float(prior(t)) for t in grid])
-        if np.any(pvals < 0.0):
-            raise ValueError("prior must be nonnegative on the domain")
+        if not np.all(np.isfinite(pvals) & (pvals >= 0.0)):
+            raise ValueError("prior must be finite and nonnegative on the domain")
         with np.errstate(divide="ignore"):
             logw = logw + np.log(pvals)
     peak = float(np.max(logw))

@@ -524,6 +524,17 @@ PROCESS_KINDS = {
 }
 
 
+def _require_integers(owner, names) -> None:
+    """Raise ValueError naming the first of owner's fields (None skipped) that
+    is not an integer; bools are refused, numpy integers accepted."""
+    for name in names:
+        value = getattr(owner, name)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Pipeline:
     """One estimator-process, as the CLI and the Monte Carlo harness run it.
@@ -543,6 +554,7 @@ class Pipeline:
     grid_points: int = 512
 
     def __post_init__(self):
+        _require_integers(self, ("stride", "grid_points"))
         # membership in a tuple, not a dict: an unhashable value read from a
         # config file is rejected here instead of raising TypeError
         if self.preliminary not in tuple(PRELIMINARY_KINDS):

@@ -265,6 +265,9 @@ class TestMcCommand:
             (dict(fisher_method="bogus"), (), "fisher_method"),
             ({}, ("--workers", "0"), "workers"),
             ({}, ("--workers", "-1"), "workers"),
+            (dict(grid_points=100.5), (), "grid_points must be an integer"),
+            (dict(grid_points="64"), (), "grid_points must be an integer"),
+            (dict(base_seed=1.5), (), "base_seed must be an integer"),
         ):
             self._write_config(cfg_path, **overrides)
             code = run_cli(

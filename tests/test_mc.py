@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mlestep as ms
 from mlestep import mc
@@ -66,11 +67,26 @@ class TestMcConfig:
             (dict(n=2), "n=2"),
             (dict(grid_points=1), "grid_points"),
             (dict(burn_in=-1), "burn_in"),
+            (dict(n=100.0), "n must be an integer"),
+            (dict(replications=True), "replications"),
+            (dict(base_seed=1.5), "base_seed"),
+            (dict(burn_in="5"), "burn_in"),
+            (dict(stride=2.5), "stride"),
+            (dict(grid_points=100.5), "grid_points"),
         ]
         for overrides, field in cases:
             kwargs = {"model_name": "linear", "theta0": 0.5, "n": 100, "delta": 0.5}
             with pytest.raises(ValueError, match=field):
                 ms.McConfig(**{**kwargs, **overrides})
+
+    def test_accepts_numpy_integers(self):
+        cfg = ms.McConfig(
+            "linear", 0.5, np.int64(100), 0.5, replications=np.int32(5), base_seed=np.int64(2),
+            grid_points=np.int16(64),
+        )
+        assert cfg.to_json_dict() == ms.McConfig(
+            "linear", 0.5, 100, 0.5, replications=5, base_seed=2, grid_points=64
+        ).to_json_dict()
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -122,6 +138,32 @@ class TestRunStudy:
             par = ms.run_study(cfg, workers=2)
             np.testing.assert_array_equal(seq.terminal_errors, par.terminal_errors)
             assert seq.failures == par.failures
+
+    @given(
+        replications=st.integers(2, 9),
+        block_rows=st.integers(1, 4),
+        base_seed=st.integers(0, 50),
+    )
+    @settings(max_examples=5)
+    def test_reports_do_not_depend_on_the_worker_count(self, replications, block_rows, base_seed):
+        # every block split of a small study, through both entry points
+        shared = dict(
+            model_name="example2", theta0=0.5, n=120, delta=0.5, replications=replications,
+            base_seed=base_seed, reference_information=((2.15,),),
+        )
+        cfgs = [
+            ms.McConfig(preliminary="mle", process="one-step", **shared),
+            ms.McConfig(preliminary="bayes", process="two-step", fisher_method="plugin", **shared),
+            ms.McConfig(preliminary="emm", process="none", **shared),
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "_BLOCK_ROWS", block_rows)
+            rows = [ms.compare_estimators(cfgs, workers=w) for w in (1, 2)]
+            reports = [
+                mc.report_to_json_dict(ms.run_study(cfgs[0], workers=w)) for w in (1, 2)
+            ]
+        assert rows[0] == rows[1]
+        assert reports[0] == reports[1]
 
     def test_block_bounds(self):
         def cfg(n, replications):

@@ -211,3 +211,24 @@ class TestRegistry:
                 name="bad",
             )
         assert "expected" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "S,broadcasts",
+        [
+            (lambda theta, x: theta[0] * x, True),
+            (lambda theta, x: float(theta[0]) * np.asarray(x), False),  # raises
+            (lambda theta, x: np.sum(theta) * x, False),  # another shape
+            (lambda theta, x: theta[0] * x + (np.size(theta) - 1), False),  # other values
+        ],
+        ids=["broadcasts", "raises", "shape", "values"],
+    )
+    def test_theta_broadcast_probed(self, linear, S, broadcasts):
+        from dataclasses import replace
+
+        from mlestep.models import ModelSpec
+
+        model = ModelSpec(
+            drift=replace(linear.drift, S=S), noise=linear.noise, domain=linear.domain,
+            name="probe",
+        )
+        assert model._broadcasts_theta is broadcasts

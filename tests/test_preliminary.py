@@ -1,13 +1,36 @@
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mlestep as ms
+from mlestep import preliminary
 from mlestep.errors import EstimationError
 from mlestep.preliminary import bayes, emm, learning_length, mle
 
 from helpers import box_model, make_traj, noiseless_linear_traj, pair_model, zero_model
+
+
+def half_defined_model(linear):
+    """The linear model with a drift that is NaN for theta < 0."""
+
+    def S(theta, x):
+        return np.where(theta[0] < 0.0, np.nan, theta[0] * np.asarray(x, dtype=float))
+
+    return ms.ModelSpec(
+        drift=ms.Drift(S, linear.drift.dS, linear.drift.d2S),
+        noise=linear.noise,
+        domain=linear.domain,
+        name="half-defined",
+    )
+
+
+@lru_cache(maxsize=None)
+def _long_traj(name):
+    theta0 = {"example1": 2.5, "example2": 0.5, "linear": 0.5}[name]
+    return ms.simulate(ms.get_model(name), theta0, 40_000, seed=17)
 
 
 class TestLearningLength:
@@ -69,15 +92,7 @@ class TestGridMle:
 
     def test_nan_on_grid_errors(self, linear):
         # the drift is undefined (NaN) for theta < 0, which argmax would pick
-        def S(theta, x):
-            return np.where(theta[0] < 0.0, np.nan, theta[0] * np.asarray(x, dtype=float))
-
-        model = ms.ModelSpec(
-            drift=ms.Drift(S, linear.drift.dS, linear.drift.d2S),
-            noise=linear.noise,
-            domain=linear.domain,
-            name="half-defined",
-        )
+        model = half_defined_model(linear)
         traj = ms.simulate(linear, 0.5, 200, seed=3)
         first = float(model.domain.project(model.domain.lower)[0])
         with pytest.raises(EstimationError, match=re.escape(f"NaN at theta={first} ")):
@@ -152,11 +167,80 @@ class TestBayes:
         with pytest.raises(ValueError, match="nonnegative"):
             bayes(traj, 50, linear, prior=lambda t: -1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_prior_rejected(self, linear, value):
+        traj = ms.simulate(linear, 0.5, 100, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            bayes(traj, 50, linear, prior=lambda t: value if t > 0.3 else 1.0)
+
+    def test_nan_on_grid_errors(self, linear):
+        # the same refusal as mle's, not "all posterior weights underflowed"
+        model = half_defined_model(linear)
+        traj = ms.simulate(linear, 0.5, 200, seed=3)
+        first = float(model.domain.project(model.domain.lower)[0])
+        with pytest.raises(EstimationError, match=re.escape(f"NaN at theta={first} ")):
+            bayes(traj, 200, model)
+
     def test_underflow_everywhere_errors(self):
         model = box_model()
         traj = make_traj([0.0, 10.0, -10.0, 10.0], 0.0, "box")
         with pytest.raises(EstimationError, match="underflow"):
             bayes(traj, 3, model)
+
+
+class TestGridBlocks:
+    """The grid in theta blocks gives the bits of one theta per call."""
+
+    @given(
+        name=st.sampled_from(["example1", "example2", "linear"]),
+        N=st.one_of(st.integers(2, 3000), st.integers(32_769, 40_000)),
+        grid_points=st.integers(3, 600),
+    )
+    @example(name="example2", N=17, grid_points=512)  # the whole grid in one block
+    @example(name="example1", N=3000, grid_points=512)  # B = 10, the last block holds 2
+    @example(name="linear", N=32_769, grid_points=512)  # B = 1
+    @settings(max_examples=12)
+    def test_blocks_equal_one_theta_per_call(self, name, N, grid_points):
+        model, traj = ms.get_model(name), _long_traj(name)
+        assert model._broadcasts_theta
+        grid = preliminary._grid(model, grid_points)
+        blocked = preliminary._grid_loglik(grid, traj, N, model)
+        single = np.array(
+            [preliminary._learning_loglik(np.array([t]), traj, N, model) for t in grid]
+        )
+        results = [mle(traj, N, model, grid_points), bayes(traj, N, model, None, grid_points)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(preliminary, "_GRID_TERMS", 1)  # B = 1: a plain theta vector per call
+            loop = [
+                preliminary._grid_loglik(grid, traj, N, model),
+                mle(traj, N, model, grid_points),
+                bayes(traj, N, model, None, grid_points),
+            ]
+        np.testing.assert_array_equal(single, loop[0])
+        np.testing.assert_array_equal(blocked, loop[0])
+        for got, want in zip(results, loop[1:]):
+            np.testing.assert_array_equal(got.theta, want.theta)
+            assert got.diagnostics == want.diagnostics
+
+    @pytest.mark.parametrize(
+        "S",
+        [lambda theta, x: float(theta[0]) * np.asarray(x), lambda theta, x: np.sum(theta) * x],
+        ids=["float-theta", "sum-theta"],
+    )
+    def test_non_broadcasting_drift_runs_per_theta(self, linear, S):
+        model = ms.ModelSpec(
+            drift=ms.Drift(S, linear.drift.dS, linear.drift.d2S),
+            noise=linear.noise,
+            domain=linear.domain,
+            name="scalar-theta",
+        )
+        assert not model._broadcasts_theta and linear._broadcasts_theta
+        traj = ms.simulate(linear, 0.5, 300, seed=5)
+        # the same drift values as linear's, so the same bits either way
+        for estimator in (mle, bayes):
+            got, want = estimator(traj, 40, model), estimator(traj, 40, linear)
+            np.testing.assert_array_equal(got.theta, want.theta)
+            assert got.diagnostics == want.diagnostics
 
 
 class TestEmm:

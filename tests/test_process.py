@@ -555,6 +555,10 @@ class TestPipeline:
             (dict(delta=0.5, fisher_method="exact"), "fisher_method"),
             (dict(delta=0.5, stride=0), "stride"),
             (dict(delta=0.5, process="recurrent", stride=50), "stride"),
+            (dict(delta=0.5, stride=2.0), "stride"),
+            (dict(delta=0.5, stride=True), "stride"),
+            (dict(delta=0.5, grid_points=100.5), "grid_points"),
+            (dict(delta=0.5, grid_points="64"), "grid_points"),
         ):
             with pytest.raises(ValueError, match=field):
                 Pipeline(**kwargs)
