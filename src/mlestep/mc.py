@@ -15,8 +15,9 @@ by side then simulate each seed once (common random numbers).
 from __future__ import annotations
 
 import json
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from .fisher import FisherMatrix, plugin_fisher, invert_fisher
 from .likelihood import ScoreWindow
 from .models import ModelSpec, get_model
 from .preliminary import learning_length
-from .process import Pipeline, _require_integers
+from .process import Pipeline, _require_numbers
 from .simulate import Trajectory, simulate, simulate_paths
 
 __all__ = [
@@ -55,6 +56,19 @@ _BLOCK_BYTES = 16 * 2**20
 _FAILURES = (MlestepError, ValueError, FloatingPointError, np.linalg.LinAlgError)
 
 
+def _finite_reals(value, name: str, what: str, shape: tuple | None = None) -> np.ndarray:
+    """value as a float array; ValueError naming the field unless it is
+    ``what``: finite real entries (bools and strings refused) of ``shape``."""
+    try:
+        array = np.asarray(value)
+        ok = array.dtype.kind in "iuf" and np.isfinite(array).all()
+    except ValueError:  # a ragged nesting
+        ok = False
+    if not ok or shape not in (None, array.shape):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return array.astype(float)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Configuration of one Monte Carlo study; ``spec`` is its pipeline."""
@@ -68,7 +82,6 @@ class McConfig:
     fisher_method: str = "observed"
     replications: int = 300
     base_seed: int = 0
-    stride: int | None = None
     burn_in: int = 1000
     x_init: float = 0.0
     grid_points: int = 512
@@ -77,26 +90,23 @@ class McConfig:
     spec: Pipeline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # grid_points is checked by the Pipeline built below
-        _require_integers(self, ("n", "replications", "base_seed", "stride", "burn_in"))
-        theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
+        # the Pipeline built below checks grid_points and the pipeline names
+        _require_numbers(self, ("n", "replications", "base_seed", "burn_in"))
+        _require_numbers(self, ("delta",), real=True)
+        theta0 = np.atleast_1d(_finite_reals(self.theta0, "theta0", "finite and real"))
         object.__setattr__(self, "theta0", theta0)
+        _finite_reals(self.x_init, "x_init", "a finite real number", ())
         if self.replications < 2:
             raise ValueError("a study needs at least 2 replications")
-        spec = Pipeline(
-            self.delta, self.preliminary, self.process, self.fisher_method, None,
-            self.grid_points,
-        )
-        if self.stride is not None and self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
         N = learning_length(self.n, self.delta)
         if N >= self.n:
             raise ValueError(f"n={self.n} leaves no transitions after the learning interval N={N}")
-        # a study reads terminals only, so its batch paths emit k = n alone;
-        # the configured stride is validated and echoed but changes nothing
-        if self.process != "recurrent":
-            spec = replace(spec, stride=self.n)
-        object.__setattr__(self, "spec", spec)
+        # a study reads terminals only, so its batch paths emit k = n alone
+        stride = None if self.process == "recurrent" else self.n
+        object.__setattr__(self, "spec", Pipeline(
+            self.delta, self.preliminary, self.process, self.fisher_method, stride,
+            self.grid_points,
+        ))
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         model = get_model(self.model_name)
@@ -107,6 +117,10 @@ class McConfig:
             )
         if not model.domain.contains(theta0):
             raise ValueError(f"theta0 {theta0} is not interior to the domain of {self.model_name!r}")
+        d = model.dim
+        if self.reference_information is not None:
+            what = f"a finite real {d} x {d} matrix"
+            _finite_reals(self.reference_information, "reference_information", what, (d, d))
 
     def pipeline(self) -> str:
         return f"{self.preliminary}+{self.process}"
@@ -122,7 +136,6 @@ class McConfig:
             "fisher_method": self.fisher_method,
             "replications": int(self.replications),
             "base_seed": int(self.base_seed),
-            "stride": self.stride,
             "burn_in": int(self.burn_in),
             "x_init": float(self.x_init),
             "grid_points": int(self.grid_points),
@@ -135,6 +148,10 @@ class McConfig:
 
 
 def mc_config_from_dict(payload: dict) -> McConfig:
+    payload = dict(payload)
+    if "stride" in payload:  # older config files; a study reads terminals only
+        del payload["stride"]
+        warnings.warn("study config key 'stride' is deprecated and ignored", FutureWarning, 2)
     known = {f.name for f in fields(McConfig) if f.init}
     extra = set(payload) - known
     if extra:

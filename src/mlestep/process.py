@@ -181,12 +181,8 @@ def second_preliminary_path(
     )
 
 
-# Bytes of score and information terms one block of the exact engine holds:
-# (d + d*d) floats per transition and row, transitions 1..n per row.
-_BLOCK_BYTES = 2 << 20
-
 # Chebyshev points of the second kind on [-1, 1], ascending. The interpolated
-# engine takes M of them, every (128 // (M - 1))-th, so each doubling of M
+# sums take M of them, every (128 // (M - 1))-th, so each doubling of M
 # evaluates only the new points.
 _NODE_COUNTS = (33, 65, 129)
 _UNIT_NODES = np.sin(np.pi * np.arange(-64, 65) / 128)
@@ -197,7 +193,7 @@ _TAIL_TOL = 1e-14
 # at its k, is recomputed exactly
 _NEAR_SINGULAR = 1e-8
 # Bytes of node sums (2 floats per point and emitted k) the interpolated
-# engine holds: up to 129 points this keeps the sums at 16k ks; a path with
+# sums hold: up to 129 points this keeps the sums at 16k ks; a path with
 # more recomputes them in chunks of ks of this size.
 _NODE_BYTES = 32 << 20
 
@@ -218,107 +214,86 @@ def two_step_path(
         theta_k = theta2_k + (1/k) I(theta2_k)^{-1} sum_{j=1..k} loglik_grad
 
     For d = 1 the window sums at k < n are interpolated in theta
-    (``_interpolated_two_step``); the terminal k = n, d > 1, and paths whose
-    interpolant is not resolved run the exact engine (``_two_step_block``).
-    The interpolation costs about (M + 1) n term evaluations however many
-    ks are emitted, the exact engine the sum of the emitted ks: a gain when
-    the ks are many (|ks| well above 2 (M + 1) for evenly spread ks), a loss
-    for a coarse stride.
-    Which engine serves a k, and its value, depend only on k, n and the path,
-    so a stride-s path equals the stride-1 path at the same ks exactly. A
-    refusal is the one ``_checked`` and ``invert_fisher`` raise at the first
-    k whose exact matrix fails a guard.
+    (``_interpolated_sums``); the terminal k = n, d > 1, and paths whose
+    interpolant is not resolved take exact sums, one k at a time
+    (``_exact_sums``). The interpolation costs about (M + 1) n term
+    evaluations however many ks are emitted, the exact sums the sum of the
+    emitted ks: a gain when the ks are many (|ks| well above 2 (M + 1) for
+    evenly spread ks), a loss for a coarse stride.
+    One pass then walks the rows a guard flags, in k order: an interpolated
+    row is recomputed exactly, and a row that still fails is refused by
+    ``_checked`` and ``invert_fisher``, after the projections up to it are
+    logged. Which sums serve a k, and its value, depend only on k, n and
+    the path, so a stride-s path equals the stride-1 path exactly.
     """
     base = second_preliminary_path(traj, model, prelim, fisher_method, stride)
     if base.ks[0] < model.dim:
         raise ValueError("window is shorter than the parameter dimension")
     ks, second = base.ks, base.thetas
-    thetas = None
-    if model.dim == 1 and ks.size > 1:
-        thetas = _interpolated_two_step(traj, model, fisher_method, ks, second)
-    if thetas is None:
-        d = model.dim
-        rows = max(1, _BLOCK_BYTES // (8 * d * (d + 1) * traj.n))
-        thetas = np.concatenate([
-            _two_step_block(traj, model, fisher_method, ks[i : i + rows], second[i : i + rows])
-            for i in range(0, ks.size, rows)
-        ])
+    mids = model.domain.project(second)
+    d = model.dim
+    totals, infos = np.empty((ks.size, d)), np.empty((ks.size, d, d))
+    near = np.zeros(ks.size, dtype=bool)
+    # rows before `exact` take interpolated sums
+    exact = 0
+    if d == 1 and ks.size > 1:
+        interpolated = _interpolated_sums(traj, model, fisher_method, ks, mids)
+        if interpolated is not None:
+            exact = ks.size - 1
+            totals[:exact, 0], infos[:exact, 0, 0], near[:exact] = interpolated
+    totals[exact:], infos[exact:] = _exact_sums(traj, model, fisher_method, ks[exact:], mids[exact:])
+    inverses, flagged = stacked_inverses(infos)
+    flagged |= near
+    moved = np.any(mids != second, axis=1)
+    # in k order, so the projections up to a refused k are logged before it
+    for r in np.flatnonzero(flagged | moved).tolist():
+        if moved[r]:
+            logger.info(
+                "second preliminary estimate at k=%s %s projected into the domain", ks[r], second[r]
+            )
+        if flagged[r] and r < exact:
+            rows = slice(r, r + 1)
+            totals[rows], infos[rows] = _exact_sums(traj, model, fisher_method, ks[rows], mids[rows])
+            inverses[rows], flagged[rows] = stacked_inverses(infos[rows])
+        if flagged[r]:
+            inverses[r] = invert_fisher(_checked(infos[r], fisher_method, int(ks[r])))
+    thetas = mids + (inverses @ totals[:, :, np.newaxis])[:, :, 0] / ks[:, np.newaxis]
     return EstimatorPath(ks, thetas, "two-step", base.N, prelim, base.n)
 
 
-def _log_projected(k: int, theta: np.ndarray) -> None:
-    logger.info("%s %s projected into the domain", f"second preliminary estimate at k={k}", theta)
-
-
-def _two_step_block(
-    traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray, second: np.ndarray
-) -> np.ndarray:
-    """Two-step values at ks from their second preliminary values, exactly.
-
-    Row b holds the score and information terms of transitions 1..k_b at its
-    own projected value, zero after k_b; a cumulative sum along the
-    transitions read at k_b gives its window sums.
-    """
-    mids = model.domain.project(second)
-    moved = np.any(mids != second, axis=1)
+def _exact_sums(
+    traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray, mids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score sums (K, d) and mean information (K, d, d) over transitions
+    1..k at each k's own projected value, one k at a time. Each is a
+    sequential prefix sum read at its end, so the bits do not depend on
+    which other ks are computed."""
     obs = traj.observations
-    d = model.dim
-    scores = np.zeros((ks.size, int(ks[-1]), d))
-    terms = np.zeros((ks.size, int(ks[-1]), d, d))
+    totals, infos = np.empty((ks.size, model.dim)), np.empty((ks.size, model.dim, model.dim))
     for b, k in enumerate(ks.tolist()):
-        scores[b, :k], terms[b, :k] = information_terms(
-            mids[b], obs[:k], obs[1 : k + 1], model, fisher_method
-        )
-    at_k = (np.arange(ks.size), ks - 1)
-    totals = np.cumsum(scores, axis=1, out=scores)[at_k]
-    infos = np.cumsum(terms, axis=1, out=terms)[at_k] / ks[:, np.newaxis, np.newaxis]
-    inverses, flagged = stacked_inverses(infos)
-    # projections are logged in k order up to the k that is refused, if any
-    logged = 0
-    for r in [*np.flatnonzero(flagged).tolist(), ks.size]:
-        for i in np.flatnonzero(moved[logged : r + 1]) + logged:
-            _log_projected(ks[i], second[i])
-        logged = r + 1
-        if r < ks.size:
-            inverses[r] = invert_fisher(_checked(infos[r], fisher_method, int(ks[r])))
-    return mids + (inverses @ totals[:, :, np.newaxis])[:, :, 0] / ks[:, np.newaxis]
+        scores, terms = information_terms(mids[b], obs[:k], obs[1 : k + 1], model, fisher_method)
+        totals[b] = np.cumsum(scores, axis=0, out=scores)[-1]
+        infos[b] = np.cumsum(terms, axis=0, out=terms)[-1] / k
+    return totals, infos
 
 
-def _interpolated_two_step(
-    traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray, second: np.ndarray
-) -> np.ndarray | None:
-    """Two-step values for d = 1 from window sums interpolated in theta, or
-    None if the interpolant is not resolved (see ``_node_sums``).
-
-    Each k < n reads its score and information sums off the Chebyshev
-    interpolants through the node sums at k, at its own projected value. The
-    terminal, and every row whose interpolated information fails a guard of
-    ``stacked_inverses`` or lies within _NEAR_SINGULAR of zero, is recomputed
-    by ``_two_step_block``, which also refuses.
-    """
+def _interpolated_sums(
+    traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray, mids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """For d = 1, the score sum and mean information at each k < n, read off
+    the Chebyshev interpolants through the node sums at k at its own
+    projected value, and a flag where the information sum lies within
+    _NEAR_SINGULAR of zero relative to the node values; None if the
+    interpolant is not resolved (see ``_node_sums``)."""
     resolved = _node_sums(traj, model, fisher_method, ks)
     if resolved is None:
         return None
     nodes, sums = resolved
-    inner = ks[:-1, np.newaxis]
-    mids = model.domain.project(second[:-1])
-    totals, infos, scale = np.empty((3, inner.size))
+    totals, infos, scale = np.empty((3, ks.size - 1))
     for rows, chunk in _node_chunks(traj, model, fisher_method, nodes, ks[:-1], sums):
-        totals[rows], infos[rows] = _barycentric(nodes, chunk, mids[rows, 0])
+        totals[rows], infos[rows] = _barycentric(nodes, chunk, mids[:-1][rows, 0])
         scale[rows] = np.abs(chunk[:, 1]).max(axis=0)
-    inverses, flagged = stacked_inverses((infos[:, np.newaxis] / inner)[:, :, np.newaxis])
-    flagged |= infos <= _NEAR_SINGULAR * scale
-    thetas = np.empty_like(second)
-    thetas[:-1] = mids + (inverses @ totals[:, np.newaxis, np.newaxis])[:, :, 0] / inner
-    # projections are logged in k order, up to the k that is refused, if any
-    moved = mids[:, 0] != second[:-1, 0]
-    logged = 0
-    for r in [*np.flatnonzero(flagged).tolist(), ks.size - 1]:
-        for i in np.flatnonzero(moved[logged:r]) + logged:
-            _log_projected(ks[i], second[i])
-        thetas[r] = _two_step_block(traj, model, fisher_method, ks[r : r + 1], second[r : r + 1])[0]
-        logged = r + 1
-    return thetas
+    return totals, infos / ks[:-1], infos <= _NEAR_SINGULAR * scale
 
 
 def _prefix_sums(
@@ -524,15 +499,16 @@ PROCESS_KINDS = {
 }
 
 
-def _require_integers(owner, names) -> None:
-    """Raise ValueError naming the first of owner's fields (None skipped) that
-    is not an integer; bools are refused, numpy integers accepted."""
+def _require_numbers(owner, names, real: bool = False) -> None:
+    """Raise ValueError naming the first of owner's fields that is not an
+    integer, or with ``real`` not a real number; bools and None are refused,
+    numpy scalars accepted."""
+    kinds = (int, float, np.integer, np.floating) if real else (int, np.integer)
+    what = "a real number" if real else "an integer"
     for name in names:
         value = getattr(owner, name)
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -554,7 +530,8 @@ class Pipeline:
     grid_points: int = 512
 
     def __post_init__(self):
-        _require_integers(self, ("stride", "grid_points"))
+        _require_numbers(self, ("grid_points",) if self.stride is None else ("stride", "grid_points"))
+        _require_numbers(self, ("delta",), real=True)
         # membership in a tuple, not a dict: an unhashable value read from a
         # config file is rejected here instead of raising TypeError
         if self.preliminary not in tuple(PRELIMINARY_KINDS):

@@ -268,6 +268,14 @@ class TestMcCommand:
             (dict(grid_points=100.5), (), "grid_points must be an integer"),
             (dict(grid_points="64"), (), "grid_points must be an integer"),
             (dict(base_seed=1.5), (), "base_seed must be an integer"),
+            (dict(base_seed=None), (), "base_seed must be an integer"),
+            (dict(delta="0.5"), (), "delta must be a real number"),
+            (dict(delta=None), (), "delta must be a real number"),
+            (dict(theta0="abc"), (), "theta0 must be finite and real"),
+            (dict(x_init="abc"), (), "x_init must be a finite real number"),
+            (dict(x_init=float("nan")), (), "x_init must be a finite real number"),
+            (dict(reference_information="abc"), (), "reference_information must be"),
+            (dict(reference_information=[[1.0, 2.0]]), (), "reference_information must be"),
         ):
             self._write_config(cfg_path, **overrides)
             code = run_cli(

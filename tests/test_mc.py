@@ -61,7 +61,6 @@ class TestMcConfig:
             (dict(process="three-step"), "process"),
             (dict(process=["one-step"]), "process"),
             (dict(fisher_method="bogus"), "fisher_method"),
-            (dict(stride=0), "stride"),
             (dict(delta=1.5), "delta"),
             (dict(n=1), "n must"),
             (dict(n=2), "n=2"),
@@ -71,8 +70,23 @@ class TestMcConfig:
             (dict(replications=True), "replications"),
             (dict(base_seed=1.5), "base_seed"),
             (dict(burn_in="5"), "burn_in"),
-            (dict(stride=2.5), "stride"),
             (dict(grid_points=100.5), "grid_points"),
+            (dict(n=None), "n must be an integer"),
+            (dict(base_seed=None), "base_seed must be an integer"),
+            (dict(grid_points=None), "grid_points must be an integer"),
+            (dict(delta="0.5"), "delta must be a real number"),
+            (dict(delta=None), "delta must be a real number"),
+            (dict(delta=float("nan")), "delta"),
+            (dict(theta0="abc"), "theta0 must be finite and real"),
+            (dict(theta0=[float("nan")]), "theta0 must be finite and real"),
+            (dict(theta0=[True]), "theta0 must be finite and real"),
+            (dict(x_init="abc"), "x_init must be a finite real number"),
+            (dict(x_init=float("nan")), "x_init must be a finite real number"),
+            (dict(x_init=[0.0, 1.0]), "x_init must be a finite real number"),
+            (dict(reference_information="abc"), "reference_information must be a finite real 1 x 1"),
+            (dict(reference_information=[[1.0, 2.0]]), "reference_information must be"),
+            (dict(reference_information=[[float("inf")]]), "reference_information must be"),
+            (dict(reference_information=[[1.0], [2.0, 3.0]]), "reference_information must be"),
         ]
         for overrides, field in cases:
             kwargs = {"model_name": "linear", "theta0": 0.5, "n": 100, "delta": 0.5}
@@ -215,23 +229,22 @@ class TestRunStudy:
             with pytest.raises(ValueError, match="workers"):
                 ms.compare_estimators([cfg], workers=workers)
 
-    def test_stride_does_not_change_terminals(self):
-        for process in ("one-step", "two-step"):
-            shared = dict(
-                model_name="example2", theta0=0.5, n=400, delta=0.375, preliminary="emm",
-                process=process, fisher_method="plugin", replications=3,
-                reference_information=((2.15,),),
-            )
-            thin = ms.run_study(ms.McConfig(**shared))
-            dense = ms.run_study(ms.McConfig(stride=1, **shared))
-            assert dense.config.to_json_dict()["stride"] == 1
-            assert dense.config.spec.stride == 400  # paths emit k = n only
-            np.testing.assert_allclose(
-                dense.terminal_errors, thin.terminal_errors, rtol=0.0, atol=1e-12
-            )
-        # a recurrent study loads with a stride, but its pipeline takes none
-        cfg = ms.McConfig("linear", 0.5, 100, 0.5, process="recurrent", stride=5)
-        assert cfg.to_json_dict()["stride"] == 5 and cfg.spec.stride is None
+    def test_stride_key_is_ignored_with_one_warning(self):
+        # older config files carry a stride; a study reads terminals only
+        payload = dict(
+            model_name="example2", theta0=[0.5], n=400, delta=0.375, preliminary="emm",
+            process="two-step", fisher_method="plugin", replications=3,
+            reference_information=[[2.15]],
+        )
+        plain = ms.run_study(mc.mc_config_from_dict(payload))
+        for stride in (1, 5, None):
+            with pytest.warns(FutureWarning, match="stride") as caught:
+                cfg = mc.mc_config_from_dict({**payload, "stride": stride})
+            assert len(caught) == 1
+            assert cfg == plain.config and cfg.spec == plain.config.spec
+            assert "stride" not in cfg.to_json_dict()
+            report = ms.run_study(cfg)
+            assert mc.report_to_json_dict(report) == mc.report_to_json_dict(plain)
 
     def test_diverging_rows_fail_alone(self):
         # theta x^3 escapes to infinity within 8 steps on a few seeds only

@@ -319,12 +319,9 @@ class TestTwoStepEngine:
         # pair_model's information is singular: every request is refused
         assert compared == 0 if factory is pair_model else compared >= 12
 
-    @pytest.mark.parametrize("rows", [1, 4, None], ids=["rows-1", "rows-4", "default"])
-    def test_refusal_matches_reference(self, example1, monkeypatch, rows):
+    def test_refusal_matches_reference(self, example1, monkeypatch):
         # example1 at n=400, seed 18, mle: the observed information at the
         # second preliminary value is not positive definite at k=78
-        if rows is not None:
-            monkeypatch.setattr(process_module, "_BLOCK_BYTES", rows * 16 * 400)
         traj = ms.simulate(example1, 2.5, 400, seed=18)
         prelim = mle(traj, learning_length(400, 0.375), example1)
         args = (traj, example1, prelim, "observed", 1)
@@ -335,44 +332,55 @@ class TestTwoStepEngine:
         assert "not positive definite" in new_err[2]
         np.testing.assert_allclose(new_err[3], ref_err[3], rtol=1e-12)
 
-    @pytest.mark.parametrize("prelim_theta", [None, 6.0], ids=["mle", "outside"])
-    def test_projection_log_lines_match_reference(self, example1, caplog, prelim_theta):
-        traj = ms.simulate(example1, 2.5, 300, seed=2)
+    @pytest.mark.parametrize(
+        "factory,theta,seed,prelim_theta,fisher_method,refused",
+        [(ms.example1_model, [2.5], 2, None, "plugin", False),
+         (ms.example1_model, [2.5], 2, [6.0], "plugin", False),
+         (ms.example1_model, [2.5], 18, None, "observed", True),
+         (cos_model, [0.2, 0.1], 0, [0.6, 0.1], "plugin", False)],
+        ids=["mle", "outside", "refused", "cos"],
+    )
+    def test_projection_log_lines_match_reference(
+        self, monkeypatch, caplog, factory, theta, seed, prelim_theta, fisher_method, refused
+    ):
+        # projections are logged in k order up to the refused k, if any: on
+        # seed 18 the observed information fails at k=78, after 67 of them
+        model = factory()
+        traj = ms.simulate(model, theta, 300, seed=seed)
         N = learning_length(300, 0.375)
-        prelim = mle(traj, N, example1) if prelim_theta is None else fixed_prelim(prelim_theta, N)
-        lines = []
+        prelim = mle(traj, N, model) if prelim_theta is None else fixed_prelim(prelim_theta, N)
+        lines, errors = [], []
         for path_fn in (two_step_reference, two_step_path):
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="mlestep.process"):
-                path_fn(traj, example1, prelim, "plugin", 1)
+                errors.append(
+                    _two_step_outcome(monkeypatch, path_fn, traj, model, prelim, fisher_method, 1)[1]
+                )
             lines.append([rec.getMessage() for rec in caplog.records])
         assert lines[1] == lines[0]
         assert any(line.startswith("second preliminary estimate at k=") for line in lines[1])
+        assert (errors[1] is not None) == refused
+        if refused:
+            assert errors[1][:3] == errors[0][:3]
+            np.testing.assert_allclose(errors[1][3], errors[0][3], rtol=1e-12)
 
     def test_values_do_not_depend_on_the_block_size(self, example2, monkeypatch):
-        # the exact engine (d = 2) in blocks of 1, 3 and 64 rows, and the
-        # interpolated one (d = 1) with its node sums recomputed in chunks of
+        # the interpolated sums with their node sums recomputed in chunks of
         # a few ks, each point evaluated once more per chunk, not kept whole
         evaluations = []
         prefix_sums = process_module._prefix_sums
         monkeypatch.setattr(
             process_module, "_prefix_sums", lambda *a: evaluations.append(1) or prefix_sums(*a)
         )
-        cos = cos_model()
-        cases = [
-            (cos, ms.simulate(cos, [0.2, 0.1], 300, seed=4), "plugin", "_BLOCK_BYTES", 48 * 300),
-            (example2, ms.simulate(example2, 0.5, 500, seed=4), "observed", "_NODE_BYTES", 16 * 129),
-        ]
-        for model, traj, fisher_method, budget, bytes_per_row in cases:
-            N = learning_length(traj.n, 0.375)
-            prelim = emm(traj, N, model) if model.dim == 1 else fixed_prelim([0.25, 0.15], N)
-            whole = two_step_path(traj, model, prelim, fisher_method, 1)
-            for rows in (1, 3, 64):
-                evaluations.clear()
-                monkeypatch.setattr(process_module, budget, rows * bytes_per_row)
-                blocked = two_step_path(traj, model, prelim, fisher_method, 1)
-                np.testing.assert_array_equal(blocked.thetas, whole.thetas)
-            assert len(evaluations) > 129 or model.dim > 1
+        traj = ms.simulate(example2, 0.5, 500, seed=4)
+        prelim = emm(traj, learning_length(traj.n, 0.375), example2)
+        whole = two_step_path(traj, example2, prelim, "observed", 1)
+        for rows in (1, 3, 64):
+            evaluations.clear()
+            monkeypatch.setattr(process_module, "_NODE_BYTES", rows * 16 * 129)
+            chunked = two_step_path(traj, example2, prelim, "observed", 1)
+            np.testing.assert_array_equal(chunked.thetas, whole.thetas)
+            assert len(evaluations) > 129
 
     @pytest.mark.parametrize(
         "factory,theta",
@@ -392,15 +400,15 @@ class TestTwoStepEngine:
 
     @staticmethod
     def _exact_rows(monkeypatch) -> list:
-        """The ks the exact engine computes, appended as it runs."""
+        """The ks whose sums are computed exactly, appended as they run."""
         seen = []
-        block = process_module._two_step_block
+        exact_sums = process_module._exact_sums
 
-        def spy(traj, model, fisher_method, ks, second):
+        def spy(traj, model, fisher_method, ks, mids):
             seen.extend(ks.tolist())
-            return block(traj, model, fisher_method, ks, second)
+            return exact_sums(traj, model, fisher_method, ks, mids)
 
-        monkeypatch.setattr(process_module, "_two_step_block", spy)
+        monkeypatch.setattr(process_module, "_exact_sums", spy)
         return seen
 
     def test_unresolved_interpolant_runs_the_exact_engine(self, monkeypatch):
@@ -440,7 +448,7 @@ class TestTwoStepEngine:
     def test_information_near_zero_is_recomputed_exactly(self, example1, monkeypatch):
         # the refusal of test_refusal_matches_reference, with the interpolated
         # information at k=78 lifted just above zero: the guards pass it, and
-        # only the band around the threshold sends it to the exact engine
+        # only the band around the threshold sends it to the exact sums
         traj = ms.simulate(example1, 2.5, 400, seed=18)
         prelim = mle(traj, learning_length(400, 0.375), example1)
         row = 78 - (prelim.learning_length + 1)
@@ -559,6 +567,11 @@ class TestPipeline:
             (dict(delta=0.5, stride=True), "stride"),
             (dict(delta=0.5, grid_points=100.5), "grid_points"),
             (dict(delta=0.5, grid_points="64"), "grid_points"),
+            (dict(delta=0.5, grid_points=None), "grid_points must be an integer"),
+            (dict(delta="0.5"), "delta must be a real number"),
+            (dict(delta=None), "delta must be a real number"),
+            (dict(delta=True), "delta must be a real number"),
+            (dict(delta=float("nan")), "delta"),
         ):
             with pytest.raises(ValueError, match=field):
                 Pipeline(**kwargs)
