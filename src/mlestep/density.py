@@ -16,6 +16,11 @@ _CHUNK = 2048
 _BLOCK = 128
 
 
+def _check_bandwidth(h: float) -> None:
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth must be finite and positive, got {h}")
+
+
 @dataclass(frozen=True)
 class DensityEstimate:
     """Kernel density values on an evaluation grid."""
@@ -32,8 +37,7 @@ class DensityEstimate:
             raise ValueError("grid and values must be aligned non-empty vectors")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly ascending")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        _check_bandwidth(self.bandwidth)
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
         object.__setattr__(self, "grid", grid)
@@ -56,8 +60,7 @@ def kde(traj: Trajectory, grid=None, bandwidth: float | None = None) -> DensityE
     if n < 1:
         raise ValueError("kernel density estimation needs at least one observation")
     h = float(bandwidth) if bandwidth is not None else float(n) ** (-0.2)
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    _check_bandwidth(h)
     if grid is None:
         grid = np.linspace(xs.min() - 4.0 * h, xs.max() + 4.0 * h, _DEFAULT_GRID_POINTS)
     else:

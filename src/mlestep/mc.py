@@ -28,7 +28,7 @@ from .fisher import FisherMatrix, plugin_fisher, invert_fisher
 from .likelihood import ScoreWindow
 from .models import ModelSpec, get_model
 from .preliminary import learning_length
-from .process import Pipeline, _require_numbers
+from .process import STRIDED_PROCESSES, Pipeline, _require_numbers
 from .simulate import Trajectory, simulate, simulate_paths
 
 __all__ = [
@@ -102,7 +102,7 @@ class McConfig:
         if N >= self.n:
             raise ValueError(f"n={self.n} leaves no transitions after the learning interval N={N}")
         # a study reads terminals only, so its batch paths emit k = n alone
-        stride = None if self.process == "recurrent" else self.n
+        stride = self.n if self.process in STRIDED_PROCESSES else None
         object.__setattr__(self, "spec", Pipeline(
             self.delta, self.preliminary, self.process, self.fisher_method, stride,
             self.grid_points,

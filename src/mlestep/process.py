@@ -192,10 +192,6 @@ _TAIL_TOL = 1e-14
 # an interpolated information this close to zero, relative to the node values
 # at its k, is recomputed exactly
 _NEAR_SINGULAR = 1e-8
-# Bytes of node sums (2 floats per point and emitted k) the interpolated
-# sums hold: up to 129 points this keeps the sums at 16k ks; a path with
-# more recomputes them in chunks of ks of this size.
-_NODE_BYTES = 32 << 20
 
 
 def two_step_path(
@@ -216,10 +212,11 @@ def two_step_path(
     For d = 1 the window sums at k < n are interpolated in theta
     (``_interpolated_sums``); the terminal k = n, d > 1, and paths whose
     interpolant is not resolved take exact sums, one k at a time
-    (``_exact_sums``). The interpolation costs about (M + 1) n term
-    evaluations however many ks are emitted, the exact sums the sum of the
-    emitted ks: a gain when the ks are many (|ks| well above 2 (M + 1) for
-    evenly spread ks), a loss for a coarse stride.
+    (``_exact_sums``). The interpolation evaluates each of its M points once,
+    about (M + 1) n term evaluations however many ks are emitted, and holds
+    a few sums per emitted k, not the points' sums; the exact sums cost the
+    sum of the emitted ks: a gain when the ks are many (|ks| well above
+    2 (M + 1) for evenly spread ks), a loss for a coarse stride.
     One pass then walks the rows a guard flags, in k order: an interpolated
     row is recomputed exactly, and a row that still fails is refused by
     ``_checked`` and ``invert_fisher``, after the projections up to it are
@@ -281,102 +278,64 @@ def _interpolated_sums(
     traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray, mids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """For d = 1, the score sum and mean information at each k < n, read off
-    the Chebyshev interpolants through the node sums at k at its own
-    projected value, and a flag where the information sum lies within
-    _NEAR_SINGULAR of zero relative to the node values; None if the
-    interpolant is not resolved (see ``_node_sums``)."""
-    resolved = _node_sums(traj, model, fisher_method, ks)
-    if resolved is None:
-        return None
-    nodes, sums = resolved
-    totals, infos, scale = np.empty((3, ks.size - 1))
-    for rows, chunk in _node_chunks(traj, model, fisher_method, nodes, ks[:-1], sums):
-        totals[rows], infos[rows] = _barycentric(nodes, chunk, mids[:-1][rows, 0])
-        scale[rows] = np.abs(chunk[:, 1]).max(axis=0)
-    return totals, infos / ks[:-1], infos <= _NEAR_SINGULAR * scale
-
-
-def _prefix_sums(
-    node: float, x_prev, x_next, model: ModelSpec, fisher_method: str, at, start=(0.0, 0.0)
-) -> np.ndarray:
-    """Score and information sums over the transitions up to each index in
-    ``at`` at one point, (2, at.size). They start from ``start`` and add in
-    order, so a path summed in pieces, each starting from the last sums of
-    the one before, gives the same bits."""
-    scores, terms = information_terms(np.array([node]), x_prev, x_next, model, fisher_method)
-    rows = (scores[:, 0], terms[:, 0, 0])
-    for row, first in zip(rows, start):
-        row[0] += first
-    return np.stack([np.cumsum(row)[at] for row in rows])
-
-
-def _node_sums(
-    traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """M Chebyshev points spanning the projected box (d = 1), and the score
-    and information sums over transitions 1..k at each point, read at every k
-    in ks: shape (M, 2, ks.size). The sums are None if at 129 points they
-    would exceed _NODE_BYTES; ``_node_chunks`` then recomputes them.
+    the Chebyshev interpolants through the sums over transitions 1..k at M
+    points spanning the projected box, at k's own projected value; and a flag
+    where the information sum lies within _NEAR_SINGULAR of zero relative to
+    the largest point value at its k.
 
     M doubles from 33 until the series through the sums at k = ks[0] = N+1
-    and k = ks[-1] = n are resolved (``_resolved``). None if they are not by
-    M = 129, or if a sum is not finite (a prefix sum that is not finite
-    leaves the sum at n not finite).
+    and k = ks[-1] = n are resolved (``_resolved``). Each point is evaluated
+    once, folded into the running sums of the second barycentric formula and
+    dropped; an x on a point takes the point's value. None if the sums are
+    not resolved by M = 129, or if a sum is not finite (a prefix sum that is
+    not finite leaves the sum at n not finite).
     """
     lo, hi = model.domain.project([-np.inf])[0], model.domain.project([np.inf])[0]
     grid = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _UNIT_NODES
     grid[0], grid[-1] = lo, hi
     n = int(ks[-1])
     xp, xn = traj.observations[:n], traj.observations[1 : n + 1]
-    kept = 16 * _NODE_COUNTS[-1] * ks.size <= _NODE_BYTES
-    at = ks - 1 if kept else ks[[0, -1]] - 1
-    rows = {}
-    for M in _NODE_COUNTS:
+    x = mids[:-1, 0]
+    # barycentric numerators and denominators per class of grid index i:
+    # 0 for i % 8 == 0, 1 for i % 8 == 4, 2 for i % 4 == 2, 3 for odd i
+    num, den = np.zeros((4, 2, x.size)), np.zeros((4, x.size))
+    on_node, node_values = np.zeros(x.size, dtype=bool), np.empty((2, x.size))
+    scale = np.zeros(x.size)
+    ends = {}
+    for used, M in enumerate(_NODE_COUNTS, start=1):
         picked = range(0, grid.size, (grid.size - 1) // (M - 1))
         for i in picked:
-            if i not in rows:
-                rows[i] = _prefix_sums(grid[i], xp, xn, model, fisher_method, at)
-                if not np.isfinite(rows[i][:, -1]).all():
-                    return None
-        if _resolved(np.array([rows[i][:, [0, -1]] for i in picked])):
-            nodes = grid[picked.start :: picked.step]
-            if not kept:
-                return nodes, None
-            # filled row by row as the rows are released, so the node sums
-            # are never held twice
-            sums = np.empty((M, 2, ks.size))
-            for j, i in enumerate(picked):
-                sums[j] = rows.pop(i)
-            return nodes, sums
+            if i in ends:
+                continue
+            sums = _prefix_sums(grid[i], xp, xn, model, fisher_method, ks - 1)
+            if not np.isfinite(sums[:, -1]).all():
+                return None
+            ends[i], sums = sums[:, [0, -1]], sums[:, :-1]
+            diff = x - grid[i]
+            hit = diff == 0.0
+            if hit.any():
+                on_node |= hit
+                node_values[:, hit] = sums[:, hit]
+                diff[hit] = 1.0
+            c = (0.5 if i in (0, grid.size - 1) else 1.0) / diff
+            cls = 3 if i % 2 else 2 if i % 4 else 1 if i % 8 else 0
+            num[cls] += c * sums
+            den[cls] += c
+            np.maximum(scale, np.abs(sums[1]), out=scale)
+        if _resolved(np.array([ends[i] for i in picked])):
+            # M's weights (-1)^j, in its own numbering, are + on the classes
+            # before `used` and - on class `used`
+            totals, infos = (num[:used].sum(axis=0) - num[used]) / (den[:used].sum(axis=0) - den[used])
+            totals[on_node], infos[on_node] = node_values[:, on_node]
+            return totals, infos / ks[:-1], infos <= _NEAR_SINGULAR * scale
     return None
 
 
-def _node_chunks(
-    traj: Trajectory, model: ModelSpec, fisher_method: str, nodes: np.ndarray,
-    ks: np.ndarray, sums: np.ndarray | None,
-):
-    """(rows, node sums at ks[rows]) covering ks in order: the kept sums in
-    one piece, or, if ``_node_sums`` did not keep them, recomputed in chunks
-    of about _NODE_BYTES, each continuing the prefix sums of the last."""
-    if sums is not None:
-        yield slice(None), sums[:, :, : ks.size]
-        return
-    obs = traj.observations
-    width = max(1, _NODE_BYTES // (16 * nodes.size))
-    carry = np.zeros((nodes.size, 2))
-    done = 0
-    for lo in range(0, ks.size, width):
-        part = ks[lo : lo + width]
-        end = int(part[-1])
-        chunk = np.empty((nodes.size, 2, part.size))
-        for j, node in enumerate(nodes.tolist()):
-            chunk[j] = _prefix_sums(
-                node, obs[done:end], obs[done + 1 : end + 1], model, fisher_method,
-                part - 1 - done, carry[j],
-            )
-        # the part's last k is its last transition
-        carry, done = chunk[:, :, -1], end
-        yield slice(lo, lo + part.size), chunk
+def _prefix_sums(node: float, x_prev, x_next, model: ModelSpec, fisher_method: str, at) -> np.ndarray:
+    """Score and information sums over the transitions up to each index in
+    ``at`` at one point, (2, at.size)."""
+    scores, terms = information_terms(np.array([node]), x_prev, x_next, model, fisher_method)
+    return np.stack([np.cumsum(row)[at] for row in (scores[:, 0], terms[:, 0, 0])])
 
 
 def _resolved(values: np.ndarray) -> bool:
@@ -391,31 +350,6 @@ def _resolved(values: np.ndarray) -> bool:
     coefficients[[0, -1]] *= 0.5
     tail = coefficients[-(values.shape[0] // 8) :].max(axis=0)
     return bool(np.all(tail <= _TAIL_TOL * coefficients.max(axis=0)))
-
-
-def _barycentric(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Values at x (K,) of the polynomials through (nodes, values[:, v, k]),
-    nodes being Chebyshev points of the second kind: the second barycentric
-    formula. values has shape (M, V, K), the result (V, K). Each k is
-    computed on its own, in node order, and an x on a node takes the node's
-    value."""
-    weights = np.ones(nodes.size)
-    weights[1::2] = -1.0
-    weights[[0, -1]] *= 0.5
-    num = np.zeros(values.shape[1:])
-    den = np.zeros(x.size)
-    on_node = np.full(x.size, -1)
-    for j, (node, w) in enumerate(zip(nodes.tolist(), weights.tolist())):
-        diff = x - node
-        hit = diff == 0.0
-        on_node[hit] = j
-        c = w / np.where(hit, 1.0, diff)
-        num += c * values[j]
-        den += c
-    out = num / den
-    hits = np.flatnonzero(on_node >= 0)
-    out[:, hits] = values[on_node[hits], :, hits].T
-    return out
 
 
 def recurrent_path(
@@ -497,6 +431,8 @@ PROCESS_KINDS = {
     "recurrent": recurrent_path,
     "full-mle": full_mle_path,
 }
+# the processes whose emitted ks a stride thins; the others refuse one
+STRIDED_PROCESSES = ("one-step", "second-preliminary", "two-step")
 
 
 def _require_numbers(owner, names, real: bool = False) -> None:
@@ -517,8 +453,9 @@ class Pipeline:
 
     A preliminary estimate on the learning interval N = n**delta, then a
     process: ``none`` stops there, and ``full-mle`` skips the preliminary.
-    ``stride`` thins the emitted indices of the batch paths; ``recurrent``
-    emits every index and takes no stride. ``grid_points`` sizes the grids
+    ``stride`` thins the emitted indices of the processes in
+    ``STRIDED_PROCESSES``; the others refuse one (``recurrent`` emits every
+    index, ``full-mle`` only n). ``grid_points`` sizes the grids
     of ``mle``, ``bayes`` and ``full-mle``.
     """
 
@@ -544,8 +481,10 @@ class Pipeline:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.stride is not None and self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.stride is not None and self.process == "recurrent":
-            raise ValueError("stride does not apply to process 'recurrent', which emits every k")
+        if self.stride is not None and self.process not in STRIDED_PROCESSES:
+            raise ValueError(
+                f"stride does not apply to process {self.process!r}; only {STRIDED_PROCESSES} take one"
+            )
         if self.grid_points < 3:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
 

@@ -156,6 +156,14 @@ class TestEstimateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "stride" in err and "recurrent" in err
+        # and so is one for the full-MLE reference, which emits k = n alone
+        code = run_cli(
+            "estimate", "--model", "example2", "--theta", "0.5", "--n", "200",
+            "--process", "full-mle", "--stride", "5",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stride" in err and "full-mle" in err
         assert not list(tmp_path.iterdir())
 
     def test_degenerate_information_surfaces_as_error(self, capsys, tmp_path):
@@ -226,6 +234,17 @@ class TestKdeCommand:
         )
         echoed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert echoed["bandwidth"] == 0.3
+
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "-inf", "0"])
+    def test_bad_bandwidth_fails_cleanly(self, tmp_path, capsys, bandwidth):
+        out = tmp_path / "density.csv"
+        code = run_cli(
+            "kde", "--model", "example2", "--theta", "0.5", "--n", "200",
+            f"--bandwidth={bandwidth}", "--out", str(out),
+        )
+        assert code == 1
+        assert "bandwidth" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMcCommand:

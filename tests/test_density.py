@@ -41,9 +41,12 @@ class TestKde:
         gap = np.abs(right.values - left.values[::-1]).max()
         assert gap <= 0.05 * right.values.max()
 
-    def test_rejects_bad_bandwidth(self, big_traj_linear):
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_bandwidth(self, big_traj_linear, bandwidth):
         with pytest.raises(ValueError, match="bandwidth"):
-            kde(big_traj_linear, bandwidth=0.0)
+            kde(big_traj_linear, bandwidth=bandwidth)
+        with pytest.raises(ValueError, match="bandwidth"):
+            DensityEstimate(np.array([0.0]), np.array([1.0]), bandwidth, 1)
 
     def test_bandwidth_override(self, big_traj_linear):
         est = kde(big_traj_linear, bandwidth=0.25)

@@ -111,6 +111,13 @@ class TestMcConfig:
         back = mc.mc_config_from_dict(cfg.to_json_dict())
         assert back == cfg
 
+    def test_only_thinned_processes_get_the_terminal_stride(self):
+        for process, stride in (("one-step", 400), ("second-preliminary", 400),
+                                ("two-step", 400), ("recurrent", None), ("none", None),
+                                ("full-mle", None)):
+            cfg = ms.McConfig("example2", [0.5], 400, 0.375, process=process)
+            assert cfg.spec.stride == stride
+
 
 class TestRunStudy:
     def test_noiseless_fixture_zero_errors(self):

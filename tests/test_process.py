@@ -364,23 +364,22 @@ class TestTwoStepEngine:
             assert errors[1][:3] == errors[0][:3]
             np.testing.assert_allclose(errors[1][3], errors[0][3], rtol=1e-12)
 
-    def test_values_do_not_depend_on_the_block_size(self, example2, monkeypatch):
-        # the interpolated sums with their node sums recomputed in chunks of
-        # a few ks, each point evaluated once more per chunk, not kept whole
+    def test_each_point_is_evaluated_once_on_a_long_path(self, example2, monkeypatch):
+        # more ks than all points' sums at every k would fit in 32 MiB: each
+        # of the M = 65 points is still evaluated once, and a coarse stride
+        # reads the same values
         evaluations = []
         prefix_sums = process_module._prefix_sums
         monkeypatch.setattr(
             process_module, "_prefix_sums", lambda *a: evaluations.append(1) or prefix_sums(*a)
         )
-        traj = ms.simulate(example2, 0.5, 500, seed=4)
+        traj = ms.simulate(example2, 0.5, 20_000, seed=4)
         prelim = emm(traj, learning_length(traj.n, 0.375), example2)
-        whole = two_step_path(traj, example2, prelim, "observed", 1)
-        for rows in (1, 3, 64):
-            evaluations.clear()
-            monkeypatch.setattr(process_module, "_NODE_BYTES", rows * 16 * 129)
-            chunked = two_step_path(traj, example2, prelim, "observed", 1)
-            np.testing.assert_array_equal(chunked.thetas, whole.thetas)
-            assert len(evaluations) > 129
+        dense = two_step_path(traj, example2, prelim, "observed", 1)
+        assert dense.ks.size * 16 * 129 > 32 << 20
+        assert len(evaluations) == 65
+        coarse = two_step_path(traj, example2, prelim, "observed", 97)
+        np.testing.assert_array_equal(coarse.thetas, dense.thetas[np.searchsorted(dense.ks, coarse.ks)])
 
     @pytest.mark.parametrize(
         "factory,theta",
@@ -446,31 +445,45 @@ class TestTwoStepEngine:
         assert compared >= 2
 
     def test_information_near_zero_is_recomputed_exactly(self, example1, monkeypatch):
-        # the refusal of test_refusal_matches_reference, with the interpolated
-        # information at k=78 lifted just above zero: the guards pass it, and
-        # only the band around the threshold sends it to the exact sums
+        # the refusal of test_refusal_matches_reference, with every point's
+        # information sum at k=78 shifted so that the interpolated one lies
+        # just above zero (the interpolant of a constant is that constant):
+        # the guards pass it, and only the band around the threshold sends it
+        # to the exact sums
         traj = ms.simulate(example1, 2.5, 400, seed=18)
         prelim = mle(traj, learning_length(400, 0.375), example1)
         row = 78 - (prelim.learning_length + 1)
-        interpolate = process_module._barycentric
-        lifted = []
+        prefix_sums, interpolated_sums = process_module._prefix_sums, process_module._interpolated_sums
+        shift, point_values, interpolated = [0.0], [], []
 
-        def lift(nodes, values, x):
-            out = interpolate(nodes, values, x)
-            out[1, row] = 1e-9 * np.abs(values[:, 1, row]).max()
-            lifted.append(out[1, row])
+        def shifted(*args):
+            out = prefix_sums(*args)
+            out[1, row] += shift[0]
+            point_values.append(out[1, row])
             return out
 
-        monkeypatch.setattr(process_module, "_barycentric", lift)
-        exact = self._exact_rows(monkeypatch)
+        def spy(*args):
+            interpolated.append(interpolated_sums(*args))
+            return interpolated[-1]
+
+        monkeypatch.setattr(process_module, "_prefix_sums", shifted)
+        monkeypatch.setattr(process_module, "_interpolated_sums", spy)
         args = (traj, example1, prelim, "observed", 1)
         ref_err = _two_step_outcome(monkeypatch, two_step_reference, *args)[1]
+        _two_step_outcome(monkeypatch, two_step_path, *args)
+        value = interpolated[-1][1][row] * 78
+        shift[0] = 1e-9 * np.abs(np.subtract(point_values, value)).max() - value
+        point_values.clear()
+        exact = self._exact_rows(monkeypatch)
         new_err = _two_step_outcome(monkeypatch, two_step_path, *args)[1]
-        assert lifted[0] > 0.0
-        assert not fisher_module.stacked_inverses(np.array([[[lifted[0] / 78]]]))[1][0]
+        lifted, near = interpolated[-1][1][row], interpolated[-1][2][row]
+        assert lifted > 0.0 and near
+        assert lifted * 78 < 1e-8 * np.abs(point_values).max()
+        assert not fisher_module.stacked_inverses(np.array([[[lifted]]]))[1][0]
         assert exact[-1] == new_err[0] == ref_err[0] == 78
         assert new_err[1:3] == ref_err[1:3]
         np.testing.assert_allclose(new_err[3], ref_err[3], rtol=1e-12)
+
 
 class TestAsymptoticBehavior:
     def test_one_step_coverage_example2(self, example2):
@@ -563,6 +576,8 @@ class TestPipeline:
             (dict(delta=0.5, fisher_method="exact"), "fisher_method"),
             (dict(delta=0.5, stride=0), "stride"),
             (dict(delta=0.5, process="recurrent", stride=50), "stride"),
+            (dict(delta=0.5, process="full-mle", stride=5), "stride"),
+            (dict(delta=0.5, process="none", stride=5), "stride"),
             (dict(delta=0.5, stride=2.0), "stride"),
             (dict(delta=0.5, stride=True), "stride"),
             (dict(delta=0.5, grid_points=100.5), "grid_points"),
