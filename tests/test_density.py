@@ -41,8 +41,13 @@ class TestKde:
         gap = np.abs(right.values - left.values[::-1]).max()
         assert gap <= 0.05 * right.values.max()
 
+    def test_rejects_bad_bandwidth(self, big_traj_linear):
+        with pytest.raises(ValueError, match="bandwidth"):
+            kde(big_traj_linear, bandwidth=0.0)
+
     @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf, -np.inf])
-    def test_rejects_bad_bandwidth(self, big_traj_linear, bandwidth):
+    def test_rejects_non_positive_or_non_finite_bandwidth(self, big_traj_linear,
+                                                          bandwidth):
         with pytest.raises(ValueError, match="bandwidth"):
             kde(big_traj_linear, bandwidth=bandwidth)
         with pytest.raises(ValueError, match="bandwidth"):
