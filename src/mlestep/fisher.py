@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .errors import DegenerateInformationError
-from .likelihood import ScoreWindow, grad_terms, hess_terms
+from .likelihood import ScoreWindow, _terms, _window_pairs
 from .models import ModelSpec, NoiseDensity
 from .simulate import Trajectory
 
@@ -90,8 +90,8 @@ def noise_information(noise: NoiseDensity) -> float:
     """Integral of psi(u)^2 g(u) over the noise support window.
 
     Adaptive quadrature; 1.0 for the standard Gaussian. Raises if the result
-    is non-finite or non-positive. ``factorized_fisher`` runs it once per
-    NoiseDensity instance and keeps the value on that instance.
+    is non-finite or non-positive. The factorized ``information_terms`` run it
+    once per NoiseDensity instance and keep the value on that instance.
     """
 
     def integrand(u):
@@ -128,41 +128,28 @@ def _checked(matrix: np.ndarray, method: str, sample_size: int) -> FisherMatrix:
     return fm
 
 
-def observed_fisher(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> FisherMatrix:
-    """Negative mean log-likelihood Hessian over the window."""
+def _window_information(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec, method: str):
+    """The window's score terms (length, d), and ``method``'s information
+    estimate over it: the window mean of ``information_terms``, checked."""
     if window.length < model.dim:
         raise ValueError("window is shorter than the parameter dimension")
-    h = hess_terms(theta, traj, window, model)
-    return _checked(-h.mean(axis=0), "observed", window.length)
+    scores, terms = information_terms(theta, *_window_pairs(traj, window), model, method)
+    return scores, _checked(terms.mean(axis=0), method, window.length)
+
+
+def observed_fisher(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> FisherMatrix:
+    """Negative mean log-likelihood Hessian over the window."""
+    return _window_information(theta, traj, window, model, "observed")[1]
 
 
 def plugin_fisher(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> FisherMatrix:
     """Mean outer product of score terms over the window."""
-    if window.length < model.dim:
-        raise ValueError("window is shorter than the parameter dimension")
-    g = grad_terms(theta, traj, window, model)
-    return _checked(g.T @ g / g.shape[0], "plugin", window.length)
+    return _window_information(theta, traj, window, model, "plugin")[1]
 
 
 def factorized_fisher(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> FisherMatrix:
     """Noise information times the mean outer product of drift gradients."""
-    if window.length < model.dim:
-        raise ValueError("window is shorter than the parameter dimension")
-    if window.end > traj.n:
-        raise ValueError(
-            f"window end {window.end} exceeds the trajectory's {traj.n} transitions"
-        )
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    xp = traj.observations[window.start - 1 : window.end]
-    ds = np.asarray(model.drift.dS(theta, xp), dtype=float)
-    ig = _cached_noise_information(model.noise)
-    return _checked(ig * ds.T @ ds / ds.shape[0], "factorized", window.length)
-
-
-def _cached_noise_information(noise: NoiseDensity) -> float:
-    if noise._information is None:
-        object.__setattr__(noise, "_information", noise_information(noise))
-    return noise._information
+    return _window_information(theta, traj, window, model, "factorized")[1]
 
 
 FISHER_METHODS = {
@@ -177,25 +164,19 @@ FISHER_METHODS = {
 
 def information_terms(theta, x_prev, x_next, model: ModelSpec, method: str):
     """Score terms (L, d) of L paired observations, and the (L, d, d) terms
-    whose mean over a window is ``method``'s estimator above.
-
-    The drift, its gradient and the noise score are evaluated once and shared:
-    the scores take the operations of ``loglik_grad``, the observed terms
-    those of ``-loglik_hess``, so both are bit-identical to theirs.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    u = np.asarray(x_next, dtype=float) - model.drift.S(theta, x_prev)
-    psi = np.asarray(model.noise.psi(u), dtype=float)
-    ds = np.asarray(model.drift.dS(theta, x_prev), dtype=float)
-    scores = -psi[..., np.newaxis] * ds
+    whose mean over a window is ``method``'s estimator above: one evaluation
+    by the kernel of ``loglik_grad`` and ``loglik_hess``, so the scores and
+    the observed terms equal theirs (negated) bit for bit."""
     if method == "plugin":
+        scores, _ = _terms(theta, x_prev, x_next, model)
         return scores, scores[:, :, np.newaxis] * scores[:, np.newaxis, :]
-    outer = ds[:, :, np.newaxis] * ds[:, np.newaxis, :]
     if method == "factorized":
-        return scores, _cached_noise_information(model.noise) * outer
-    dpsi = np.asarray(model.noise.dpsi(u), dtype=float)
-    hess = np.asarray(model.drift.d2S(theta, x_prev), dtype=float)
-    return scores, -(dpsi[:, np.newaxis, np.newaxis] * outer - psi[:, np.newaxis, np.newaxis] * hess)
+        if model.noise._information is None:
+            object.__setattr__(model.noise, "_information", noise_information(model.noise))
+        scores, outer = _terms(theta, x_prev, x_next, model, "outer")
+        return scores, model.noise._information * outer
+    scores, hess = _terms(theta, x_prev, x_next, model, "hessian")
+    return scores, np.negative(hess, out=hess)
 
 
 def invert_fisher(fm: FisherMatrix) -> np.ndarray:

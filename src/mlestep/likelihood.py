@@ -55,15 +55,33 @@ def loglik(theta, x_prev, x_next, model: ModelSpec):
     return model.noise.log_g(u)
 
 
+def _terms(theta, x_prev, x_next, model: ModelSpec, second: str | None = None):
+    """Score terms -psi(u) * dS, shape x.shape + (d,), with u = x_next - S(theta,
+    x_prev) evaluated once; and ``second``'s terms, x.shape + (d, d): "hessian"
+    dpsi(u) * dS dS^T - psi(u) * d2S, "outer" dS dS^T, or None."""
+    theta = _theta_vec(theta)
+    u = np.asarray(x_next, dtype=float) - model.drift.S(theta, x_prev)
+    psi = np.asarray(model.noise.psi(u), dtype=float)
+    dpsi = np.asarray(model.noise.dpsi(u), dtype=float) if second == "hessian" else None
+    grad = np.asarray(model.drift.dS(theta, x_prev), dtype=float)
+    scores = -psi[..., np.newaxis] * grad
+    if second is None:
+        return scores, None
+    outer = grad[..., :, np.newaxis] * grad[..., np.newaxis, :]
+    if second == "outer":
+        return scores, outer
+    hess = dpsi[..., np.newaxis, np.newaxis] * outer
+    del u, grad, outer  # before d2S is evaluated, so a long window holds fewer arrays
+    hess -= psi[..., np.newaxis, np.newaxis] * np.asarray(model.drift.d2S(theta, x_prev), dtype=float)
+    return scores, hess
+
+
 def loglik_grad(theta, x_prev, x_next, model: ModelSpec) -> np.ndarray:
     """Gradient in theta of ``loglik``: -psi(u) * dS(theta, x_prev).
 
     Shape: x.shape + (d,). For Gaussian noise this is (x_next - S) * dS.
     """
-    theta = _theta_vec(theta)
-    u = np.asarray(x_next, dtype=float) - model.drift.S(theta, x_prev)
-    psi = np.asarray(model.noise.psi(u), dtype=float)
-    return -psi[..., np.newaxis] * np.asarray(model.drift.dS(theta, x_prev), dtype=float)
+    return _terms(theta, x_prev, x_next, model)[0]
 
 
 def loglik_hess(theta, x_prev, x_next, model: ModelSpec) -> np.ndarray:
@@ -72,14 +90,7 @@ def loglik_hess(theta, x_prev, x_next, model: ModelSpec) -> np.ndarray:
     Equals dpsi(u) * dS dS^T - psi(u) * d2S with u = x_next - S(theta, x_prev);
     for Gaussian noise, -dS dS^T + (x_next - S) * d2S.
     """
-    theta = _theta_vec(theta)
-    u = np.asarray(x_next, dtype=float) - model.drift.S(theta, x_prev)
-    psi = np.asarray(model.noise.psi(u), dtype=float)
-    dpsi = np.asarray(model.noise.dpsi(u), dtype=float)
-    grad = np.asarray(model.drift.dS(theta, x_prev), dtype=float)
-    hess = np.asarray(model.drift.d2S(theta, x_prev), dtype=float)
-    outer = grad[..., :, np.newaxis] * grad[..., np.newaxis, :]
-    return dpsi[..., np.newaxis, np.newaxis] * outer - psi[..., np.newaxis, np.newaxis] * hess
+    return _terms(theta, x_prev, x_next, model, "hessian")[1]
 
 
 def _window_pairs(traj: Trajectory, window: ScoreWindow):
@@ -93,14 +104,12 @@ def _window_pairs(traj: Trajectory, window: ScoreWindow):
 
 def grad_terms(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> np.ndarray:
     """Per-transition score contributions over the window; shape (length, d)."""
-    xp, xn = _window_pairs(traj, window)
-    return loglik_grad(theta, xp, xn, model)
+    return loglik_grad(theta, *_window_pairs(traj, window), model)
 
 
 def hess_terms(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> np.ndarray:
     """Per-transition Hessian contributions over the window; shape (length, d, d)."""
-    xp, xn = _window_pairs(traj, window)
-    return loglik_hess(theta, xp, xn, model)
+    return loglik_hess(theta, *_window_pairs(traj, window), model)
 
 
 def normalized_score(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> np.ndarray:
@@ -110,5 +119,4 @@ def normalized_score(theta, traj: Trajectory, window: ScoreWindow, model: ModelS
     window length, so partial-sum statistics stay comparable across windows
     with different starting points.
     """
-    g = grad_terms(theta, traj, window, model)
-    return g.sum(axis=0) / np.sqrt(window.end)
+    return grad_terms(theta, traj, window, model).sum(axis=0) / np.sqrt(window.end)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -148,14 +148,19 @@ class McConfig:
 
 
 def mc_config_from_dict(payload: dict) -> McConfig:
+    if not isinstance(payload, dict):
+        raise ValueError(f"a study config must be a JSON object, got {payload!r}")
     payload = dict(payload)
     if "stride" in payload:  # older config files; a study reads terminals only
         del payload["stride"]
         warnings.warn("study config key 'stride' is deprecated and ignored", FutureWarning, 2)
-    known = {f.name for f in fields(McConfig) if f.init}
-    extra = set(payload) - known
+    init_fields = [f for f in fields(McConfig) if f.init]
+    extra = set(payload) - {f.name for f in init_fields}
+    missing = [f.name for f in init_fields if f.default is MISSING and f.name not in payload]
     if extra:
         raise ValueError(f"unknown study config fields: {sorted(extra)}")
+    if missing:
+        raise ValueError(f"study config lacks required fields: {missing}")
     return McConfig(**payload)
 
 

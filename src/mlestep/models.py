@@ -325,6 +325,8 @@ def builtin_model_names() -> list[str]:
 
 def get_model(name: str) -> ModelSpec:
     """Look up a registered model by name."""
+    if not isinstance(name, str):
+        raise ValueError(f"a model name must be a string, got {name!r}")
     try:
         factory = _REGISTRY[name]
     except KeyError:

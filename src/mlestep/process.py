@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import FISHER_METHODS, _checked, information_terms, invert_fisher, stacked_inverses
-from .likelihood import ScoreWindow, grad_terms
+from .fisher import FISHER_METHODS, _checked, _window_information, information_terms, invert_fisher, stacked_inverses
+from .likelihood import ScoreWindow
 from .models import ModelSpec
 from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
 from .simulate import Trajectory
@@ -111,16 +111,16 @@ def _into_domain(theta: np.ndarray, model: ModelSpec, what: str) -> np.ndarray:
 def _frozen_start(
     traj: Trajectory, model: ModelSpec, prelim: PreliminaryEstimate, fisher_method: str
 ):
-    """The preliminary in the domain, and the inverse information frozen there.
-
-    Estimated once on the full sample: a learning window of a few dozen points
-    gives an estimate noisy enough to destabilize the correction.
+    """The preliminary in the domain, the score terms (n, d) of transitions
+    1..n there, and the inverse information frozen there, the mean of the
+    same evaluation's ``information_terms``. Estimated on the full sample: a
+    learning window of a few dozen points is too noisy for the correction.
     """
     if prelim.learning_length >= traj.n:
         raise ValueError("learning interval leaves no observations to process")
     theta0 = _into_domain(prelim.theta, model, "preliminary estimate")
-    info = FISHER_METHODS[fisher_method](theta0, traj, ScoreWindow(1, traj.n), model)
-    return theta0, invert_fisher(info)
+    scores, info = _window_information(theta0, traj, ScoreWindow(1, traj.n), model, fisher_method)
+    return theta0, scores, invert_fisher(info)
 
 
 def _frozen_correction(
@@ -134,11 +134,9 @@ def _frozen_correction(
 ) -> EstimatorPath:
     """Shared engine: correction with the information frozen at the preliminary."""
     n, N = traj.n, prelim.learning_length
-    theta0, inv = _frozen_start(traj, model, prelim, fisher_method)
-    grads = grad_terms(theta0, traj, ScoreWindow(score_start, n), model)
-    csum = np.cumsum(grads, axis=0)
+    theta0, scores, inv = _frozen_start(traj, model, prelim, fisher_method)
     ks = _emitted_ks(N, n, stride)
-    acc = csum[ks - score_start]
+    acc = np.cumsum(scores[score_start - 1 :], axis=0)[ks - score_start]
     thetas = theta0[np.newaxis, :] + (acc @ inv.T) / ks[:, np.newaxis]
     return EstimatorPath(ks, thetas, kind, N, prelim, n)
 
@@ -372,15 +370,13 @@ def recurrent_path(
     ``one_step_path``.
     """
     n, N = traj.n, prelim.learning_length
-    theta0, inv = _frozen_start(traj, model, prelim, fisher_method)
+    theta0, scores, inv = _frozen_start(traj, model, prelim, fisher_method)
     k0 = N + 1
-    # every score term from one vectorized evaluation: the first k0 - start + 1
-    # seed the recursion, the rest enter it one per step as
+    # the frozen start's score terms of transitions 1..k0 (N+1..k0 windowed)
+    # seed the recursion; the rest enter it one per step as
     # I^{-1} loglik_grad(prelim, X_k, X_{k+1}), k = k0..n-1
-    start = 1 if full_window else k0
-    terms = grad_terms(theta0, traj, ScoreWindow(start, n), model)
-    head = terms[: k0 - start + 1].sum(axis=0)
-    corrections = terms[k0 - start + 1 :] @ inv.T
+    head = scores[(0 if full_window else N) : k0].sum(axis=0)
+    corrections = scores[k0:] @ inv.T
     ks = np.arange(k0, n + 1, dtype=int)
     thetas = np.empty((ks.size, model.dim))
     thetas[0] = theta0 + inv @ head / k0

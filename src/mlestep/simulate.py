@@ -89,6 +89,8 @@ def simulate_paths(
         raise ValueError("n must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
+    if not np.isfinite(x_init):
+        raise ValueError(f"x_init must be a finite real number, got {x_init!r}")
     if len(seeds) < 1:
         raise ValueError("at least one seed is required")
 
@@ -183,6 +185,11 @@ def write_trajectory_json(traj: Trajectory, path) -> None:
 def read_trajectory_json(path) -> Trajectory:
     with open(path) as fh:
         payload = json.load(fh)
+    keys = ("observations", "true_theta", "seed", "burn_in", "model_name")
+    missing = [key for key in keys if key not in payload] if isinstance(payload, dict) else keys
+    if missing:
+        raise ValueError(f"trajectory file {path} must be a JSON object with keys {list(keys)}; "
+                         f"it lacks {list(missing)}")
     return Trajectory(
         observations=np.asarray(payload["observations"], dtype=float),
         true_theta=np.asarray(payload["true_theta"], dtype=float),

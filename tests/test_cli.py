@@ -166,6 +166,24 @@ class TestEstimateCommand:
         assert "stride" in err and "full-mle" in err
         assert not list(tmp_path.iterdir())
 
+    def test_malformed_trajectory_file_fails_cleanly(self, capsys, tmp_path):
+        traj_path = tmp_path / "traj.json"
+        payload = ms.simulate(ms.get_model("example2"), 0.5, 50, seed=1).meta()
+        for content, message in ((payload, "lacks ['observations']"), ([1, 2], "must be a JSON object")):
+            traj_path.write_text(json.dumps(content))
+            code = run_cli("estimate", "--input", str(traj_path), "--delta", "0.75",
+                           "--out", str(tmp_path / "p.csv"))
+            assert code == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_non_finite_x_init_fails_cleanly(self, capsys, tmp_path):
+        for command, value in (("simulate", "nan"), ("estimate", "inf")):
+            code = run_cli(command, "--model", "example2", "--theta", "0.5", "--n", "100",
+                           "--x-init", value, "--out", str(tmp_path / "out"))
+            assert code == 1
+            assert "x_init must be a finite real number" in capsys.readouterr().err
+
     def test_degenerate_information_surfaces_as_error(self, capsys, tmp_path):
         from helpers import zero_model
         from mlestep.models import register_model
@@ -295,12 +313,22 @@ class TestMcCommand:
             (dict(x_init=float("nan")), (), "x_init must be a finite real number"),
             (dict(reference_information="abc"), (), "reference_information must be"),
             (dict(reference_information=[[1.0, 2.0]]), (), "reference_information must be"),
+            (dict(model_name=["linear"]), (), "model name must be a string"),
         ):
             self._write_config(cfg_path, **overrides)
             code = run_cli(
                 "mc", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "r.json")
             )
             assert code == 1
+            assert message in capsys.readouterr().err
+        # files that are not a config object, or lack its required fields
+        for text, message in (
+            ("[1, 2]", "must be a JSON object"),
+            ("5", "must be a JSON object"),
+            ('{"model_name": "linear"}', "lacks required fields: ['theta0', 'n', 'delta']"),
+        ):
+            cfg_path.write_text(text)
+            assert run_cli("mc", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")) == 1
             assert message in capsys.readouterr().err
 
     def test_replication_failures_propagate(self, tmp_path, capsys, monkeypatch):

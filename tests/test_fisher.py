@@ -6,15 +6,17 @@ import pytest
 import mlestep as ms
 from mlestep.errors import DegenerateInformationError
 from mlestep.fisher import (
+    FISHER_METHODS,
     FisherMatrix,
     _checked,
+    information_terms,
     invert_fisher,
     noise_information,
     stacked_inverses,
 )
-from mlestep.likelihood import ScoreWindow
+from mlestep.likelihood import ScoreWindow, loglik_grad, loglik_hess
 
-from helpers import make_traj, zero_model
+from helpers import cos_model, make_traj, zero_model
 
 
 class TestNoiseInformation:
@@ -135,6 +137,30 @@ class TestEstimators:
             slopes.append(abs(a - b) / 0.1)
         print(f"example2 information Lipschitz probe, fitted slopes: {slopes}")
         assert all(np.isfinite(s) for s in slopes)
+
+
+class TestOneEngine:
+    """``information_terms`` and the likelihood derivatives are one kernel's
+    output, and each window estimator is the mean of its terms."""
+
+    @pytest.mark.parametrize("factory,theta", [
+        (ms.example1_model, [2.5]),
+        (ms.example2_model, [0.5]),
+        (ms.linear_model, [0.5]),
+        (cos_model, [0.2, -0.1]),
+    ], ids=["example1", "example2", "linear", "cos"])
+    def test_terms_equal_the_likelihood_derivatives(self, factory, theta):
+        model = factory()
+        traj = ms.simulate(model, theta, 2000, seed=3)
+        xp, xn = traj.observations[:-1], traj.observations[1:]
+        grad, hess = loglik_grad(theta, xp, xn, model), loglik_hess(theta, xp, xn, model)
+        for method in FISHER_METHODS:
+            scores, terms = information_terms(theta, xp, xn, model, method)
+            assert np.array_equal(scores, grad)
+            if method == "observed":
+                assert np.array_equal(terms, -hess)
+        observed = ms.observed_fisher(theta, traj, ScoreWindow(1, traj.n), model)
+        assert np.array_equal(observed.matrix, FisherMatrix(-hess.mean(axis=0), "observed", 0).matrix)
 
 
 class TestInvert:

@@ -248,6 +248,33 @@ class TestRecurrent:
             np.testing.assert_allclose(path.thetas[i + 1], expected, atol=1e-14)
 
 
+class TestFrozenStart:
+    @pytest.mark.parametrize("fisher_method", tuple(FISHER_METHODS))
+    def test_each_transition_is_evaluated_once(self, example2, fisher_method):
+        # the frozen information and every score window come from one
+        # evaluation of the drift gradient over the n transitions
+        sizes = []
+
+        def counted(theta, x):
+            sizes.append(np.size(x))
+            return example2.drift.dS(theta, x)
+
+        drift = Drift(example2.drift.S, counted, example2.drift.d2S)
+        model = ModelSpec(drift=drift, noise=example2.noise, domain=example2.domain, name="counted")
+        traj = ms.simulate(example2, 0.5, 500, seed=2)
+        prelim = fixed_prelim(0.45, 20)
+        runs = {
+            "one-step": lambda: one_step_path(traj, model, prelim, fisher_method),
+            "second-preliminary": lambda: second_preliminary_path(traj, model, prelim, fisher_method),
+            "recurrent": lambda: recurrent_path(traj, model, prelim, fisher_method, True),
+            "recurrent-windowed": lambda: recurrent_path(traj, model, prelim, fisher_method, False),
+        }
+        for kind, run in runs.items():
+            sizes.clear()
+            run()
+            assert sizes == [traj.n], kind
+
+
 def _shift_grad_nan_near_top(theta, x):
     """example2's drift gradient, NaN above theta = 0.99: of the values a
     two-step path evaluates there, only the top Chebyshev points reach it."""

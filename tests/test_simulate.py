@@ -87,6 +87,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             ms.simulate(linear, 0.5, 10, seed=0, burn_in=-1)
 
+    def test_non_finite_x_init_rejected(self, example2):
+        # refused by name, not reported as a divergence blamed on theta
+        for x_init in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="x_init must be a finite real number"):
+                ms.simulate(example2, 0.5, 100, seed=0, x_init=x_init)
+            with pytest.raises(ValueError, match="x_init must be a finite real number"):
+                ms.simulate_paths(example2, 0.5, 100, seeds=[0, 1], x_init=x_init)
+
     def test_divergence_names_step(self):
         model = cubic_model()
         with pytest.raises(SimulationDiverged) as err:
