@@ -136,9 +136,14 @@ def _frozen_correction(
     n, N = traj.n, prelim.learning_length
     theta0, scores, inv = _frozen_start(traj, model, prelim, fisher_method)
     ks = _emitted_ks(N, n, stride)
-    acc = np.cumsum(scores[score_start - 1 :], axis=0)[ks - score_start]
-    thetas = theta0[np.newaxis, :] + (acc @ inv.T) / ks[:, np.newaxis]
-    return EstimatorPath(ks, thetas, kind, N, prelim, n)
+    acc = np.cumsum(scores[score_start - 1 :], axis=0)
+    return EstimatorPath(ks, _frozen_values(theta0, inv, acc, ks, score_start), kind, N, prelim, n)
+
+
+def _frozen_values(theta0, inv, acc, ks, score_start) -> np.ndarray:
+    """theta0 + (1/k) I^{-1} sum_{j=score_start..k} at each k in ks, the sums
+    read off the cumulative score sum ``acc`` from transition score_start."""
+    return theta0[np.newaxis, :] + (acc[ks - score_start] @ inv.T) / ks[:, np.newaxis]
 
 
 def one_step_path(
@@ -182,7 +187,7 @@ def second_preliminary_path(
 # Chebyshev points of the second kind on [-1, 1], ascending. The interpolated
 # sums take M of them, every (128 // (M - 1))-th, so each doubling of M
 # evaluates only the new points.
-_NODE_COUNTS = (33, 65, 129)
+_NODE_COUNTS = (17, 33, 65, 129)
 _UNIT_NODES = np.sin(np.pi * np.arange(-64, 65) / 128)
 # M is accepted once the last eighth of each Chebyshev series lies below this
 # fraction of its largest coefficient
@@ -208,23 +213,33 @@ def two_step_path(
         theta_k = theta2_k + (1/k) I(theta2_k)^{-1} sum_{j=1..k} loglik_grad
 
     For d = 1 the window sums at k < n are interpolated in theta
-    (``_interpolated_sums``); the terminal k = n, d > 1, and paths whose
+    (``_interpolated_sums``) over the path's own box: [min, max] of the
+    projected second preliminary values at every k = N+1..n-1, read off the
+    same cumulative score sum as the emitted values, so the box does not
+    depend on the stride. The terminal k = n, d > 1, and paths whose
     interpolant is not resolved take exact sums, one k at a time
-    (``_exact_sums``). The interpolation evaluates each of its M points once,
-    about (M + 1) n term evaluations however many ks are emitted, and holds
-    a few sums per emitted k, not the points' sums; the exact sums cost the
-    sum of the emitted ks: a gain when the ks are many (|ks| well above
-    2 (M + 1) for evenly spread ks), a loss for a coarse stride.
+    (``_exact_sums``). The interpolation evaluates each of its M points
+    (17, 33, 65 or 129) once, about (M + 1) n term evaluations however many
+    ks are emitted, and holds a few sums per emitted k, not the points'
+    sums; the exact sums cost the sum of the emitted ks: a gain when the ks
+    are many (|ks| well above 2 (M + 1) for evenly spread ks), a loss for a
+    coarse stride.
     One pass then walks the rows a guard flags, in k order: an interpolated
     row is recomputed exactly, and a row that still fails is refused by
     ``_checked`` and ``invert_fisher``, after the projections up to it are
     logged. Which sums serve a k, and its value, depend only on k, n and
     the path, so a stride-s path equals the stride-1 path exactly.
     """
-    base = second_preliminary_path(traj, model, prelim, fisher_method, stride)
-    if base.ks[0] < model.dim:
+    n, N = traj.n, prelim.learning_length
+    theta0, scores, inv = _frozen_start(traj, model, prelim, fisher_method)
+    acc = np.cumsum(scores, axis=0)
+    ks = _emitted_ks(N, n, stride)
+    # checked as second_preliminary_path checks it
+    second = EstimatorPath(
+        ks, _frozen_values(theta0, inv, acc, ks, 1), "second-preliminary", N, prelim, n
+    ).thetas
+    if ks[0] < model.dim:
         raise ValueError("window is shorter than the parameter dimension")
-    ks, second = base.ks, base.thetas
     mids = model.domain.project(second)
     d = model.dim
     totals, infos = np.empty((ks.size, d)), np.empty((ks.size, d, d))
@@ -232,7 +247,8 @@ def two_step_path(
     # rows before `exact` take interpolated sums
     exact = 0
     if d == 1 and ks.size > 1:
-        interpolated = _interpolated_sums(traj, model, fisher_method, ks, mids)
+        box = model.domain.project(_frozen_values(theta0, inv, acc, np.arange(N + 1, n), 1))
+        interpolated = _interpolated_sums(traj, model, fisher_method, ks, mids, (box.min(), box.max()))
         if interpolated is not None:
             exact = ks.size - 1
             totals[:exact, 0], infos[:exact, 0, 0], near[:exact] = interpolated
@@ -253,7 +269,7 @@ def two_step_path(
         if flagged[r]:
             inverses[r] = invert_fisher(_checked(infos[r], fisher_method, int(ks[r])))
     thetas = mids + (inverses @ totals[:, :, np.newaxis])[:, :, 0] / ks[:, np.newaxis]
-    return EstimatorPath(ks, thetas, "two-step", base.N, prelim, base.n)
+    return EstimatorPath(ks, thetas, "two-step", N, prelim, n)
 
 
 def _exact_sums(
@@ -273,30 +289,45 @@ def _exact_sums(
 
 
 def _interpolated_sums(
-    traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray, mids: np.ndarray
+    traj: Trajectory,
+    model: ModelSpec,
+    fisher_method: str,
+    ks: np.ndarray,
+    mids: np.ndarray,
+    box: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """For d = 1, the score sum and mean information at each k < n, read off
     the Chebyshev interpolants through the sums over transitions 1..k at M
-    points spanning the projected box, at k's own projected value; and a flag
-    where the information sum lies within _NEAR_SINGULAR of zero relative to
-    the largest point value at its k.
+    points spanning ``box`` = (lo, hi), which holds every projected value,
+    at k's own projected value; and a flag where the information sum lies
+    within _NEAR_SINGULAR of zero relative to the largest point value at
+    its k.
 
-    M doubles from 33 until the series through the sums at k = ks[0] = N+1
+    M doubles from 17 until the series through the sums at k = ks[0] = N+1
     and k = ks[-1] = n are resolved (``_resolved``). Each point is evaluated
     once, folded into the running sums of the second barycentric formula and
-    dropped; an x on a point takes the point's value. None if the sums are
-    not resolved by M = 129, or if a sum is not finite (a prefix sum that is
-    not finite leaves the sum at n not finite).
+    dropped; an x on a point takes the point's value. The pass costs about
+    M n term evaluations. None if the sums are not resolved by M = 129, if a
+    sum is not finite (a prefix sum that is not finite leaves the sum at n
+    not finite), or if the box is too narrow for 129 distinct points. A box
+    of zero width is its one point, every x equals it, and that point's
+    prefix sums are the exact window sums (unflagged), at n evaluations.
     """
-    lo, hi = model.domain.project([-np.inf])[0], model.domain.project([np.inf])[0]
-    grid = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _UNIT_NODES
-    grid[0], grid[-1] = lo, hi
+    lo, hi = box
     n = int(ks[-1])
     xp, xn = traj.observations[:n], traj.observations[1 : n + 1]
     x = mids[:-1, 0]
+    if lo == hi:
+        totals, infos = _prefix_sums(lo, xp, xn, model, fisher_method, ks[:-1] - 1)
+        return totals, infos / ks[:-1], np.zeros(x.size, dtype=bool)
+    grid = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _UNIT_NODES
+    grid[0], grid[-1] = lo, hi
+    if np.any(np.diff(grid) <= 0.0):
+        return None
     # barycentric numerators and denominators per class of grid index i:
-    # 0 for i % 8 == 0, 1 for i % 8 == 4, 2 for i % 4 == 2, 3 for odd i
-    num, den = np.zeros((4, 2, x.size)), np.zeros((4, x.size))
+    # 0 for i % 16 == 0, 1 for i % 16 == 8, 2 for i % 8 == 4, 3 for
+    # i % 4 == 2, 4 for odd i
+    num, den = np.zeros((5, 2, x.size)), np.zeros((5, x.size))
     on_node, node_values = np.zeros(x.size, dtype=bool), np.empty((2, x.size))
     scale = np.zeros(x.size)
     ends = {}
@@ -316,7 +347,7 @@ def _interpolated_sums(
                 node_values[:, hit] = sums[:, hit]
                 diff[hit] = 1.0
             c = (0.5 if i in (0, grid.size - 1) else 1.0) / diff
-            cls = 3 if i % 2 else 2 if i % 4 else 1 if i % 8 else 0
+            cls = 4 if i % 2 else 3 if i % 4 else 2 if i % 8 else 1 if i % 16 else 0
             num[cls] += c * sums
             den[cls] += c
             np.maximum(scale, np.abs(sums[1]), out=scale)

@@ -147,35 +147,29 @@ def cos_model():
         name="cos",
     )
 
-_ARCTAN_WIDTH = 0.02
+def _kink_S(theta, x):
+    return 0.5 * (x + theta[0]) + 0.2 * np.abs(theta[0] - x)
 
 
-def _arctan_S(theta, x):
-    return 0.5 * (x + theta[0]) + 0.3 * np.arctan((theta[0] - x) / _ARCTAN_WIDTH)
+def _kink_dS(theta, x):
+    return (0.5 + 0.2 * np.sign(theta[0] - np.asarray(x, dtype=float)))[..., np.newaxis]
 
 
-def _arctan_dS(theta, x):
-    v = theta[0] - np.asarray(x, dtype=float)
-    return (0.5 + 0.3 * _ARCTAN_WIDTH / (_ARCTAN_WIDTH**2 + v * v))[..., np.newaxis]
+def _kink_d2S(theta, x):
+    return np.zeros(np.shape(x) + (1, 1))
 
 
-def _arctan_d2S(theta, x):
-    v = theta[0] - np.asarray(x, dtype=float)
-    w = _ARCTAN_WIDTH**2 + v * v
-    return (-0.6 * _ARCTAN_WIDTH * v / (w * w))[..., np.newaxis, np.newaxis]
-
-
-def arctan_model():
-    """One-parameter fixture 0.5 (x + theta) + 0.3 arctan((theta - x) / 0.02):
-    contracting toward theta, with a drift gradient above 1/2 everywhere, so a
-    regular information. Its branch points theta = x +- 0.02i sit next to the
-    box for every observation inside it, so a smooth interpolant in theta
-    needs far more than 129 Chebyshev points."""
+def kink_model():
+    """One-parameter fixture 0.5 (x + theta) + 0.2 |theta - x|: contracting,
+    with a drift gradient of 0.3 or 0.7, so a regular information. The
+    gradient jumps at theta = x, so every window sum jumps in theta at each
+    of its observations: where one lies inside the interpolation box, the
+    Chebyshev series decays only algebraically and no M resolves it."""
     return ModelSpec(
-        drift=Drift(_arctan_S, _arctan_dS, _arctan_d2S),
+        drift=Drift(_kink_S, _kink_dS, _kink_d2S),
         noise=gaussian_noise(),
         domain=ParamDomain([-1.0], [1.0]),
-        name="arctan",
+        name="kink",
     )
 
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, reject, strategies as st
 
 import mlestep as ms
-from mlestep import fisher as fisher_module, models as models_module, process as process_module
+from mlestep import fisher as fisher_module, process as process_module
 from mlestep.errors import DegenerateInformationError, MlestepError
 from mlestep.fisher import FISHER_METHODS
 from mlestep.likelihood import ScoreWindow, grad_terms, loglik_grad
-from mlestep.models import Drift, ModelSpec, ParamDomain, gaussian_noise
+from mlestep.models import Drift, ModelSpec
 from mlestep.preliminary import PreliminaryEstimate, emm, learning_length, mle
 from mlestep.process import (
     EstimatorPath,
@@ -25,8 +25,8 @@ from mlestep.process import (
 )
 
 from helpers import (
-    arctan_model,
     cos_model,
+    kink_model,
     make_traj,
     noiseless_linear_traj,
     pair_model,
@@ -275,13 +275,6 @@ class TestFrozenStart:
             assert sizes == [traj.n], kind
 
 
-def _shift_grad_nan_near_top(theta, x):
-    """example2's drift gradient, NaN above theta = 0.99: of the values a
-    two-step path evaluates there, only the top Chebyshev points reach it."""
-    grad = models_module._shift_drift_grad(theta, x)
-    return grad * np.nan if theta[0] > 0.99 else grad
-
-
 def _two_step_outcome(monkeypatch, path_fn, *args):
     """(path, None) of one call, or (None, (k, type, message, matrix)) of its
     refusal, k being the sample size of the last matrix ``_checked`` saw."""
@@ -391,20 +384,26 @@ class TestTwoStepEngine:
             assert errors[1][:3] == errors[0][:3]
             np.testing.assert_allclose(errors[1][3], errors[0][3], rtol=1e-12)
 
-    def test_each_point_is_evaluated_once_on_a_long_path(self, example2, monkeypatch):
-        # more ks than all points' sums at every k would fit in 32 MiB: each
-        # of the M = 65 points is still evaluated once, and a coarse stride
-        # reads the same values
-        evaluations = []
+    @staticmethod
+    def _evaluated_points(monkeypatch) -> list:
+        """The Chebyshev points whose prefix sums are taken, in order."""
+        points = []
         prefix_sums = process_module._prefix_sums
         monkeypatch.setattr(
-            process_module, "_prefix_sums", lambda *a: evaluations.append(1) or prefix_sums(*a)
+            process_module, "_prefix_sums", lambda *a: points.append(a[0]) or prefix_sums(*a)
         )
+        return points
+
+    def test_each_point_is_evaluated_once_on_a_long_path(self, example2, monkeypatch):
+        # more ks than all points' sums at every k would fit in 32 MiB: each
+        # of the M = 17 points (the first rung, on the path's own box) is
+        # still evaluated once, and a coarse stride reads the same values
+        evaluations = self._evaluated_points(monkeypatch)
         traj = ms.simulate(example2, 0.5, 20_000, seed=4)
         prelim = emm(traj, learning_length(traj.n, 0.375), example2)
         dense = two_step_path(traj, example2, prelim, "observed", 1)
         assert dense.ks.size * 16 * 129 > 32 << 20
-        assert len(evaluations) == 65
+        assert len(evaluations) == len(set(evaluations)) == process_module._NODE_COUNTS[0] == 17
         coarse = two_step_path(traj, example2, prelim, "observed", 97)
         np.testing.assert_array_equal(coarse.thetas, dense.thetas[np.searchsorted(dense.ks, coarse.ks)])
 
@@ -438,14 +437,18 @@ class TestTwoStepEngine:
         return seen
 
     def test_unresolved_interpolant_runs_the_exact_engine(self, monkeypatch):
-        # arctan_model's branch points sit next to the box, so 129 Chebyshev
-        # points do not resolve its window sums
-        model = arctan_model()
+        # kink_model's window sums jump at each observation inside the box,
+        # so no Chebyshev interpolant resolves them
+        model = kink_model()
         traj = ms.simulate(model, 0.2, 300, seed=0)
         prelim = emm(traj, learning_length(300, 0.375), model)
         exact = self._exact_rows(monkeypatch)
         compared = 0
         for fisher_method in FISHER_METHODS:
+            second = second_preliminary_path(traj, model, prelim, fisher_method, 1).thetas
+            box = model.domain.project(second[:-1])
+            x_prev = traj.observations[:-1]
+            assert np.any((box.min() < x_prev) & (x_prev < box.max()))
             for stride in (1, 7):
                 exact.clear()
                 if self._assert_matches(monkeypatch, traj, model, prelim, fisher_method, stride):
@@ -454,22 +457,79 @@ class TestTwoStepEngine:
                     assert exact == ks.tolist()
         assert compared >= 4
 
-    def test_non_finite_node_sums_run_the_exact_engine(self, monkeypatch):
-        model = ModelSpec(
-            Drift(models_module._shift_drift, _shift_grad_nan_near_top, models_module._shift_drift_hess),
-            gaussian_noise(), ParamDomain([-1.0], [1.0]), "example2-nan-near-top",
-        )
-        traj = ms.simulate(model, 0.0, 300, seed=1)
-        prelim = emm(traj, learning_length(300, 0.375), model)
+    def test_non_finite_node_sums_run_the_exact_engine(self, example2, monkeypatch):
+        # the second point evaluated, inside the box, takes a non-finite
+        # term halfway along the chain, as a drift undefined there would give:
+        # its prefix sums are not finite from there on, up to k = n
+        traj = ms.simulate(example2, 0.0, 300, seed=1)
+        prelim = emm(traj, learning_length(300, 0.375), example2)
+        prefix_sums, points = process_module._prefix_sums, []
+
+        def poisoned(*args):
+            out = prefix_sums(*args)
+            points.append(args[0])
+            if len(points) == 2:
+                out[:, out.shape[1] // 2 :] = np.nan
+            return out
+
+        monkeypatch.setattr(process_module, "_prefix_sums", poisoned)
         exact = self._exact_rows(monkeypatch)
         compared = 0
         for fisher_method in FISHER_METHODS:
             exact.clear()
-            if self._assert_matches(monkeypatch, traj, model, prelim, fisher_method, 1):
+            points.clear()
+            if self._assert_matches(monkeypatch, traj, example2, prelim, fisher_method, 1):
                 compared += 1
-                ks = second_preliminary_path(traj, model, prelim, fisher_method, 1).ks
+                ks = second_preliminary_path(traj, example2, prelim, fisher_method, 1).ks
                 assert exact == ks.tolist()
+                assert len(points) == 2
         assert compared >= 2
+
+    def test_points_do_not_depend_on_the_stride(self, example2, monkeypatch):
+        # the box spans the stride-1 second preliminary values, so every
+        # stride evaluates the same 17 points; a terminal-only request none
+        points = self._evaluated_points(monkeypatch)
+        traj = ms.simulate(example2, 0.5, 2000, seed=5)
+        prelim = emm(traj, learning_length(traj.n, 0.375), example2)
+        seen = []
+        for stride in (1, 7, 97):
+            points.clear()
+            two_step_path(traj, example2, prelim, "observed", stride)
+            seen.append(list(points))
+        assert seen[0] == seen[1] == seen[2]
+        assert len(seen[0]) == 17
+        points.clear()
+        assert two_step_path(traj, example2, prelim, "observed", traj.n).ks.tolist() == [traj.n]
+        assert points == []
+
+    def test_zero_width_box_serves_the_exact_sums(self, monkeypatch):
+        # a chain from theta = 0.5 on a domain [-0.5, -0.4] that excludes
+        # it: every second preliminary value projects onto the upper edge, so
+        # the box is that one point, whose prefix sums are the exact sums
+        model = ms.linear_model(domain=(-0.5, -0.4))
+        edge = model.domain.project([np.inf])[0]
+        traj = ms.simulate(ms.linear_model(), 0.5, 300, seed=0)
+        prelim = fixed_prelim([0.5], learning_length(300, 0.375))
+        points = self._evaluated_points(monkeypatch)
+        for fisher_method in FISHER_METHODS:
+            second = second_preliminary_path(traj, model, prelim, fisher_method, 1).thetas
+            assert np.all(model.domain.project(second[:-1]) == edge)
+            with monkeypatch.context() as patch:
+                patch.setattr(process_module, "_interpolated_sums", lambda *a: None)
+                exact = two_step_path(traj, model, prelim, fisher_method, 1)
+            for stride in (1, 7):
+                points.clear()
+                path = two_step_path(traj, model, prelim, fisher_method, stride)
+                assert points == [edge]
+                np.testing.assert_array_equal(path.thetas, exact.thetas[np.searchsorted(exact.ks, path.ks)])
+
+    def test_box_too_narrow_for_distinct_points_is_not_interpolated(self, example2):
+        # 129 Chebyshev points on a box a few ulps wide round onto each other
+        traj = ms.simulate(example2, 0.5, 300, seed=0)
+        ks = np.arange(20, 301)
+        mids = np.full((ks.size, 1), 0.5)
+        box = (0.5, 0.5 + 4e-16)
+        assert process_module._interpolated_sums(traj, example2, "observed", ks, mids, box) is None
 
     def test_information_near_zero_is_recomputed_exactly(self, example1, monkeypatch):
         # the refusal of test_refusal_matches_reference, with every point's
