@@ -26,10 +26,10 @@ from scipy.stats import norm
 from .errors import MlestepError, StudyError
 from .fisher import FisherMatrix, plugin_fisher, invert_fisher
 from .likelihood import ScoreWindow
-from .models import ModelSpec, get_model
+from .models import ModelSpec, _finite_reals, _require_numbers, get_model
 from .preliminary import learning_length
-from .process import STRIDED_PROCESSES, Pipeline, _require_numbers
-from .simulate import Trajectory, simulate, simulate_paths
+from .process import STRIDED_PROCESSES, Pipeline
+from .simulate import Trajectory, _check_chain, simulate, simulate_paths
 
 __all__ = [
     "McConfig",
@@ -56,19 +56,6 @@ _BLOCK_BYTES = 16 * 2**20
 _FAILURES = (MlestepError, ValueError, FloatingPointError, np.linalg.LinAlgError)
 
 
-def _finite_reals(value, name: str, what: str, shape: tuple | None = None) -> np.ndarray:
-    """value as a float array; ValueError naming the field unless it is
-    ``what``: finite real entries (bools and strings refused) of ``shape``."""
-    try:
-        array = np.asarray(value)
-        ok = array.dtype.kind in "iuf" and np.isfinite(array).all()
-    except ValueError:  # a ragged nesting
-        ok = False
-    if not ok or shape not in (None, array.shape):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return array.astype(float)
-
-
 @dataclass(frozen=True)
 class McConfig:
     """Configuration of one Monte Carlo study; ``spec`` is its pipeline."""
@@ -90,33 +77,25 @@ class McConfig:
     spec: Pipeline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the Pipeline built below checks grid_points and the pipeline names
+        # Pipeline and _check_chain below own the rules of the fields they take
         _require_numbers(self, ("n", "replications", "base_seed", "burn_in"))
-        _require_numbers(self, ("delta",), real=True)
         theta0 = np.atleast_1d(_finite_reals(self.theta0, "theta0", "finite and real"))
         object.__setattr__(self, "theta0", theta0)
-        _finite_reals(self.x_init, "x_init", "a finite real number", ())
         if self.replications < 2:
             raise ValueError("a study needs at least 2 replications")
-        N = learning_length(self.n, self.delta)
-        if N >= self.n:
-            raise ValueError(f"n={self.n} leaves no transitions after the learning interval N={N}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         # a study reads terminals only, so its batch paths emit k = n alone
         stride = self.n if self.process in STRIDED_PROCESSES else None
         object.__setattr__(self, "spec", Pipeline(
             self.delta, self.preliminary, self.process, self.fisher_method, stride,
             self.grid_points,
         ))
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        N = learning_length(self.n, self.delta)
+        if N >= self.n:
+            raise ValueError(f"n={self.n} leaves no transitions after the learning interval N={N}")
         model = get_model(self.model_name)
-        if theta0.shape != (model.dim,):
-            raise ValueError(
-                f"theta0 has shape {theta0.shape}; model {self.model_name!r} takes a vector "
-                f"of length {model.dim}"
-            )
-        if not model.domain.contains(theta0):
-            raise ValueError(f"theta0 {theta0} is not interior to the domain of {self.model_name!r}")
+        _check_chain(model, theta0, self.n, self.burn_in, self.x_init, "theta0")
         d = model.dim
         if self.reference_information is not None:
             what = f"a finite real {d} x {d} matrix"

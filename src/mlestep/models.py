@@ -25,6 +25,7 @@ All callables must be pure: no hidden state, safe to share across tasks.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -46,6 +47,35 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# a refusal quotes the value cut short: a field read from a file may hold a long list
+_brief = reprlib.Repr()
+_brief.maxlist = 3
+
+
+def _require_numbers(owner, names, real: bool = False) -> None:
+    """Raise ValueError naming the first of owner's fields that is not an
+    integer, or with ``real`` not a real number; bools and None are refused,
+    numpy scalars accepted."""
+    kinds = (int, float, np.integer, np.floating) if real else (int, np.integer)
+    what = "a real number" if real else "an integer"
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{name} must be {what}, got {_brief.repr(value)}")
+
+
+def _finite_reals(value, name: str, what: str, shape: tuple | None = None) -> np.ndarray:
+    """value as a float array, not copied if it is one; ValueError naming the
+    field unless it is ``what``: finite real entries (bools and strings
+    refused) of ``shape``."""
+    try:
+        array = np.asarray(value)
+        ok = array.dtype.kind in "iuf" and np.isfinite(array).all()
+    except ValueError:  # a ragged nesting
+        ok = False
+    if not ok or shape not in (None, array.shape):
+        raise ValueError(f"{name} must be {what}, got {_brief.repr(value)}")
+    return array.astype(float, copy=False)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .fisher import FISHER_METHODS, _checked, _window_information, information_terms, invert_fisher, stacked_inverses
 from .likelihood import ScoreWindow
-from .models import ModelSpec
+from .models import ModelSpec, _require_numbers
 from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
 from .simulate import Trajectory
 
@@ -460,18 +460,6 @@ PROCESS_KINDS = {
 }
 # the processes whose emitted ks a stride thins; the others refuse one
 STRIDED_PROCESSES = ("one-step", "second-preliminary", "two-step")
-
-
-def _require_numbers(owner, names, real: bool = False) -> None:
-    """Raise ValueError naming the first of owner's fields that is not an
-    integer, or with ``real`` not a real number; bools and None are refused,
-    numpy scalars accepted."""
-    kinds = (int, float, np.integer, np.floating) if real else (int, np.integer)
-    what = "a real number" if real else "an integer"
-    for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SimulationDiverged
-from .models import ModelSpec
+from .models import ModelSpec, _finite_reals, _require_numbers
 
 __all__ = [
     "Trajectory",
@@ -38,12 +38,11 @@ class Trajectory:
     model_name: str
 
     def __post_init__(self):
-        obs = np.asarray(self.observations, dtype=float)
-        theta = np.atleast_1d(np.asarray(self.true_theta, dtype=float))
+        _require_numbers(self, ("seed", "burn_in"))
+        obs = _finite_reals(self.observations, "observations", "finite real numbers")
+        theta = np.atleast_1d(_finite_reals(self.true_theta, "true_theta", "finite and real"))
         if obs.ndim != 1 or obs.size < 2:
             raise ValueError("a trajectory needs at least two observations")
-        if not np.all(np.isfinite(obs)):
-            raise ValueError("trajectory contains non-finite values")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         object.__setattr__(self, "observations", obs)
@@ -63,6 +62,25 @@ class Trajectory:
         }
 
 
+def _check_chain(model: ModelSpec, theta, n: int, burn_in: int, x_init, name: str = "theta") -> np.ndarray:
+    """theta as a float vector; ValueError naming the field (theta as ``name``)
+    unless theta has the model's length inside its domain, n >= 1, burn_in >= 0
+    and x_init is finite and real. simulate_paths and McConfig both call it."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape != (model.dim,):
+        raise ValueError(
+            f"{name} has shape {theta.shape}; model {model.name!r} takes a vector of length {model.dim}"
+        )
+    if not model.domain.contains(theta):
+        raise ValueError(f"{name} {theta} is not interior to the domain of {model.name!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    _finite_reals(x_init, "x_init", "a finite real number", ())
+    return theta
+
+
 def simulate_paths(
     model: ModelSpec,
     theta,
@@ -78,21 +96,11 @@ def simulate_paths(
     row consumes its own generator stream and the recursion is elementwise.
     A lone seed is stepped as a numpy scalar rather than a 1-element array.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (model.dim,):
-        raise ValueError(
-            f"theta has shape {theta.shape}; model {model.name!r} takes a vector of length {model.dim}"
-        )
-    if not model.domain.contains(theta):
-        raise ValueError(f"theta {theta} is not interior to the domain of {model.name!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    if not np.isfinite(x_init):
-        raise ValueError(f"x_init must be a finite real number, got {x_init!r}")
+    theta = _check_chain(model, theta, n, burn_in, x_init)
     if len(seeds) < 1:
         raise ValueError("at least one seed is required")
+    if min(seeds) < 0:
+        raise ValueError(f"seed must be >= 0, got {min(seeds)}")
 
     total = burn_in + n + 1
     noise = np.empty((len(seeds), total))
@@ -157,7 +165,7 @@ def simulate(
     obs = simulate_paths(model, theta, n, [seed], burn_in=burn_in, x_init=x_init)[0]
     return Trajectory(
         observations=obs,
-        true_theta=np.atleast_1d(np.asarray(theta, dtype=float)),
+        true_theta=theta,
         seed=int(seed),
         burn_in=int(burn_in),
         model_name=model.name,
@@ -190,10 +198,4 @@ def read_trajectory_json(path) -> Trajectory:
     if missing:
         raise ValueError(f"trajectory file {path} must be a JSON object with keys {list(keys)}; "
                          f"it lacks {list(missing)}")
-    return Trajectory(
-        observations=np.asarray(payload["observations"], dtype=float),
-        true_theta=np.asarray(payload["true_theta"], dtype=float),
-        seed=int(payload["seed"]),
-        burn_in=int(payload["burn_in"]),
-        model_name=str(payload["model_name"]),
-    )
+    return Trajectory(**{key: payload[key] for key in keys})

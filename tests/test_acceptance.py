@@ -174,6 +174,40 @@ def test_criterion_6_two_step_normality():
     )
 
 
+def test_joint_limit_across_s(example2):
+    # theta_k - theta ~ I^-1 k^-1 sum_{j<=k} score_j, so sqrt(n)(theta_{sn} - theta)
+    # behaves like I^(-1/2) W(s)/s, whose covariance at s and t is I^-1 / max(s, t).
+    # The seeds, model and pipelines are those of criteria 5 and 6, so the
+    # s = 1 entries repeat their variance ratios.
+    start = time.time()
+    n, seeds = 10_000, list(range(300))
+    ks = [n // 4, n // 2, n]
+    s = np.array(ks) / n
+    rows = ms.simulate_paths(example2, 0.5, n, seeds)
+    ref_inv = ms.invert_fisher(ms.oracle_information(example2, 0.5))[0, 0]
+    target = ref_inv / np.maximum.outer(s, s)
+    ratios = {}
+    for process, delta in (("one-step", 0.75), ("two-step", 0.375)):
+        pipeline = ms.Pipeline(delta, "mle", process, "factorized", stride=1)
+        errors = []
+        for seed, row in zip(seeds, rows):
+            _, path = pipeline.run(ms.Trajectory(row, 0.5, seed, 1000, "example2"), example2)
+            errors.append([np.sqrt(n) * (path.at(k)[0] - 0.5) for k in ks])
+        ratios[process] = np.cov(np.array(errors), rowvar=False) / target
+    ok = all(np.all((r >= 0.8) & (r <= 1.2)) for r in ratios.values())
+    report(
+        "joint limit across s (covariance at s, t in {1/4, 1/2, 1} over I^-1/max(s, t))",
+        ok,
+        "; ".join(
+            f"{process} ratios {r.min():.3f}..{r.max():.3f} (tol 0.8..1.2), "
+            f"diagonal {np.round(np.diag(r), 3).tolist()}"
+            for process, r in ratios.items()
+        ),
+        time.time() - start,
+        60.0,
+    )
+
+
 def test_criterion_7_mle_equivalence(example2):
     start = time.time()
     n = 10_000

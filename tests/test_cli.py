@@ -40,6 +40,16 @@ class TestSimulateCommand:
         assert err.startswith("error: theta has shape (2,)") and "length 1" in err
         assert not out.exists()
 
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "traj.json"
+        code = run_cli(
+            "simulate", "--model", "example2", "--theta", "0.5",
+            "--n", "50", "--seed", "-1", "--format", "json", "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_json_format_carries_metadata(self, tmp_path):
         out = tmp_path / "traj.json"
         code = run_cli(
@@ -168,13 +178,30 @@ class TestEstimateCommand:
 
     def test_malformed_trajectory_file_fails_cleanly(self, capsys, tmp_path):
         traj_path = tmp_path / "traj.json"
-        payload = ms.simulate(ms.get_model("example2"), 0.5, 50, seed=1).meta()
+        traj = ms.simulate(ms.get_model("example2"), 0.5, 50, seed=1)
+        payload = traj.meta()
+        full = dict(payload, observations=traj.observations.tolist())
+        with_null = full["observations"][:10] + [None] + full["observations"][11:]
         for content, message in ((payload, "lacks ['observations']"), ([1, 2], "must be a JSON object")):
             traj_path.write_text(json.dumps(content))
             code = run_cli("estimate", "--input", str(traj_path), "--delta", "0.75",
                            "--out", str(tmp_path / "p.csv"))
             assert code == 1
             assert message in capsys.readouterr().err
+        # a bad field is refused by name, in a short message whatever the file size
+        for content, message in (
+            (dict(full, burn_in=None), "burn_in must be an integer"),
+            (dict(full, seed={"a": 1}), "seed must be an integer"),
+            (dict(full, seed=1.7), "seed must be an integer"),
+            (dict(full, observations="abc"), "observations must be"),
+            (dict(full, observations=with_null), "observations must be"),
+        ):
+            traj_path.write_text(json.dumps(content))
+            code = run_cli("estimate", "--input", str(traj_path), "--delta", "0.75",
+                           "--out", str(tmp_path / "p.csv"))
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and len(err) < 200
         assert not (tmp_path / "p.csv").exists()
 
     def test_non_finite_x_init_fails_cleanly(self, capsys, tmp_path):
@@ -306,6 +333,7 @@ class TestMcCommand:
             (dict(grid_points="64"), (), "grid_points must be an integer"),
             (dict(base_seed=1.5), (), "base_seed must be an integer"),
             (dict(base_seed=None), (), "base_seed must be an integer"),
+            (dict(base_seed=-1), (), "base_seed must be >= 0"),
             (dict(delta="0.5"), (), "delta must be a real number"),
             (dict(delta=None), (), "delta must be a real number"),
             (dict(theta0="abc"), (), "theta0 must be finite and real"),

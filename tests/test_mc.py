@@ -73,6 +73,7 @@ class TestMcConfig:
             (dict(grid_points=100.5), "grid_points"),
             (dict(n=None), "n must be an integer"),
             (dict(base_seed=None), "base_seed must be an integer"),
+            (dict(base_seed=-1), "base_seed must be >= 0"),
             (dict(grid_points=None), "grid_points must be an integer"),
             (dict(delta="0.5"), "delta must be a real number"),
             (dict(delta=None), "delta must be a real number"),

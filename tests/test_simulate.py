@@ -28,6 +28,25 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory(np.zeros(3), np.array([0.0]), 0, -1, "x")
 
+    def test_refuses_malformed_fields_by_name(self):
+        good = dict(observations=np.zeros(3), true_theta=np.array([0.0]), seed=0, burn_in=0,
+                    model_name="x")
+        for overrides, message in (
+            (dict(burn_in=None), "burn_in must be an integer"),
+            (dict(burn_in=True), "burn_in must be an integer"),
+            (dict(seed={"a": 1}), "seed must be an integer"),
+            (dict(seed=1.7), "seed must be an integer"),
+            (dict(observations="abc"), "observations must be finite real numbers"),
+            (dict(observations=[0.0] * 10**5 + [None]), "observations must be finite real numbers"),
+            (dict(true_theta=[float("nan")]), "true_theta must be finite and real"),
+        ):
+            with pytest.raises(ValueError, match=message) as err:
+                Trajectory(**{**good, **overrides})
+            assert len(str(err.value)) < 200
+        # numpy integers are integers, and float64 observations are not copied
+        traj = Trajectory(**{**good, "seed": np.int64(3), "burn_in": np.int32(0)})
+        assert traj.observations is good["observations"]
+
     def test_transition_count(self):
         assert make_traj(np.zeros(11)).n == 10
 
@@ -86,6 +105,8 @@ class TestSimulate:
             ms.simulate(linear, 0.5, 0, seed=0)
         with pytest.raises(ValueError):
             ms.simulate(linear, 0.5, 10, seed=0, burn_in=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ms.simulate_paths(linear, 0.5, 10, seeds=[0, -1])
 
     def test_non_finite_x_init_rejected(self, example2):
         # refused by name, not reported as a divergence blamed on theta
