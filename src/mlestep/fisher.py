@@ -12,9 +12,10 @@ At the true parameter all three are consistent for the same matrix, which
 gives a useful cross-check (the "triangle" tests).
 
 Each estimator is the window mean of a per-transition term (``information_terms``),
-and ``stacked_inverses`` runs the inversion guards over a stack of matrices:
-together they let the two-step path re-estimate the information at every k
-from prefix sums.
+so the two-step path can re-estimate the information at every k from prefix
+sums. ``_checked`` and ``invert_fisher`` hold every guard on an information
+matrix; ``_reciprocals`` is their exact reduction for 1 x 1 matrices, run at
+once over the two-step path's ks.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "invert_fisher",
     "FISHER_METHODS",
     "information_terms",
-    "stacked_inverses",
 ]
 
 _COND_LIMIT = 1e10
@@ -209,34 +209,19 @@ def invert_fisher(fm: FisherMatrix) -> np.ndarray:
     return inv
 
 
-def stacked_inverses(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The guards of ``FisherMatrix``, ``_checked`` and ``invert_fisher``, run
-    at once over a (B, d, d) stack of information matrices.
+def _reciprocals(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses 1/I of a (B, 1, 1) stack of information matrices, and a
+    flag per matrix that ``_checked`` + ``invert_fisher`` would refuse or
+    invert to a non-finite value; unflagged, 1/I is their inverse up to the
+    Cholesky solve's rounding.
 
-    Returns the inverses of the symmetrized matrices and a flag per matrix
-    that fails a guard: a non-finite entry or eigenvalue, asymmetry, an
-    eigenvalue <= 0, a condition number above 1e10, or an inversion residual
-    above 1e-8. Flagged rows hold no inverse; the caller passes them to
-    ``_checked`` + ``invert_fisher``, which decide and raise.
+    The guards reduce exactly for a 1 x 1 matrix: it is symmetric, its
+    condition number is 1 and 1/I is numpy's LU inverse bit for bit. So I
+    passes exactly when I + I is finite (``FisherMatrix``'s symmetrization
+    overflows from about 9e307), I > 0 and |I (1/I) - 1| <= 1e-8.
     """
-    m = np.asarray(matrices, dtype=float)
-    d = m.shape[-1]
-    inverses = np.full_like(m, np.nan)
-    flagged = np.ones(m.shape[0], dtype=bool)
-    # each check narrows the rows still passing, so none sees a row an
-    # earlier check failed (eigvalsh and inv never see a non-finite matrix)
-    rows = np.flatnonzero(np.isfinite(m).all(axis=(1, 2)))
-    sub = m[rows]
-    scale = np.maximum(1.0, np.abs(sub).max(axis=(1, 2)))
-    keep = np.abs(sub - sub.swapaxes(1, 2)).max(axis=(1, 2)) <= _SYM_TOL * scale
-    rows, sub = rows[keep], sub[keep]
-    sub = 0.5 * (sub + sub.swapaxes(1, 2))
-    eig = np.linalg.eigvalsh(sub)
-    keep = np.isfinite(eig[:, 0]) & np.isfinite(eig[:, -1]) & (eig[:, 0] > 0.0)
-    keep[keep] = ~(eig[keep, -1] / eig[keep, 0] > _COND_LIMIT)
-    rows, sub = rows[keep], sub[keep]
-    inv = np.linalg.inv(sub)
-    keep = np.abs(sub @ inv - np.eye(d)).max(axis=(1, 2)) <= 1e-8
-    inverses[rows[keep]] = inv[keep]
-    flagged[rows[keep]] = False
-    return inverses, flagged
+    values = matrices[:, 0, 0]
+    with np.errstate(all="ignore"):
+        inverses = 1.0 / matrices
+        passed = np.isfinite(values + values) & (values > 0.0) & (np.abs(values * inverses[:, 0, 0] - 1.0) <= 1e-8)
+    return inverses, ~passed

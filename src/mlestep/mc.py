@@ -78,7 +78,7 @@ class McConfig:
 
     def __post_init__(self):
         # Pipeline and _check_chain below own the rules of the fields they take
-        _require_numbers(self, ("n", "replications", "base_seed", "burn_in"))
+        _require_numbers(n=self.n, replications=self.replications, base_seed=self.base_seed)
         theta0 = np.atleast_1d(_finite_reals(self.theta0, "theta0", "finite and real"))
         object.__setattr__(self, "theta0", theta0)
         if self.replications < 2:

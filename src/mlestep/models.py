@@ -52,14 +52,13 @@ _brief = reprlib.Repr()
 _brief.maxlist = 3
 
 
-def _require_numbers(owner, names, real: bool = False) -> None:
-    """Raise ValueError naming the first of owner's fields that is not an
-    integer, or with ``real`` not a real number; bools and None are refused,
-    numpy scalars accepted."""
+def _require_numbers(*, real: bool = False, **fields) -> None:
+    """Raise ValueError naming the first of the fields (name=value) that is
+    not an integer, or with ``real`` not a real number; bools and None are
+    refused, numpy scalars accepted."""
     kinds = (int, float, np.integer, np.floating) if real else (int, np.integer)
     what = "a real number" if real else "an integer"
-    for name in names:
-        value = getattr(owner, name)
+    for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ValueError(f"{name} must be {what}, got {_brief.repr(value)}")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import FISHER_METHODS, _checked, _window_information, information_terms, invert_fisher, stacked_inverses
+from .fisher import FISHER_METHODS, _checked, _reciprocals, _window_information, information_terms, invert_fisher
 from .likelihood import ScoreWindow
 from .models import ModelSpec, _require_numbers
 from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
@@ -91,6 +91,7 @@ class EstimatorPath:
 def _emitted_ks(N: int, n: int, stride: int | None) -> np.ndarray:
     if stride is None:
         stride = 1 if n <= 10_000 else max(1, n // 1000)
+    _require_numbers(stride=stride)
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if stride >= n - N:
@@ -224,11 +225,14 @@ def two_step_path(
     sums; the exact sums cost the sum of the emitted ks: a gain when the ks
     are many (|ks| well above 2 (M + 1) for evenly spread ks), a loss for a
     coarse stride.
-    One pass then walks the rows a guard flags, in k order: an interpolated
-    row is recomputed exactly, and a row that still fails is refused by
-    ``_checked`` and ``invert_fisher``, after the projections up to it are
-    logged. Which sums serve a k, and its value, depend only on k, n and
-    the path, so a stride-s path equals the stride-1 path exactly.
+    For d = 1 the information at each k is inverted as 1/I, and
+    ``_reciprocals`` flags the rows the guards would refuse; for d > 1 every
+    row is flagged. One pass then walks the flagged rows in k order: an
+    interpolated row is recomputed exactly and checked again, and a row
+    still flagged goes to ``_checked`` and ``invert_fisher``, which invert it
+    (a Cholesky solve) or refuse it after the projections up to it are
+    logged. Which sums serve a k, and its value, depend only on k, n and the
+    path, so a stride-s path equals the stride-1 path exactly.
     """
     n, N = traj.n, prelim.learning_length
     theta0, scores, inv = _frozen_start(traj, model, prelim, fisher_method)
@@ -253,7 +257,10 @@ def two_step_path(
             exact = ks.size - 1
             totals[:exact, 0], infos[:exact, 0, 0], near[:exact] = interpolated
     totals[exact:], infos[exact:] = _exact_sums(traj, model, fisher_method, ks[exact:], mids[exact:])
-    inverses, flagged = stacked_inverses(infos)
+    if d == 1:
+        inverses, flagged = _reciprocals(infos)
+    else:
+        inverses, flagged = np.empty_like(infos), np.ones(ks.size, dtype=bool)
     flagged |= near
     moved = np.any(mids != second, axis=1)
     # in k order, so the projections up to a refused k are logged before it
@@ -265,7 +272,7 @@ def two_step_path(
         if flagged[r] and r < exact:
             rows = slice(r, r + 1)
             totals[rows], infos[rows] = _exact_sums(traj, model, fisher_method, ks[rows], mids[rows])
-            inverses[rows], flagged[rows] = stacked_inverses(infos[rows])
+            inverses[rows], flagged[rows] = _reciprocals(infos[rows])
         if flagged[r]:
             inverses[r] = invert_fisher(_checked(infos[r], fisher_method, int(ks[r])))
     thetas = mids + (inverses @ totals[:, :, np.newaxis])[:, :, 0] / ks[:, np.newaxis]
@@ -482,8 +489,9 @@ class Pipeline:
     grid_points: int = 512
 
     def __post_init__(self):
-        _require_numbers(self, ("grid_points",) if self.stride is None else ("stride", "grid_points"))
-        _require_numbers(self, ("delta",), real=True)
+        strides = {} if self.stride is None else {"stride": self.stride}
+        _require_numbers(**strides, grid_points=self.grid_points)
+        _require_numbers(real=True, delta=self.delta)
         # membership in a tuple, not a dict: an unhashable value read from a
         # config file is rejected here instead of raising TypeError
         if self.preliminary not in tuple(PRELIMINARY_KINDS):

@@ -38,7 +38,7 @@ class Trajectory:
     model_name: str
 
     def __post_init__(self):
-        _require_numbers(self, ("seed", "burn_in"))
+        _require_numbers(seed=self.seed, burn_in=self.burn_in)
         obs = _finite_reals(self.observations, "observations", "finite real numbers")
         theta = np.atleast_1d(_finite_reals(self.true_theta, "true_theta", "finite and real"))
         if obs.ndim != 1 or obs.size < 2:
@@ -64,8 +64,9 @@ class Trajectory:
 
 def _check_chain(model: ModelSpec, theta, n: int, burn_in: int, x_init, name: str = "theta") -> np.ndarray:
     """theta as a float vector; ValueError naming the field (theta as ``name``)
-    unless theta has the model's length inside its domain, n >= 1, burn_in >= 0
-    and x_init is finite and real. simulate_paths and McConfig both call it."""
+    unless theta has the model's length inside its domain, n and burn_in are
+    integers, n >= 1, burn_in >= 0 and x_init is finite and real.
+    simulate_paths and McConfig both call it."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (model.dim,):
         raise ValueError(
@@ -73,6 +74,7 @@ def _check_chain(model: ModelSpec, theta, n: int, burn_in: int, x_init, name: st
         )
     if not model.domain.contains(theta):
         raise ValueError(f"{name} {theta} is not interior to the domain of {model.name!r}")
+    _require_numbers(n=n, burn_in=burn_in)
     if n < 1:
         raise ValueError("n must be >= 1")
     if burn_in < 0:
@@ -99,6 +101,8 @@ def simulate_paths(
     theta = _check_chain(model, theta, n, burn_in, x_init)
     if len(seeds) < 1:
         raise ValueError("at least one seed is required")
+    for seed in seeds:
+        _require_numbers(seed=seed)
     if min(seeds) < 0:
         raise ValueError(f"seed must be >= 0, got {min(seeds)}")
 

@@ -102,6 +102,15 @@ class TestEmission:
             path = one_step_path(traj, example2, prelim, stride=stride)
             assert list(path.ks) == [1003]
 
+    def test_non_integer_stride_is_refused_by_name(self, example2):
+        traj = ms.simulate(example2, 0.5, 200, seed=1)
+        prelim = emm(traj, 20, example2)
+        for path_fn in (one_step_path, two_step_path):
+            for stride in (1.5, True, "3", 0):
+                with pytest.raises(ValueError, match="stride must be"):
+                    path_fn(traj, example2, prelim, "plugin", stride=stride)
+            assert path_fn(traj, example2, prelim, "plugin", stride=np.int64(7)).ks.size == 27
+
     def test_stride_invariance(self, example2):
         traj = ms.simulate(example2, 0.5, 1000, seed=2)
         prelim = emm(traj, 178, example2)
@@ -298,8 +307,8 @@ class TestTwoStepEngine:
     """two_step_path against ``helpers.two_step_reference``, the per-k loop.
 
     The engine's score and information sums are sequential prefix sums, the
-    reference's pairwise and BLAS sums, and the engine inverts by LU where
-    the reference uses Cholesky, so values agree to rounding: within 1e-12 of
+    reference's pairwise and BLAS sums, and the engine inverts d = 1 by 1/I
+    where the reference uses Cholesky, so values agree to rounding: within 1e-12 of
     the path's scale, since single values may sit near zero.
     """
 
@@ -566,7 +575,7 @@ class TestTwoStepEngine:
         lifted, near = interpolated[-1][1][row], interpolated[-1][2][row]
         assert lifted > 0.0 and near
         assert lifted * 78 < 1e-8 * np.abs(point_values).max()
-        assert not fisher_module.stacked_inverses(np.array([[[lifted]]]))[1][0]
+        assert not fisher_module._reciprocals(np.array([[[lifted]]]))[1][0]
         assert exact[-1] == new_err[0] == ref_err[0] == 78
         assert new_err[1:3] == ref_err[1:3]
         np.testing.assert_allclose(new_err[3], ref_err[3], rtol=1e-12)

@@ -107,6 +107,21 @@ class TestSimulate:
             ms.simulate(linear, 0.5, 10, seed=0, burn_in=-1)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             ms.simulate_paths(linear, 0.5, 10, seeds=[0, -1])
+        # refused by name, not truncated or left to a TypeError
+        for kwargs, field in (
+            (dict(n=10.5), "n must be an integer"),
+            (dict(burn_in=2.5), "burn_in must be an integer"),
+            (dict(burn_in=True), "burn_in must be an integer"),
+            (dict(seed=1.7), "seed must be an integer"),
+            (dict(seed=True), "seed must be an integer"),
+            (dict(seed="3"), "seed must be an integer"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                ms.simulate(linear, 0.5, **{"n": 10, **kwargs})
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ms.simulate_paths(linear, 0.5, 10, seeds=[1.5, 2])
+        traj = ms.simulate(linear, 0.5, np.int64(10), seed=np.int32(3), burn_in=np.int16(5))
+        assert (traj.n, traj.seed, traj.burn_in) == (10, 3, 5)
 
     def test_non_finite_x_init_rejected(self, example2):
         # refused by name, not reported as a divergence blamed on theta
