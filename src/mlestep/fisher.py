@@ -13,9 +13,10 @@ gives a useful cross-check (the "triangle" tests).
 
 Each estimator is the window mean of a per-transition term (``information_terms``),
 so the two-step path can re-estimate the information at every k from prefix
-sums. ``_checked`` and ``invert_fisher`` hold every guard on an information
-matrix; ``_reciprocals`` is their exact reduction for 1 x 1 matrices, run at
-once over the two-step path's ks.
+sums. ``_require_positive_definite``, run by ``_checked`` and ``invert_fisher``,
+and ``invert_fisher``'s own checks hold every guard on an information matrix;
+``_reciprocals`` is their exact reduction for 1 x 1 matrices, run at once over
+the two-step path's ks.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ class FisherMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("information matrix must be square")
         # a non-finite matrix is kept as given (inf - inf would be nan, with a
-        # warning); _checked and invert_fisher refuse it
+        # warning), entries from about 9e307 overflow to inf; both are refused
         if np.isfinite(m).all():
             scale = max(1.0, float(np.abs(m).max()))
-            if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
-                raise ValueError("information matrix is not symmetric")
-            m = 0.5 * (m + m.T)
+            with np.errstate(over="ignore"):
+                if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
+                    raise ValueError("information matrix is not symmetric")
+                m = 0.5 * (m + m.T)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -104,7 +106,7 @@ def noise_information(noise: NoiseDensity) -> float:
     return float(value)
 
 
-def _require_finite(fm: FisherMatrix) -> None:
+def _require_positive_definite(fm: FisherMatrix) -> None:
     # inf/nan slip past the sign and condition checks (inf/inf is nan, and a
     # comparison with nan is False), so they are refused first; the
     # eigenvalues ascend, so the two ends bound the rest
@@ -114,17 +116,17 @@ def _require_finite(fm: FisherMatrix) -> None:
             f"{fm.method} information matrix has non-finite entries or eigenvalues",
             matrix=fm.matrix,
         )
+    if eig[0] <= 0.0:
+        raise DegenerateInformationError(
+            f"{fm.method} information matrix is not positive definite "
+            "(window too short, or the parameter carries no information)",
+            matrix=fm.matrix,
+        )
 
 
 def _checked(matrix: np.ndarray, method: str, sample_size: int) -> FisherMatrix:
     fm = FisherMatrix(matrix, method, sample_size)
-    _require_finite(fm)
-    if fm.eigenvalues[0] <= 0.0:
-        raise DegenerateInformationError(
-            f"{method} information matrix is not positive definite "
-            "(window too short, or the parameter carries no information)",
-            matrix=fm.matrix,
-        )
+    _require_positive_definite(fm)
     return fm
 
 
@@ -186,19 +188,15 @@ def invert_fisher(fm: FisherMatrix) -> np.ndarray:
     eigenvalues, indefinite matrices, condition numbers above 1e10, and
     inverses whose residual exceeds 1e-8.
     """
-    _require_finite(fm)
+    _require_positive_definite(fm)
     eig = fm.eigenvalues
-    if eig[0] <= 0.0:
-        raise DegenerateInformationError(
-            "information matrix is not positive definite", matrix=fm.matrix
-        )
     cond = eig[-1] / eig[0]
     if cond > _COND_LIMIT:
         raise DegenerateInformationError(
             f"information matrix condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}",
             matrix=fm.matrix,
         )
-    # _require_finite has already done scipy's finiteness scan
+    # _require_positive_definite has already done scipy's finiteness scan
     chol = linalg.cho_factor(fm.matrix, check_finite=False)
     inv = linalg.cho_solve(chol, np.eye(fm.dim), check_finite=False)
     residual = float(np.abs(fm.matrix @ inv - np.eye(fm.dim)).max())

@@ -100,30 +100,19 @@ class McConfig:
         if self.reference_information is not None:
             what = f"a finite real {d} x {d} matrix"
             _finite_reals(self.reference_information, "reference_information", what, (d, d))
-
-    def pipeline(self) -> str:
-        return f"{self.preliminary}+{self.process}"
+        # the checked numbers as Python int/float (the annotations are strings
+        # here); only now, since an earlier int() would turn burn_in=2.5 into 2
+        cast = {"int": int, "float": float}
+        for f in fields(self):
+            if f.type in cast:
+                object.__setattr__(self, f.name, cast[f.type](getattr(self, f.name)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "theta0": self.theta0.tolist(),
-            "n": int(self.n),
-            "delta": float(self.delta),
-            "preliminary": self.preliminary,
-            "process": self.process,
-            "fisher_method": self.fisher_method,
-            "replications": int(self.replications),
-            "base_seed": int(self.base_seed),
-            "burn_in": int(self.burn_in),
-            "x_init": float(self.x_init),
-            "grid_points": int(self.grid_points),
-            "reference_information": (
-                np.asarray(self.reference_information).tolist()
-                if self.reference_information is not None
-                else None
-            ),
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        payload["theta0"] = self.theta0.tolist()
+        if self.reference_information is not None:
+            payload["reference_information"] = np.asarray(self.reference_information).tolist()
+        return payload
 
 
 def mc_config_from_dict(payload: dict) -> McConfig:
@@ -166,11 +155,12 @@ def oracle_information(model: ModelSpec, theta0, n_oracle: int = ORACLE_LENGTH) 
     Cached per (model name, theta0, n_oracle) because the long run is the
     expensive part of a study.
     """
+    _require_numbers(n_oracle=n_oracle)
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    key = (model.name, tuple(theta0.tolist()), int(n_oracle))
+    key = (model.name, tuple(theta0.tolist()), n_oracle)
     if key not in _oracle_cache:
-        traj = simulate(model, theta0, int(n_oracle), seed=_ORACLE_SEED, burn_in=1000)
-        _oracle_cache[key] = plugin_fisher(theta0, traj, ScoreWindow(1, int(n_oracle)), model)
+        traj = simulate(model, theta0, n_oracle, seed=_ORACLE_SEED, burn_in=1000)
+        _oracle_cache[key] = plugin_fisher(theta0, traj, ScoreWindow(1, n_oracle), model)
     return _oracle_cache[key]
 
 
@@ -343,8 +333,8 @@ def compare_estimators(cfgs: Sequence[McConfig], workers: int = 1) -> list[dict]
             raise ValueError("compared studies must share model, theta0, and n")
     return [
         {
-            "pipeline": cfg.pipeline(),
-            "delta": float(cfg.delta),
+            "pipeline": f"{cfg.preliminary}+{cfg.process}",
+            "delta": cfg.delta,
             "variance": report.empirical_covariance.tolist(),
             "quantiles": report.quantiles["empirical"],
             "replications_used": report.replications_used,

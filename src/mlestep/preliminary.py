@@ -5,7 +5,8 @@ estimator processes later correct. Three kinds are implemented for scalar
 parameters: a grid-plus-golden-section likelihood maximizer, a posterior mean
 under a prior, and a method-of-moments map. All estimates are projected into
 the parameter box shrunk by a small margin so that information matrices stay
-evaluable in the interior.
+evaluable in the interior. Each refuses a learning length N that is not an
+integer in [1, n] with a ValueError naming N (``_require_learning_length``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy import integrate
 
 from .errors import EstimationError
 from .likelihood import loglik
-from .models import ModelSpec
+from .models import ModelSpec, _require_numbers
 from .simulate import Trajectory
 
 __all__ = [
@@ -70,11 +71,12 @@ def learning_length(n: int, delta: float) -> int:
     return max(2, int(np.floor(float(n) ** delta + 0.5)))
 
 
-def _require_scalar(model: ModelSpec, what: str) -> None:
-    if model.dim != 1:
-        raise EstimationError(
-            f"{what} supports scalar parameters only (model has d={model.dim})"
-        )
+def _require_learning_length(N, traj: Trajectory) -> None:
+    """ValueError naming N unless it is an integer in [1, n]: the learning
+    interval [0, N] holds the first N of the trajectory's n transitions."""
+    _require_numbers(N=N)
+    if not 1 <= N <= traj.n:
+        raise ValueError(f"learning length N must lie in [1, {traj.n}] (the trajectory's transitions), got {N}")
 
 
 def _learning_loglik(theta, traj: Trajectory, N: int, model: ModelSpec) -> float:
@@ -130,6 +132,19 @@ def _grid(model: ModelSpec, grid_points: int) -> np.ndarray:
     return np.linspace(lo, hi, grid_points)
 
 
+def _grid_scan(traj: Trajectory, N, model: ModelSpec, grid_points: int, what: str, odd=False):
+    """The grid estimators' checks (scalar theta, N, grid_points >= 3), then
+    the grid (one point more if ``odd`` and grid_points is even) and
+    ``_grid_loglik`` on it."""
+    if model.dim != 1:
+        raise EstimationError(f"{what} supports scalar parameters only (model has d={model.dim})")
+    _require_learning_length(N, traj)
+    if grid_points < 3:
+        raise ValueError("grid_points must be >= 3")
+    grid = _grid(model, grid_points + 1 if odd and grid_points % 2 == 0 else grid_points)
+    return grid, _grid_loglik(grid, traj, N, model)
+
+
 def mle(traj: Trajectory, N: int, model: ModelSpec, grid_points: int = 512) -> PreliminaryEstimate:
     """Maximize the conditional log-likelihood of the first N transitions.
 
@@ -139,13 +154,7 @@ def mle(traj: Trajectory, N: int, model: ModelSpec, grid_points: int = 512) -> P
     in the diagnostics. A NaN on the grid raises EstimationError naming the
     first grid value that gives one.
     """
-    _require_scalar(model, "mle")
-    if N > traj.n:
-        raise ValueError(f"learning length {N} exceeds the trajectory's {traj.n} transitions")
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
-    grid = _grid(model, grid_points)
-    values = _grid_loglik(grid, traj, N, model)
+    grid, values = _grid_scan(traj, N, model, grid_points, "mle")
     if np.all(np.isneginf(values)):
         raise EstimationError("conditional likelihood is -inf on the entire grid")
     top = float(values.max())
@@ -184,15 +193,8 @@ def bayes(
     EstimationError as in ``mle``; a prior value that is negative or not
     finite raises ValueError.
     """
-    _require_scalar(model, "bayes")
-    if N > traj.n:
-        raise ValueError(f"learning length {N} exceeds the trajectory's {traj.n} transitions")
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
     # Simpson quadrature wants an odd point count
-    pts = grid_points if grid_points % 2 == 1 else grid_points + 1
-    grid = _grid(model, pts)
-    logw = _grid_loglik(grid, traj, N, model)
+    grid, logw = _grid_scan(traj, N, model, grid_points, "bayes", odd=True)
     if prior is not None:
         pvals = np.array([float(prior(t)) for t in grid])
         if not np.all(np.isfinite(pvals) & (pvals >= 0.0)):
@@ -220,8 +222,7 @@ def emm(traj: Trajectory, N: int, model: ModelSpec, q=None, h=None) -> Prelimina
     whose invariant law is symmetric about the parameter. The result is
     projected onto the closure of the parameter box.
     """
-    if N > traj.n:
-        raise ValueError(f"learning length {N} exceeds the trajectory's {traj.n} transitions")
+    _require_learning_length(N, traj)
     xs = traj.observations[1 : N + 1]
     moments = np.mean(q(xs), axis=0) if q is not None else np.mean(xs)
     try:

@@ -440,15 +440,17 @@ def full_mle_path(
     """Reference path: the grid MLE recomputed at each checkpoint.
 
     This is the expensive estimator the corrected paths are meant to avoid;
-    it exists as a comparison oracle.
+    it exists as a comparison oracle. The checkpoints (default: n alone) must
+    be integers in [1, n].
     """
     n = traj.n
-    ks = np.array(sorted({int(k) for k in (checkpoints if checkpoints is not None else [n])}))
+    checkpoints = [n] if checkpoints is None else list(checkpoints)
+    for k in checkpoints:
+        _require_numbers(checkpoint=k)
+    ks = np.array(sorted(set(checkpoints)), dtype=int)
     if ks.size == 0 or ks[0] < 1 or ks[-1] > n:
         raise ValueError("checkpoints must lie in [1, n]")
-    thetas = np.array(
-        [mle(traj, int(k), model, grid_points).theta for k in ks]
-    )
+    thetas = np.array([mle(traj, k, model, grid_points).theta for k in ks])
     return EstimatorPath(ks, thetas, "full-mle", 0, None, n)
 
 

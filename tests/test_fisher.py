@@ -184,9 +184,15 @@ class TestInvert:
         np.testing.assert_allclose(fm.matrix @ inv, np.eye(4), atol=1e-8)
 
     def test_indefinite_rejected(self):
-        fm = FisherMatrix(np.diag([1.0, -1.0]), "observed", 10)
-        with pytest.raises(DegenerateInformationError):
-            invert_fisher(fm)
+        # _checked and invert_fisher refuse it with one message
+        matrix = np.diag([1.0, -1.0])
+        messages = set()
+        for check in (lambda: _checked(matrix, "observed", 10),
+                      lambda: invert_fisher(FisherMatrix(matrix, "observed", 10))):
+            with pytest.raises(DegenerateInformationError, match="^observed information matrix is not positive") as err:
+                check()
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
     def test_ill_conditioned_rejected(self):
         fm = FisherMatrix(np.diag([1.0, 1e-11]), "observed", 10)
@@ -195,14 +201,19 @@ class TestInvert:
 
     @pytest.mark.parametrize(
         "matrix",
-        [[[np.inf]], [[np.nan]], [[2.0, np.inf], [np.inf, 1.0]]],
-        ids=["inf", "nan", "2x2-inf"],
+        [[[np.inf]], [[np.nan]], [[2.0, np.inf], [np.inf, 1.0]], [[1e308]], [[1.0, 1e308], [-1e308, 1.0]]],
+        ids=["inf", "nan", "2x2-inf", "1e308", "2x2-overflowing-asymmetry"],
     )
     def test_non_finite_rejected(self, matrix):
         matrix = np.array(matrix)
-        # refused without a RuntimeWarning on the way (inf - inf is nan)
+        # refused without a RuntimeWarning on the way (inf - inf is nan;
+        # 1e308 + 1e308 and 1e308 - (-1e308) overflow to inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if not np.array_equal(matrix, matrix.T, equal_nan=True):
+                with pytest.raises(ValueError, match="not symmetric"):
+                    _checked(matrix, "observed", 10)
+                return
             fm = FisherMatrix(matrix, "observed", 10)
             for check in (lambda: _checked(matrix, "observed", 10), lambda: invert_fisher(fm)):
                 with pytest.raises(DegenerateInformationError, match="non-finite") as err:
@@ -221,8 +232,7 @@ class TestInvert:
         for value, inverse, flag in zip(values, inverses, flagged):
             matrix = np.array([[value]])
             try:
-                with np.errstate(over="ignore"):
-                    refused = not np.isfinite(invert_fisher(_checked(matrix, "observed", 10))).all()
+                refused = not np.isfinite(invert_fisher(_checked(matrix, "observed", 10))).all()
             except DegenerateInformationError:
                 refused = True
             assert flag == refused, value

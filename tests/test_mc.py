@@ -97,11 +97,12 @@ class TestMcConfig:
     def test_accepts_numpy_integers(self):
         cfg = ms.McConfig(
             "linear", 0.5, np.int64(100), 0.5, replications=np.int32(5), base_seed=np.int64(2),
-            grid_points=np.int16(64),
+            grid_points=np.int16(64), x_init=2,
         )
-        assert cfg.to_json_dict() == ms.McConfig(
-            "linear", 0.5, 100, 0.5, replications=5, base_seed=2, grid_points=64
-        ).to_json_dict()
+        plain = ms.McConfig("linear", 0.5, 100, 0.5, replications=5, base_seed=2, grid_points=64, x_init=2.0)
+        text = json.dumps(cfg.to_json_dict())
+        assert text == json.dumps(plain.to_json_dict())
+        assert '"x_init": 2.0' in text
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -348,6 +349,12 @@ class TestOracle:
         assert a is b
         assert a.matrix[0, 0] > 0
         assert a.method == "plugin"
+
+    @pytest.mark.parametrize("n_oracle", [2000.7, True, "2000"])
+    def test_non_integer_length_refused(self, linear, n_oracle):
+        # truncated by int(), True would run one step: I ~ 0.017, not 4/3
+        with pytest.raises(ValueError, match="n_oracle must be an integer"):
+            ms.oracle_information(linear, 0.5, n_oracle)
 
 
 class TestCompare:

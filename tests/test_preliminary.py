@@ -57,6 +57,24 @@ class TestLearningLength:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+class TestLearningInterval:
+    """mle, bayes and emm share one rule: N is an integer in [1, n]."""
+
+    @pytest.mark.parametrize("estimator", [mle, bayes, emm])
+    @pytest.mark.parametrize("N", [-5, 0, 1.5, True, "3", 41], ids=["-5", "0", "1.5", "True", "str", "n+1"])
+    def test_refused_naming_N(self, linear, estimator, N):
+        traj = ms.simulate(linear, 0.5, 40, seed=3)
+        with pytest.raises(ValueError, match="N must"):
+            estimator(traj, N, linear)
+
+    @pytest.mark.parametrize("estimator", [mle, bayes, emm])
+    def test_accepts_numpy_integers(self, linear, estimator):
+        traj = ms.simulate(linear, 0.5, 40, seed=3)
+        got, want = estimator(traj, np.int64(40), linear), estimator(traj, 40, linear)
+        np.testing.assert_array_equal(got.theta, want.theta)
+        assert got.diagnostics == want.diagnostics
+
+
 class TestGridMle:
     def test_noiseless_exact_recovery(self, linear):
         traj = noiseless_linear_traj(theta0=0.5, n=120)

@@ -657,6 +657,13 @@ class TestFullMle:
         with pytest.raises(ValueError, match="checkpoints"):
             full_mle_path(traj, linear, checkpoints=[10, 60])
 
+    @pytest.mark.parametrize("checkpoint", [30.7, True, "40"])
+    def test_non_integer_checkpoints_refused(self, linear, checkpoint):
+        # truncated by int(), they would emit k = 30, 1 and 40
+        traj = noiseless_linear_traj(0.5, 50)
+        with pytest.raises(ValueError, match="checkpoint must be an integer"):
+            full_mle_path(traj, linear, checkpoints=[checkpoint, 50])
+
     def test_default_checkpoint_is_terminal(self, linear):
         traj = noiseless_linear_traj(0.5, 50)
         path = full_mle_path(traj, linear)
