@@ -63,12 +63,13 @@ class PreliminaryEstimate:
 
 
 def learning_length(n: int, delta: float) -> int:
-    """Length of the learning interval: nearest integer to n**delta, at least 2."""
+    """Length of the learning interval: nearest integer to n**delta, at least 2,
+    computed in float64 whatever the type of delta (a config stores float64)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if n < 2:
         raise ValueError("n must be >= 2")
-    return max(2, int(np.floor(float(n) ** delta + 0.5)))
+    return max(2, int(np.floor(float(n) ** float(delta) + 0.5)))
 
 
 def _require_learning_length(N, traj: Trajectory) -> None:

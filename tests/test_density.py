@@ -67,13 +67,53 @@ class TestKde:
 
     @pytest.mark.parametrize("n,grid", [(5037, None), (100, None), (100, [0.25]), (5037, [0.25])])
     def test_matches_unchunked_direct_sum(self, linear, n, grid):
-        # sizes off the 128-row blocks and 2048-row chunks, n below one block,
+        # sizes off the 512-row blocks and 2048-row chunks, n below one block,
         # and a one-point grid
         traj = ms.simulate(linear, 0.5, n, seed=n)
         est = kde(traj, grid=grid)
         xs, h = traj.observations[1:], est.bandwidth
         direct = np.exp(-0.5 * ((xs[:, None] - est.grid) / h) ** 2).sum(0)
         np.testing.assert_allclose(est.values, direct / (n * h * np.sqrt(2.0 * np.pi)), rtol=1e-13)
+
+    @pytest.mark.parametrize("model_name,theta", [("example2", 0.5), ("example1", 2.5),
+                                                  ("linear", 0.5)])
+    @pytest.mark.parametrize("n", [1, 2047, 2049, 5037])
+    def test_bit_identical_to_the_sum_over_every_term(self, model_name, theta, n):
+        # bandwidths where most terms underflow to 0 and where none do; the
+        # default grid, one reaching past the sample (tiles with no observation
+        # in reach) and a 33-point grid (two tiles of 17 and 16 points)
+        traj = ms.simulate(ms.get_model(model_name), theta, n, seed=n)
+        xs = traj.observations[1:]
+        far = np.linspace(xs.min() - 60.0, xs.max() + 60.0, 301)
+        for bandwidth in (1e-3, 0.05, 3.0):
+            for grid in (None, far, np.linspace(-2.0, 3.0, 33)):
+                est = kde(traj, grid=grid, bandwidth=bandwidth)
+                assert np.array_equal(est.values, _every_term_sum(xs, est.grid, bandwidth))
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [-np.inf, 0.0], [0.0, np.inf], 0.5, [],
+                                      [[0.0, 1.0]], [1.0, 0.0], [0.0, 0.0, 1.0], ["a", "b"]])
+    def test_rejects_bad_grid_before_the_sum(self, monkeypatch, linear, grid):
+        traj = ms.simulate(linear, 0.5, 300, seed=3)
+
+        def no_kernel_terms(*args, **kwargs):
+            raise AssertionError("a kernel term was evaluated")
+
+        monkeypatch.setattr(np, "exp", no_kernel_terms)
+        with pytest.raises(ValueError, match="grid must be"):
+            kde(traj, grid=grid)
+
+
+def _every_term_sum(xs, grid, h):
+    """The kernel sum over every term, added in kde's order: per 2048-row
+    chunk from 0.0 one observation at a time, then the chunk into the total."""
+    acc = np.zeros(grid.size)
+    for start in range(0, xs.size, 2048):
+        chunk = np.zeros(grid.size)
+        for x in xs[start : start + 2048]:
+            z = (x - grid) / h
+            chunk += np.exp(-0.5 * z * z)
+        acc += chunk
+    return acc / (xs.size * h * np.sqrt(2.0 * np.pi))
 
 
 class TestDensityEstimateType:
@@ -84,6 +124,14 @@ class TestDensityEstimateType:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             DensityEstimate(np.array([1.0, 0.0]), np.array([0.1, 0.1]), 0.5, 10)
+
+    @pytest.mark.parametrize("grid,values,field", [
+        ([0.0, np.nan], [0.1, 0.1], "grid"), ([0.0, np.inf], [0.1, 0.1], "grid"),
+        ([0.0, 1.0], [np.nan, 0.1], "values"), ([0.0, 1.0], [0.1, np.inf], "values"),
+    ])
+    def test_rejects_non_finite_grid_or_values(self, grid, values, field):
+        with pytest.raises(ValueError, match=field):
+            DensityEstimate(np.array(grid), np.array(values), 0.5, 10)
 
     def test_rejects_misaligned_shapes(self):
         with pytest.raises(ValueError):

@@ -113,6 +113,12 @@ class TestMcConfig:
         back = mc.mc_config_from_dict(cfg.to_json_dict())
         assert back == cfg
 
+    def test_float32_delta_round_trips_to_the_same_learning_length(self):
+        cfg = ms.McConfig("linear", 0.5, 38103, np.float32(0.6), replications=5)
+        back = mc.mc_config_from_dict(json.loads(json.dumps(cfg.to_json_dict())))
+        Ns = [ms.learning_length(c.n, c.spec.delta) for c in (cfg, back)]
+        assert Ns == [560, 560]
+
     def test_only_thinned_processes_get_the_terminal_stride(self):
         for process, stride in (("one-step", 400), ("second-preliminary", 400),
                                 ("two-step", 400), ("recurrent", None), ("none", None),

@@ -52,6 +52,11 @@ class TestLearningLength:
         with pytest.raises(ValueError):
             learning_length(1, 0.5)
 
+    def test_float32_delta_computed_in_float64(self):
+        # in float32, 38103 ** 0.6 lands past the half-way point and rounds to 561
+        delta = np.float32(0.6)
+        assert learning_length(38103, delta) == learning_length(38103, float(delta)) == 560
+
     def test_monotone_in_n(self):
         values = [learning_length(n, 0.5) for n in range(10, 2000, 37)]
         assert all(b >= a for a, b in zip(values, values[1:]))
