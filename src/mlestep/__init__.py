@@ -17,20 +17,15 @@ from .errors import (
 )
 from .fisher import (
     FisherMatrix,
-    factorized_fisher,
     invert_fisher,
     noise_information,
-    observed_fisher,
-    plugin_fisher,
+    window_information,
 )
 from .likelihood import (
     ScoreWindow,
-    grad_terms,
-    hess_terms,
     loglik,
     loglik_grad,
     loglik_hess,
-    normalized_score,
 )
 from .mc import McConfig, McReport, compare_estimators, oracle_information, run_study
 from .models import (

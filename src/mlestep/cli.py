@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # "none" writes no path
     est.add_argument("--process", choices=tuple(k for k in PROCESS_KINDS if k != "none"),
                      default="one-step")
-    est.add_argument("--fisher", choices=tuple(FISHER_METHODS), default="observed")
+    est.add_argument("--fisher", choices=FISHER_METHODS, default="observed")
     est.add_argument("--stride", type=int, default=None)
     est.add_argument("--grid-points", dest="grid_points", type=int, default=512)
     est.add_argument("--out", default=None)

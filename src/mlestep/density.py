@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _brief, _finite_reals
+from .models import _brief, _finite_reals, _require_numbers
 from .simulate import Trajectory
 
 __all__ = ["DensityEstimate", "kde", "write_density_csv"]
@@ -24,7 +24,8 @@ _REACH = 40.0
 _GRID_RULE = "a non-empty, 1-D, finite, strictly ascending vector"
 
 
-def _check_bandwidth(h: float) -> None:
+def _check_bandwidth(h) -> None:
+    _require_numbers(real=True, bandwidth=h)
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"bandwidth must be finite and positive, got {h}")
 
@@ -76,8 +77,10 @@ def kde(traj: Trajectory, grid=None, bandwidth: float | None = None) -> DensityE
     n = xs.size
     if n < 1:
         raise ValueError("kernel density estimation needs at least one observation")
-    h = float(bandwidth) if bandwidth is not None else float(n) ** (-0.2)
-    _check_bandwidth(h)
+    if bandwidth is None:
+        bandwidth = float(n) ** (-0.2)
+    _check_bandwidth(bandwidth)
+    h = float(bandwidth)
     if grid is None:
         grid = np.linspace(xs.min() - 4.0 * h, xs.max() + 4.0 * h, _DEFAULT_GRID_POINTS)
     grid = _checked_grid(grid)

@@ -11,9 +11,12 @@ the window length:
 At the true parameter all three are consistent for the same matrix, which
 gives a useful cross-check (the "triangle" tests).
 
-Each estimator is the window mean of a per-transition term (``information_terms``),
-so the two-step path can re-estimate the information at every k from prefix
-sums. ``_require_positive_definite``, run by ``_checked`` and ``invert_fisher``,
+There is one entry point per layer. ``information_terms`` gives the
+per-transition terms whose window mean is an estimator, so the two-step path
+can re-estimate the information at every k from prefix sums;
+``window_information`` gives a window's score terms and its checked
+information; ``invert_fisher`` gives the guarded inverse.
+``_require_positive_definite``, run by ``_checked`` and ``invert_fisher``,
 and ``invert_fisher``'s own checks hold every guard on an information matrix;
 ``_reciprocals`` is their exact reduction for 1 x 1 matrices, run at once over
 the two-step path's ks.
@@ -36,13 +39,13 @@ from .simulate import Trajectory
 __all__ = [
     "FisherMatrix",
     "noise_information",
-    "observed_fisher",
-    "plugin_fisher",
-    "factorized_fisher",
     "invert_fisher",
     "FISHER_METHODS",
     "information_terms",
+    "window_information",
 ]
+
+FISHER_METHODS = ("observed", "plugin", "factorized")
 
 _COND_LIMIT = 1e10
 _SYM_TOL = 1e-12
@@ -130,35 +133,13 @@ def _checked(matrix: np.ndarray, method: str, sample_size: int) -> FisherMatrix:
     return fm
 
 
-def _window_information(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec, method: str):
+def window_information(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec, method: str):
     """The window's score terms (length, d), and ``method``'s information
     estimate over it: the window mean of ``information_terms``, checked."""
     if window.length < model.dim:
         raise ValueError("window is shorter than the parameter dimension")
     scores, terms = information_terms(theta, *_window_pairs(traj, window), model, method)
     return scores, _checked(terms.mean(axis=0), method, window.length)
-
-
-def observed_fisher(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> FisherMatrix:
-    """Negative mean log-likelihood Hessian over the window."""
-    return _window_information(theta, traj, window, model, "observed")[1]
-
-
-def plugin_fisher(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> FisherMatrix:
-    """Mean outer product of score terms over the window."""
-    return _window_information(theta, traj, window, model, "plugin")[1]
-
-
-def factorized_fisher(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> FisherMatrix:
-    """Noise information times the mean outer product of drift gradients."""
-    return _window_information(theta, traj, window, model, "factorized")[1]
-
-
-FISHER_METHODS = {
-    "observed": observed_fisher,
-    "plugin": plugin_fisher,
-    "factorized": factorized_fisher,
-}
 
 
 # --- Per-transition information terms ---------------------------------------------
@@ -168,7 +149,8 @@ def information_terms(theta, x_prev, x_next, model: ModelSpec, method: str):
     """Score terms (L, d) of L paired observations, and the (L, d, d) terms
     whose mean over a window is ``method``'s estimator above: one evaluation
     by the kernel of ``loglik_grad`` and ``loglik_hess``, so the scores and
-    the observed terms equal theirs (negated) bit for bit."""
+    the observed terms equal theirs (negated) bit for bit. A method outside
+    ``FISHER_METHODS`` raises ValueError."""
     if method == "plugin":
         scores, _ = _terms(theta, x_prev, x_next, model)
         return scores, scores[:, :, np.newaxis] * scores[:, np.newaxis, :]
@@ -177,6 +159,8 @@ def information_terms(theta, x_prev, x_next, model: ModelSpec, method: str):
             object.__setattr__(model.noise, "_information", noise_information(model.noise))
         scores, outer = _terms(theta, x_prev, x_next, model, "outer")
         return scores, model.noise._information * outer
+    if method != "observed":
+        raise ValueError(f"unknown information method {method!r}; expected one of {FISHER_METHODS}")
     scores, hess = _terms(theta, x_prev, x_next, model, "hessian")
     return scores, np.negative(hess, out=hess)
 

@@ -1,8 +1,10 @@
-"""Conditional log-likelihood terms and the normalized score statistic.
+"""Conditional log-likelihood of a transition and its theta-derivatives.
 
 A transition j pairs observations (X_{j-1}, X_j); valid j run from 1 to n.
 The initial-value density is never part of these quantities: everything is
-conditional on X_0.
+conditional on X_0. ``fisher.window_information`` reads a ``ScoreWindow``'s
+score terms and information off the one kernel behind ``loglik_grad`` and
+``loglik_hess``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ __all__ = [
     "loglik",
     "loglik_grad",
     "loglik_hess",
-    "grad_terms",
-    "hess_terms",
-    "normalized_score",
 ]
 
 
@@ -101,22 +100,3 @@ def _window_pairs(traj: Trajectory, window: ScoreWindow):
     obs = traj.observations
     return obs[window.start - 1 : window.end], obs[window.start : window.end + 1]
 
-
-def grad_terms(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> np.ndarray:
-    """Per-transition score contributions over the window; shape (length, d)."""
-    return loglik_grad(theta, *_window_pairs(traj, window), model)
-
-
-def hess_terms(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> np.ndarray:
-    """Per-transition Hessian contributions over the window; shape (length, d, d)."""
-    return loglik_hess(theta, *_window_pairs(traj, window), model)
-
-
-def normalized_score(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec) -> np.ndarray:
-    """Sum of score terms over the window divided by sqrt(window.end).
-
-    The normalization uses the absolute end index k of the window, not the
-    window length, so partial-sum statistics stay comparable across windows
-    with different starting points.
-    """
-    return grad_terms(theta, traj, window, model).sum(axis=0) / np.sqrt(window.end)

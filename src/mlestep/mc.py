@@ -24,7 +24,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import MlestepError, StudyError
-from .fisher import FisherMatrix, plugin_fisher, invert_fisher
+from .fisher import FisherMatrix, invert_fisher, window_information
 from .likelihood import ScoreWindow
 from .models import ModelSpec, _finite_reals, _require_numbers, get_model
 from .preliminary import learning_length
@@ -160,7 +160,7 @@ def oracle_information(model: ModelSpec, theta0, n_oracle: int = ORACLE_LENGTH) 
     key = (model.name, tuple(theta0.tolist()), n_oracle)
     if key not in _oracle_cache:
         traj = simulate(model, theta0, n_oracle, seed=_ORACLE_SEED, burn_in=1000)
-        _oracle_cache[key] = plugin_fisher(theta0, traj, ScoreWindow(1, n_oracle), model)
+        _oracle_cache[key] = window_information(theta0, traj, ScoreWindow(1, n_oracle), model, "plugin")[1]
     return _oracle_cache[key]
 
 

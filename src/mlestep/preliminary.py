@@ -134,12 +134,13 @@ def _grid(model: ModelSpec, grid_points: int) -> np.ndarray:
 
 
 def _grid_scan(traj: Trajectory, N, model: ModelSpec, grid_points: int, what: str, odd=False):
-    """The grid estimators' checks (scalar theta, N, grid_points >= 3), then
-    the grid (one point more if ``odd`` and grid_points is even) and
-    ``_grid_loglik`` on it."""
+    """The grid estimators' checks (scalar theta, N, an integer grid_points
+    >= 3), then the grid (one point more if ``odd`` and grid_points is even)
+    and ``_grid_loglik`` on it."""
     if model.dim != 1:
         raise EstimationError(f"{what} supports scalar parameters only (model has d={model.dim})")
     _require_learning_length(N, traj)
+    _require_numbers(grid_points=grid_points)
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     grid = _grid(model, grid_points + 1 if odd and grid_points % 2 == 0 else grid_points)

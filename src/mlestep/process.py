@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import FISHER_METHODS, _checked, _reciprocals, _window_information, information_terms, invert_fisher
+from .fisher import FISHER_METHODS, _checked, _reciprocals, information_terms, invert_fisher, window_information
 from .likelihood import ScoreWindow
 from .models import ModelSpec, _require_numbers
 from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
@@ -120,7 +120,7 @@ def _frozen_start(
     if prelim.learning_length >= traj.n:
         raise ValueError("learning interval leaves no observations to process")
     theta0 = _into_domain(prelim.theta, model, "preliminary estimate")
-    scores, info = _window_information(theta0, traj, ScoreWindow(1, traj.n), model, fisher_method)
+    scores, info = window_information(theta0, traj, ScoreWindow(1, traj.n), model, fisher_method)
     return theta0, scores, invert_fisher(info)
 
 
@@ -500,8 +500,8 @@ class Pipeline:
             raise ValueError(f"preliminary must be one of {tuple(PRELIMINARY_KINDS)}")
         if self.process not in tuple(PROCESS_KINDS):
             raise ValueError(f"process must be one of {tuple(PROCESS_KINDS)}")
-        if self.fisher_method not in tuple(FISHER_METHODS):
-            raise ValueError(f"fisher_method must be one of {tuple(FISHER_METHODS)}")
+        if self.fisher_method not in FISHER_METHODS:
+            raise ValueError(f"fisher_method must be one of {FISHER_METHODS}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.stride is not None and self.stride < 1:

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from mlestep.fisher import FISHER_METHODS, invert_fisher
-from mlestep.likelihood import ScoreWindow, grad_terms
+from mlestep.fisher import invert_fisher, window_information
+from mlestep.likelihood import ScoreWindow, loglik_grad
 from mlestep.models import Drift, ModelSpec, NoiseDensity, ParamDomain, gaussian_noise
 from mlestep.process import EstimatorPath, _into_domain, second_preliminary_path
 from mlestep.simulate import Trajectory
@@ -227,12 +227,11 @@ def two_step_reference(traj, model, prelim, fisher_method="observed", stride=Non
     """``two_step_path`` one k at a time: project, window estimator, guarded
     inversion and score sum over [1, k] at each emitted k."""
     base = second_preliminary_path(traj, model, prelim, fisher_method, stride)
-    fisher_fn = FISHER_METHODS[fisher_method]
+    obs = traj.observations
     thetas = np.empty_like(base.thetas)
     for i, k in enumerate(base.ks):
         mid = _into_domain(base.thetas[i], model, f"second preliminary estimate at k={k}")
-        window = ScoreWindow(1, int(k))
-        inv = invert_fisher(fisher_fn(mid, traj, window, model))
-        total = grad_terms(mid, traj, window, model).sum(axis=0)
+        inv = invert_fisher(window_information(mid, traj, ScoreWindow(1, int(k)), model, fisher_method)[1])
+        total = loglik_grad(mid, obs[:k], obs[1 : k + 1], model).sum(axis=0)
         thetas[i] = mid + inv @ total / k
     return EstimatorPath(base.ks, thetas, "two-step", base.N, prelim, base.n)

@@ -12,11 +12,11 @@ import pytest
 from scipy.stats import norm
 
 import mlestep as ms
-from mlestep.likelihood import ScoreWindow, grad_terms, loglik, loglik_grad, loglik_hess
+from mlestep.likelihood import ScoreWindow, loglik, loglik_grad, loglik_hess
 from mlestep.preliminary import emm, learning_length, mle
 from mlestep.process import full_mle_path, one_step_path, recurrent_path, second_preliminary_path
 
-from helpers import fd_grad, fd_jac, make_traj
+from helpers import fd_grad, fd_jac
 
 
 def report(name, ok, detail, elapsed, limit):
@@ -63,8 +63,7 @@ def test_criterion_2_score_martingale(example1, example2):
         bound = 4.0 * np.sqrt(info / n)
         rows = ms.simulate_paths(model, theta0, n, seeds=range(20))
         for row in rows:
-            traj = make_traj(row, theta0, model.name)
-            g = grad_terms(theta0, traj, ScoreWindow(1, n), model)
+            g = loglik_grad(theta0, row[:-1], row[1:], model)
             worst_margin = min(worst_margin, bound - abs(float(g.mean())))
     ok = worst_margin > 0
     report(
@@ -86,9 +85,8 @@ def test_criterion_3_fisher_triangle(example1, example2, big_traj_example1, big_
     ):
         w = ScoreWindow(1, traj.n)
         vals = [
-            ms.observed_fisher(theta0, traj, w, model).matrix[0, 0],
-            ms.plugin_fisher(theta0, traj, w, model).matrix[0, 0],
-            ms.factorized_fisher(theta0, traj, w, model).matrix[0, 0],
+            ms.window_information(theta0, traj, w, model, method)[1].matrix[0, 0]
+            for method in ("observed", "plugin", "factorized")
         ]
         for i in range(3):
             for j in range(i + 1, 3):

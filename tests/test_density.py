@@ -45,7 +45,7 @@ class TestKde:
         with pytest.raises(ValueError, match="bandwidth"):
             kde(big_traj_linear, bandwidth=0.0)
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf, -np.inf, True, "0.3"])
     def test_rejects_non_positive_or_non_finite_bandwidth(self, big_traj_linear,
                                                           bandwidth):
         with pytest.raises(ValueError, match="bandwidth"):

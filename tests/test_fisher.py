@@ -13,6 +13,7 @@ from mlestep.fisher import (
     information_terms,
     invert_fisher,
     noise_information,
+    window_information,
 )
 from mlestep.likelihood import ScoreWindow, loglik_grad, loglik_hess
 
@@ -62,19 +63,19 @@ class TestFisherMatrixType:
 class TestEstimators:
     def test_observed_linear_ground_truth(self, linear, big_traj_linear):
         w = ScoreWindow(1, big_traj_linear.n)
-        fm = ms.observed_fisher(0.5, big_traj_linear, w, linear)
+        fm = window_information(0.5, big_traj_linear, w, linear, "observed")[1]
         assert fm.matrix[0, 0] == pytest.approx(4.0 / 3.0, rel=0.05)
         assert fm.method == "observed"
         assert fm.sample_size == big_traj_linear.n
 
     def test_plugin_linear_ground_truth(self, linear, big_traj_linear):
         w = ScoreWindow(1, big_traj_linear.n)
-        fm = ms.plugin_fisher(0.5, big_traj_linear, w, linear)
+        fm = window_information(0.5, big_traj_linear, w, linear, "plugin")[1]
         assert fm.matrix[0, 0] == pytest.approx(4.0 / 3.0, rel=0.05)
 
     def test_factorized_linear_ground_truth(self, linear, big_traj_linear):
         w = ScoreWindow(1, big_traj_linear.n)
-        fm = ms.factorized_fisher(0.5, big_traj_linear, w, linear)
+        fm = window_information(0.5, big_traj_linear, w, linear, "factorized")[1]
         assert fm.matrix[0, 0] == pytest.approx(4.0 / 3.0, rel=0.05)
 
     def test_zero_drift_raises_with_zero_matrix(self):
@@ -82,15 +83,15 @@ class TestEstimators:
         traj = ms.simulate(model, 0.0, 500, seed=1)
         w = ScoreWindow(1, 500)
         with pytest.raises(DegenerateInformationError) as err:
-            ms.observed_fisher(0.0, traj, w, model)
+            window_information(0.0, traj, w, model, "observed")
         np.testing.assert_array_equal(err.value.matrix, np.zeros((1, 1)))
         with pytest.raises(DegenerateInformationError) as err:
-            ms.factorized_fisher(0.0, traj, w, model)
+            window_information(0.0, traj, w, model, "factorized")
         np.testing.assert_array_equal(err.value.matrix, np.zeros((1, 1)))
 
     def test_plugin_single_transition(self, linear):
         traj = make_traj([2.0, 1.3], 0.5, "linear")
-        fm = ms.plugin_fisher(0.5, traj, ScoreWindow(1, 1), linear)
+        fm = window_information(0.5, traj, ScoreWindow(1, 1), linear, "plugin")[1]
         from mlestep.likelihood import loglik_grad
 
         term = loglik_grad(0.5, 2.0, 1.3, linear)[0]
@@ -103,16 +104,16 @@ class TestEstimators:
         model = pair_model()
         traj = make_traj([0.1, 0.2], [0.0, 0.0], "pair")
         with pytest.raises(ValueError, match="dimension"):
-            ms.observed_fisher([0.0, 0.0], traj, ScoreWindow(1, 1), model)
+            window_information([0.0, 0.0], traj, ScoreWindow(1, 1), model, "observed")
 
     @pytest.mark.parametrize("key,theta", [("example1", 2.5), ("example2", 0.5)])
     def test_triangle_agreement(self, key, theta, request):
         model = request.getfixturevalue(key)
         traj = request.getfixturevalue(f"big_traj_{key}")
         w = ScoreWindow(1, traj.n)
-        obs = ms.observed_fisher(theta, traj, w, model).matrix[0, 0]
-        plug = ms.plugin_fisher(theta, traj, w, model).matrix[0, 0]
-        fact = ms.factorized_fisher(theta, traj, w, model).matrix[0, 0]
+        obs = window_information(theta, traj, w, model, "observed")[1].matrix[0, 0]
+        plug = window_information(theta, traj, w, model, "plugin")[1].matrix[0, 0]
+        fact = window_information(theta, traj, w, model, "factorized")[1].matrix[0, 0]
         assert obs == pytest.approx(plug, rel=0.05)
         assert obs == pytest.approx(fact, rel=0.05)
         assert plug == pytest.approx(fact, rel=0.05)
@@ -122,7 +123,7 @@ class TestEstimators:
         values = []
         for theta0 in (-0.5, 0.0, 0.5):
             traj = ms.simulate(example2, theta0, 100_000, seed=17)
-            fm = ms.plugin_fisher(theta0, traj, ScoreWindow(1, traj.n), example2)
+            fm = window_information(theta0, traj, ScoreWindow(1, traj.n), example2, "plugin")[1]
             values.append(fm.matrix[0, 0])
         assert max(values) / min(values) < 1.05
 
@@ -132,8 +133,8 @@ class TestEstimators:
         for seed in (1, 2, 3, 4):
             traj = ms.simulate(example2, 0.5, 50_000, seed=seed)
             w = ScoreWindow(1, traj.n)
-            a = ms.plugin_fisher(0.45, traj, w, example2).matrix[0, 0]
-            b = ms.plugin_fisher(0.55, traj, w, example2).matrix[0, 0]
+            a = window_information(0.45, traj, w, example2, "plugin")[1].matrix[0, 0]
+            b = window_information(0.55, traj, w, example2, "plugin")[1].matrix[0, 0]
             slopes.append(abs(a - b) / 0.1)
         print(f"example2 information Lipschitz probe, fitted slopes: {slopes}")
         assert all(np.isfinite(s) for s in slopes)
@@ -159,8 +160,33 @@ class TestOneEngine:
             assert np.array_equal(scores, grad)
             if method == "observed":
                 assert np.array_equal(terms, -hess)
-        observed = ms.observed_fisher(theta, traj, ScoreWindow(1, traj.n), model)
-        assert np.array_equal(observed.matrix, FisherMatrix(-hess.mean(axis=0), "observed", 0).matrix)
+            window_scores, info = window_information(theta, traj, ScoreWindow(1, traj.n), model, method)
+            assert np.array_equal(window_scores, grad)
+            assert np.array_equal(info.matrix, FisherMatrix(terms.mean(axis=0), method, 0).matrix)
+
+
+class TestMethodNames:
+    """A method outside FISHER_METHODS is refused by name, never run as the
+    observed estimator, by every caller of ``information_terms``."""
+
+    @pytest.mark.parametrize("method", ["bogus", "Observed"])
+    @pytest.mark.parametrize("caller", [
+        "information_terms", "window_information", "one_step_path",
+        "second_preliminary_path", "two_step_path", "recurrent_path",
+    ])
+    def test_unknown_method_refused(self, example2, caller, method):
+        traj = ms.simulate(example2, 0.5, 300, seed=7)
+        obs = traj.observations
+        if caller == "information_terms":
+            call = lambda: information_terms(0.5, obs[:-1], obs[1:], example2, method)
+        elif caller == "window_information":
+            call = lambda: window_information(0.5, traj, ScoreWindow(1, traj.n), example2, method)
+        else:
+            prelim = ms.emm(traj, 40, example2)
+            call = lambda: getattr(ms, caller)(traj, example2, prelim, method)
+        with pytest.raises(ValueError, match=f"unknown information method '{method}'; expected one of "
+                                             r"\('observed', 'plugin', 'factorized'\)"):
+            call()
 
 
 class TestInvert:

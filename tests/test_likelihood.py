@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 
 import mlestep as ms
-from mlestep.likelihood import (
-    ScoreWindow,
-    grad_terms,
-    hess_terms,
-    loglik,
-    loglik_grad,
-    loglik_hess,
-    normalized_score,
-)
+from mlestep.fisher import window_information
+from mlestep.likelihood import ScoreWindow, loglik, loglik_grad, loglik_hess
 
-from helpers import assert_close_rel, fd_grad, fd_jac, make_traj, pair_model, zero_model
+from helpers import assert_close_rel, fd_grad, fd_jac, pair_model, zero_model
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -117,27 +110,23 @@ class TestNormalizedScore:
     def test_single_term_window(self, example2):
         traj = ms.simulate(example2, 0.5, 20, seed=1)
         j = 7
-        got = normalized_score(0.4, traj, ScoreWindow(j, j), example2)
+        scores, _ = window_information(0.4, traj, ScoreWindow(j, j), example2, "plugin")
+        got = scores.sum(axis=0) / np.sqrt(j)
         term = loglik_grad(0.4, traj.observations[j - 1], traj.observations[j], example2)
         np.testing.assert_allclose(got, term / np.sqrt(j))
 
     def test_window_must_fit(self, example2):
         traj = ms.simulate(example2, 0.5, 20, seed=1)
         with pytest.raises(ValueError, match="exceeds"):
-            normalized_score(0.4, traj, ScoreWindow(1, 21), example2)
+            window_information(0.4, traj, ScoreWindow(1, 21), example2, "plugin")
 
     def test_martingale_mean_zero_linear(self, linear):
         # score at the true parameter: MC mean over 500 replications near 0
         n = 2000
         paths = ms.simulate_paths(linear, 0.0, n, seeds=range(500))
         scores = np.array(
-            [
-                normalized_score(
-                    0.0, make_traj(row, 0.0, "linear"), ScoreWindow(1, n), linear
-                )[0]
-                for row in paths
-            ]
-        )
+            [loglik_grad(0.0, row[:-1], row[1:], linear).sum(axis=0)[0] for row in paths]
+        ) / np.sqrt(n)
         se = scores.std(ddof=1) / np.sqrt(len(scores))
         assert abs(scores.mean()) < 4 * se
 
@@ -150,16 +139,15 @@ class TestNormalizedScore:
         for start in range(0, reps, 50):
             batch = ms.simulate_paths(example2, 0.5, n, seeds=range(start, start + 50))
             for i, row in enumerate(batch):
-                traj = make_traj(row, 0.5, "example2")
-                scores[start + i] = normalized_score(
-                    0.5, traj, ScoreWindow(1, n), example2
-                )[0]
+                total = loglik_grad(0.5, row[:-1], row[1:], example2).sum(axis=0)
+                scores[start + i] = total[0] / np.sqrt(n)
         assert scores.var(ddof=1) == pytest.approx(oracle, rel=0.15)
 
     def test_per_step_mean_small_at_truth(self, big_traj_example2, example2):
         n = big_traj_example2.n
         oracle = ms.oracle_information(example2, 0.5).matrix[0, 0]
-        g = grad_terms(0.5, big_traj_example2, ScoreWindow(1, n), example2)
+        obs = big_traj_example2.observations
+        g = loglik_grad(0.5, obs[:-1], obs[1:], example2)
         assert abs(g.mean()) < 4 * np.sqrt(oracle / n)
 
 
@@ -168,9 +156,9 @@ class TestInformationIdentity:
     def test_three_averages_agree(self, key, theta, request):
         model = request.getfixturevalue(key)
         traj = request.getfixturevalue(f"big_traj_{key}")
-        w = ScoreWindow(1, traj.n)
-        g = grad_terms(theta, traj, w, model)
-        h = hess_terms(theta, traj, w, model)
+        obs = traj.observations
+        g = loglik_grad(theta, obs[:-1], obs[1:], model)
+        h = loglik_hess(theta, obs[:-1], obs[1:], model)
         ds = model.drift.dS(np.array([theta]), traj.observations[:-1])
         sq = float((g[:, 0] ** 2).mean())
         neg_h = float(-h[:, 0, 0].mean())

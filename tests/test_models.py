@@ -128,10 +128,10 @@ class TestLinearModel:
         # ground truth 1/(1-theta^2); cross-check by the long simulated run
         from mlestep.likelihood import ScoreWindow
 
-        fm = ms.plugin_fisher(0.5, big_traj_linear, ScoreWindow(1, big_traj_linear.n), linear)
+        fm = ms.window_information(0.5, big_traj_linear, ScoreWindow(1, big_traj_linear.n), linear, "plugin")[1]
         assert fm.matrix[0, 0] == pytest.approx(1.0 / 0.75, rel=0.05)
         traj0 = ms.simulate(linear, 0.0, 100_000, seed=3)
-        fm0 = ms.plugin_fisher(0.0, traj0, ScoreWindow(1, traj0.n), linear)
+        fm0 = ms.window_information(0.0, traj0, ScoreWindow(1, traj0.n), linear, "plugin")[1]
         assert fm0.matrix[0, 0] == pytest.approx(1.0, rel=0.05)
 
 

@@ -63,7 +63,8 @@ class TestLearningLength:
 
 
 class TestLearningInterval:
-    """mle, bayes and emm share one rule: N is an integer in [1, n]."""
+    """mle, bayes and emm share one rule: N is an integer in [1, n]. The grid
+    estimators, and full_mle_path through mle, take an integer grid_points."""
 
     @pytest.mark.parametrize("estimator", [mle, bayes, emm])
     @pytest.mark.parametrize("N", [-5, 0, 1.5, True, "3", 41], ids=["-5", "0", "1.5", "True", "str", "n+1"])
@@ -71,6 +72,17 @@ class TestLearningInterval:
         traj = ms.simulate(linear, 0.5, 40, seed=3)
         with pytest.raises(ValueError, match="N must"):
             estimator(traj, N, linear)
+
+    @pytest.mark.parametrize("estimator", [
+        lambda traj, model, g: mle(traj, 20, model, grid_points=g),
+        lambda traj, model, g: bayes(traj, 20, model, grid_points=g),
+        lambda traj, model, g: ms.full_mle_path(traj, model, grid_points=g),
+    ], ids=["mle", "bayes", "full_mle_path"])
+    @pytest.mark.parametrize("grid_points", [5.5, np.float64(512.0), "512", None])
+    def test_refused_naming_grid_points(self, linear, estimator, grid_points):
+        traj = ms.simulate(linear, 0.5, 40, seed=3)
+        with pytest.raises(ValueError, match="grid_points must be an integer"):
+            estimator(traj, linear, grid_points)
 
     @pytest.mark.parametrize("estimator", [mle, bayes, emm])
     def test_accepts_numpy_integers(self, linear, estimator):

@@ -8,8 +8,8 @@ from hypothesis import given, reject, strategies as st
 import mlestep as ms
 from mlestep import fisher as fisher_module, process as process_module
 from mlestep.errors import DegenerateInformationError, MlestepError
-from mlestep.fisher import FISHER_METHODS
-from mlestep.likelihood import ScoreWindow, grad_terms, loglik_grad
+from mlestep.fisher import FISHER_METHODS, invert_fisher, window_information
+from mlestep.likelihood import ScoreWindow, loglik_grad
 from mlestep.models import Drift, ModelSpec
 from mlestep.preliminary import PreliminaryEstimate, emm, learning_length, mle
 from mlestep.process import (
@@ -132,7 +132,7 @@ class TestEmission:
         st.integers(0, 2**31 - 1),
         st.integers(50, 1500),
         st.floats(0.3, 0.8),
-        st.sampled_from(tuple(FISHER_METHODS)),
+        st.sampled_from(FISHER_METHODS),
         st.integers(2, 200),
     ).map(lambda t: (*t[0], *t[1:]))
 
@@ -171,11 +171,9 @@ class TestWindows:
         prelim = emm(traj, N, example2)
         path = second_preliminary_path(traj, example2, prelim, "observed", stride=1)
         theta0 = prelim.theta
-        from mlestep.fisher import observed_fisher, invert_fisher
-
-        inv = invert_fisher(observed_fisher(theta0, traj, ScoreWindow(1, 300), example2))
-        k = N + 1
-        total = grad_terms(theta0, traj, ScoreWindow(1, k), example2).sum(axis=0)
+        inv = invert_fisher(window_information(theta0, traj, ScoreWindow(1, 300), example2, "observed")[1])
+        k, obs = N + 1, traj.observations
+        total = loglik_grad(theta0, obs[:k], obs[1 : k + 1], example2).sum(axis=0)
         np.testing.assert_allclose(path.at(k), theta0 + inv @ total / k, atol=1e-14)
 
     def test_one_step_skips_learning_transitions(self, example2):
@@ -184,11 +182,9 @@ class TestWindows:
         prelim = emm(traj, N, example2)
         path = one_step_path(traj, example2, prelim, "observed", stride=1)
         theta0 = prelim.theta
-        from mlestep.fisher import observed_fisher, invert_fisher
-
-        inv = invert_fisher(observed_fisher(theta0, traj, ScoreWindow(1, 300), example2))
-        k = N + 5
-        total = grad_terms(theta0, traj, ScoreWindow(N + 1, k), example2).sum(axis=0)
+        inv = invert_fisher(window_information(theta0, traj, ScoreWindow(1, 300), example2, "observed")[1])
+        k, obs = N + 5, traj.observations
+        total = loglik_grad(theta0, obs[N:k], obs[N + 1 : k + 1], example2).sum(axis=0)
         np.testing.assert_allclose(path.at(k), theta0 + inv @ total / k, atol=1e-14)
 
 
@@ -226,7 +222,7 @@ class TestRecurrent:
         st.integers(0, 2**31 - 1),
         st.integers(50, 3000),
         st.floats(0.4, 0.8),
-        st.sampled_from(tuple(FISHER_METHODS)),
+        st.sampled_from(FISHER_METHODS),
     ).map(lambda t: (*t[0], *t[1:]))
 
     @given(case=_cases)
@@ -246,10 +242,8 @@ class TestRecurrent:
         traj = ms.simulate(example2, 0.5, 200, seed=9)
         prelim = emm(traj, 20, example2)
         path = recurrent_path(traj, example2, prelim, "observed")
-        from mlestep.fisher import observed_fisher, invert_fisher
-
         theta0 = prelim.theta
-        inv = invert_fisher(observed_fisher(theta0, traj, ScoreWindow(1, 200), example2))
+        inv = invert_fisher(window_information(theta0, traj, ScoreWindow(1, 200), example2, "observed")[1])
         obs = traj.observations
         for i, k in enumerate(path.ks[:-1]):
             step = loglik_grad(theta0, obs[k], obs[k + 1], example2)
@@ -258,7 +252,7 @@ class TestRecurrent:
 
 
 class TestFrozenStart:
-    @pytest.mark.parametrize("fisher_method", tuple(FISHER_METHODS))
+    @pytest.mark.parametrize("fisher_method", FISHER_METHODS)
     def test_each_transition_is_evaluated_once(self, example2, fisher_method):
         # the frozen information and every score window come from one
         # evaluation of the drift gradient over the n transitions
@@ -735,7 +729,7 @@ class TestSerialization:
         traj = ms.simulate(model, [0.1, -0.2], 400, seed=3)
         theta0 = np.array([0.1, -0.2])
         ks = np.arange(31, 401, 7)
-        acc = np.cumsum(grad_terms(theta0, traj, ScoreWindow(1, 400), model), axis=0)
+        acc = np.cumsum(loglik_grad(theta0, traj.observations[:-1], traj.observations[1:], model), axis=0)
         thetas = theta0 + acc[ks - 1] / ks[:, np.newaxis]
         thetas[:5] = [[-0.0, 5e-324], [1e300, -1e-300], [1.0, -3.0], [0.1, 1 / 3], [2**-52, 1e16]]
         return EstimatorPath(ks, thetas, kind, 30, fixed_prelim(theta0, 30), 400)
