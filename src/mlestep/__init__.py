@@ -22,7 +22,6 @@ from .fisher import (
     window_information,
 )
 from .likelihood import (
-    ScoreWindow,
     loglik,
     loglik_grad,
     loglik_hess,

@@ -112,7 +112,7 @@ def cmd_estimate(args) -> int:
         "preliminary": prelim.to_json_dict() if prelim is not None else None,
         "N": int(N),
         "terminal": path.terminal.tolist(),
-        "path": path_to_json_dict(path, with_entries=False),
+        "path": path_to_json_dict(path),
         "config": config,
     }
     out_json = out_csv.with_suffix(".summary.json")
@@ -177,13 +177,13 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", default=None, help="trajectory JSON file")
     est.add_argument("--delta", type=float, default=0.75,
                      help="learning interval exponent: N ~ n**delta")
-    est.add_argument("--preliminary", choices=tuple(PRELIMINARY_KINDS), default="mle")
+    est.add_argument("--preliminary", choices=tuple(PRELIMINARY_KINDS), default=Pipeline.preliminary)
     # "none" writes no path
     est.add_argument("--process", choices=tuple(k for k in PROCESS_KINDS if k != "none"),
-                     default="one-step")
-    est.add_argument("--fisher", choices=FISHER_METHODS, default="observed")
-    est.add_argument("--stride", type=int, default=None)
-    est.add_argument("--grid-points", dest="grid_points", type=int, default=512)
+                     default=Pipeline.process)
+    est.add_argument("--fisher", choices=FISHER_METHODS, default=Pipeline.fisher_method)
+    est.add_argument("--stride", type=int, default=Pipeline.stride)
+    est.add_argument("--grid-points", dest="grid_points", type=int, default=Pipeline.grid_points)
     est.add_argument("--out", default=None)
     est.set_defaults(func=cmd_estimate)
 

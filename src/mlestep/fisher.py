@@ -1,7 +1,7 @@
 """Information matrix estimation and guarded inversion.
 
 Three estimators of the information matrix are available, all averaged over
-the window length:
+the transitions they are given:
 
     observed    negative mean Hessian of the log-likelihood
     plugin      mean outer product of the score terms
@@ -12,14 +12,14 @@ At the true parameter all three are consistent for the same matrix, which
 gives a useful cross-check (the "triangle" tests).
 
 There is one entry point per layer. ``information_terms`` gives the
-per-transition terms whose window mean is an estimator, so the two-step path
-can re-estimate the information at every k from prefix sums;
-``window_information`` gives a window's score terms and its checked
-information; ``invert_fisher`` gives the guarded inverse.
-``_require_positive_definite``, run by ``_checked`` and ``invert_fisher``,
-and ``invert_fisher``'s own checks hold every guard on an information matrix;
-``_reciprocals`` is their exact reduction for 1 x 1 matrices, run at once over
-the two-step path's ks.
+per-transition terms whose mean is an estimator, so the two-step path can
+re-estimate the information at every k from prefix sums;
+``window_information`` gives a trajectory's score terms over its n
+transitions and its checked information; ``invert_fisher`` gives the guarded
+inverse. ``_require_positive_definite``, run by ``_checked`` and
+``invert_fisher``, and ``invert_fisher``'s own checks hold every guard on an
+information matrix; ``_reciprocals`` is their exact reduction for 1 x 1
+matrices, run at once over the two-step path's ks.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .errors import DegenerateInformationError
-from .likelihood import ScoreWindow, _terms, _window_pairs
+from .likelihood import _terms
 from .models import ModelSpec, NoiseDensity
 from .simulate import Trajectory
 
@@ -53,11 +53,10 @@ _SYM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """Symmetric information matrix estimate with its method and sample size."""
+    """Symmetric information matrix estimate with its method."""
 
     matrix: np.ndarray
     method: str
-    sample_size: int
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
@@ -81,14 +80,6 @@ class FisherMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues, computed once for the checks and the inversion."""
         return np.linalg.eigvalsh(self.matrix)
-
-    def to_json_dict(self) -> dict:
-        """Row-major serialization."""
-        return {
-            "matrix": self.matrix.tolist(),
-            "method": self.method,
-            "sample_size": int(self.sample_size),
-        }
 
 
 def noise_information(noise: NoiseDensity) -> float:
@@ -127,19 +118,21 @@ def _require_positive_definite(fm: FisherMatrix) -> None:
         )
 
 
-def _checked(matrix: np.ndarray, method: str, sample_size: int) -> FisherMatrix:
-    fm = FisherMatrix(matrix, method, sample_size)
+def _checked(matrix: np.ndarray, method: str) -> FisherMatrix:
+    fm = FisherMatrix(matrix, method)
     _require_positive_definite(fm)
     return fm
 
 
-def window_information(theta, traj: Trajectory, window: ScoreWindow, model: ModelSpec, method: str):
-    """The window's score terms (length, d), and ``method``'s information
-    estimate over it: the window mean of ``information_terms``, checked."""
-    if window.length < model.dim:
+def window_information(theta, traj: Trajectory, model: ModelSpec, method: str):
+    """The score terms (n, d) of the trajectory's n transitions, and
+    ``method``'s information estimate over them: the mean of
+    ``information_terms``, checked."""
+    if traj.n < model.dim:
         raise ValueError("window is shorter than the parameter dimension")
-    scores, terms = information_terms(theta, *_window_pairs(traj, window), model, method)
-    return scores, _checked(terms.mean(axis=0), method, window.length)
+    obs = traj.observations
+    scores, terms = information_terms(theta, obs[:-1], obs[1:], model, method)
+    return scores, _checked(terms.mean(axis=0), method)
 
 
 # --- Per-transition information terms ---------------------------------------------
@@ -147,9 +140,9 @@ def window_information(theta, traj: Trajectory, window: ScoreWindow, model: Mode
 
 def information_terms(theta, x_prev, x_next, model: ModelSpec, method: str):
     """Score terms (L, d) of L paired observations, and the (L, d, d) terms
-    whose mean over a window is ``method``'s estimator above: one evaluation
-    by the kernel of ``loglik_grad`` and ``loglik_hess``, so the scores and
-    the observed terms equal theirs (negated) bit for bit. A method outside
+    whose mean is ``method``'s estimator above: one evaluation by the kernel
+    of ``loglik_grad`` and ``loglik_hess``, so the scores and the observed
+    terms equal theirs (negated) bit for bit. A method outside
     ``FISHER_METHODS`` raises ValueError."""
     if method == "plugin":
         scores, _ = _terms(theta, x_prev, x_next, model)

@@ -2,46 +2,26 @@
 
 A transition j pairs observations (X_{j-1}, X_j); valid j run from 1 to n.
 The initial-value density is never part of these quantities: everything is
-conditional on X_0. ``fisher.window_information`` reads a ``ScoreWindow``'s
-score terms and information off the one kernel behind ``loglik_grad`` and
-``loglik_hess``.
+conditional on X_0. Every function here takes theta as a vector of the
+model's length d, or broadcast as (d, B, 1), and refuses any other length.
+``fisher.information_terms`` reads the score terms and information terms off
+the one kernel behind ``loglik_grad`` and ``loglik_hess``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .models import ModelSpec
-from .simulate import Trajectory
 
-__all__ = [
-    "ScoreWindow",
-    "loglik",
-    "loglik_grad",
-    "loglik_hess",
-]
+__all__ = ["loglik", "loglik_grad", "loglik_hess"]
 
 
-@dataclass(frozen=True)
-class ScoreWindow:
-    """Inclusive range [start, end] of transition indices entering a sum."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not (1 <= self.start <= self.end):
-            raise ValueError(f"invalid window [{self.start}, {self.end}]")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
-
-def _theta_vec(theta) -> np.ndarray:
-    return np.atleast_1d(np.asarray(theta, dtype=float))
+def _theta_vec(theta, model: ModelSpec) -> np.ndarray:
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape[0] != model.dim:
+        raise ValueError(f"theta has shape {theta.shape}; model {model.name!r} takes a vector of length {model.dim}")
+    return theta
 
 
 def loglik(theta, x_prev, x_next, model: ModelSpec):
@@ -49,7 +29,7 @@ def loglik(theta, x_prev, x_next, model: ModelSpec):
 
     Vectorized over paired x arrays; returns the same shape as the inputs.
     """
-    theta = _theta_vec(theta)
+    theta = _theta_vec(theta, model)
     u = np.asarray(x_next, dtype=float) - model.drift.S(theta, x_prev)
     return model.noise.log_g(u)
 
@@ -58,7 +38,7 @@ def _terms(theta, x_prev, x_next, model: ModelSpec, second: str | None = None):
     """Score terms -psi(u) * dS, shape x.shape + (d,), with u = x_next - S(theta,
     x_prev) evaluated once; and ``second``'s terms, x.shape + (d, d): "hessian"
     dpsi(u) * dS dS^T - psi(u) * d2S, "outer" dS dS^T, or None."""
-    theta = _theta_vec(theta)
+    theta = _theta_vec(theta, model)
     u = np.asarray(x_next, dtype=float) - model.drift.S(theta, x_prev)
     psi = np.asarray(model.noise.psi(u), dtype=float)
     dpsi = np.asarray(model.noise.dpsi(u), dtype=float) if second == "hessian" else None
@@ -90,13 +70,3 @@ def loglik_hess(theta, x_prev, x_next, model: ModelSpec) -> np.ndarray:
     for Gaussian noise, -dS dS^T + (x_next - S) * d2S.
     """
     return _terms(theta, x_prev, x_next, model, "hessian")[1]
-
-
-def _window_pairs(traj: Trajectory, window: ScoreWindow):
-    if window.end > traj.n:
-        raise ValueError(
-            f"window end {window.end} exceeds the trajectory's {traj.n} transitions"
-        )
-    obs = traj.observations
-    return obs[window.start - 1 : window.end], obs[window.start : window.end + 1]
-

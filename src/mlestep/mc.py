@@ -25,7 +25,6 @@ from scipy.stats import norm
 
 from .errors import MlestepError, StudyError
 from .fisher import FisherMatrix, invert_fisher, window_information
-from .likelihood import ScoreWindow
 from .models import ModelSpec, _finite_reals, _require_numbers, get_model
 from .preliminary import learning_length
 from .process import STRIDED_PROCESSES, Pipeline
@@ -64,14 +63,14 @@ class McConfig:
     theta0: np.ndarray
     n: int
     delta: float
-    preliminary: str = "emm"
-    process: str = "one-step"
-    fisher_method: str = "observed"
+    preliminary: str = Pipeline.preliminary
+    process: str = Pipeline.process
+    fisher_method: str = Pipeline.fisher_method
     replications: int = 300
     base_seed: int = 0
     burn_in: int = 1000
     x_init: float = 0.0
-    grid_points: int = 512
+    grid_points: int = Pipeline.grid_points
     # explicit d x d reference information; skips the long oracle run when set
     reference_information: tuple | None = None
     spec: Pipeline = field(init=False, repr=False, compare=False)
@@ -160,7 +159,7 @@ def oracle_information(model: ModelSpec, theta0, n_oracle: int = ORACLE_LENGTH) 
     key = (model.name, tuple(theta0.tolist()), n_oracle)
     if key not in _oracle_cache:
         traj = simulate(model, theta0, n_oracle, seed=_ORACLE_SEED, burn_in=1000)
-        _oracle_cache[key] = window_information(theta0, traj, ScoreWindow(1, n_oracle), model, "plugin")[1]
+        _oracle_cache[key] = window_information(theta0, traj, model, "plugin")[1]
     return _oracle_cache[key]
 
 
@@ -262,9 +261,7 @@ def _quantile_table(errors: np.ndarray, ref_inv: np.ndarray) -> dict:
 
 def _reference_inverse(cfg: McConfig) -> np.ndarray:
     if cfg.reference_information is not None:
-        reference = FisherMatrix(
-            np.asarray(cfg.reference_information, dtype=float), "reference", 0
-        )
+        reference = FisherMatrix(np.asarray(cfg.reference_information, dtype=float), "reference")
     else:
         reference = oracle_information(get_model(cfg.model_name), cfg.theta0)
     return invert_fisher(reference)

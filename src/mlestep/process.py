@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import FISHER_METHODS, _checked, _reciprocals, information_terms, invert_fisher, window_information
-from .likelihood import ScoreWindow
 from .models import ModelSpec, _require_numbers
 from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
 from .simulate import Trajectory
@@ -120,7 +119,7 @@ def _frozen_start(
     if prelim.learning_length >= traj.n:
         raise ValueError("learning interval leaves no observations to process")
     theta0 = _into_domain(prelim.theta, model, "preliminary estimate")
-    scores, info = window_information(theta0, traj, ScoreWindow(1, traj.n), model, fisher_method)
+    scores, info = window_information(theta0, traj, model, fisher_method)
     return theta0, scores, invert_fisher(info)
 
 
@@ -274,7 +273,7 @@ def two_step_path(
             totals[rows], infos[rows] = _exact_sums(traj, model, fisher_method, ks[rows], mids[rows])
             inverses[rows], flagged[rows] = _reciprocals(infos[rows])
         if flagged[r]:
-            inverses[r] = invert_fisher(_checked(infos[r], fisher_method, int(ks[r])))
+            inverses[r] = invert_fisher(_checked(infos[r], fisher_method))
     thetas = mids + (inverses @ totals[:, :, np.newaxis])[:, :, 0] / ks[:, np.newaxis]
     return EstimatorPath(ks, thetas, "two-step", N, prelim, n)
 
@@ -540,23 +539,16 @@ def write_path_csv(path_obj: EstimatorPath, file_path, config: dict | None = Non
     row_format = "%d," + "%.17g," * (d + 1) + path_obj.kind.replace("%", "%%") + "\n"
     rows = zip(path_obj.ks.tolist(), path_obj.s_values().tolist(), *path_obj.thetas.T.tolist())
     with open(file_path, "w") as fh:
-        fh.write("# " + json.dumps(config if config is not None else path_to_json_dict(path_obj, with_entries=False)) + "\n")
+        fh.write("# " + json.dumps(config if config is not None else path_to_json_dict(path_obj)) + "\n")
         fh.write(header + "\n")
         fh.writelines(row_format % values for values in rows)
 
 
-def path_to_json_dict(path_obj: EstimatorPath, config: dict | None = None, with_entries: bool = True) -> dict:
-    payload = {
+def path_to_json_dict(path_obj: EstimatorPath) -> dict:
+    """The path's kind, N, n and preliminary estimate."""
+    return {
         "kind": path_obj.kind,
         "N": int(path_obj.N),
         "n": int(path_obj.n),
         "preliminary": path_obj.preliminary.to_json_dict() if path_obj.preliminary else None,
     }
-    if with_entries:
-        payload["entries"] = [
-            {"k": int(k), "s": float(k) / path_obj.n, "theta": theta.tolist()}
-            for k, theta in zip(path_obj.ks, path_obj.thetas)
-        ]
-    if config is not None:
-        payload["config"] = config
-    return payload

@@ -1,9 +1,11 @@
 """Shared fixtures-in-code for the test suite: finite differences and toy models."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from mlestep.fisher import invert_fisher, window_information
-from mlestep.likelihood import ScoreWindow, loglik_grad
+from mlestep.likelihood import loglik_grad
 from mlestep.models import Drift, ModelSpec, NoiseDensity, ParamDomain, gaussian_noise
 from mlestep.process import EstimatorPath, _into_domain, second_preliminary_path
 from mlestep.simulate import Trajectory
@@ -231,7 +233,8 @@ def two_step_reference(traj, model, prelim, fisher_method="observed", stride=Non
     thetas = np.empty_like(base.thetas)
     for i, k in enumerate(base.ks):
         mid = _into_domain(base.thetas[i], model, f"second preliminary estimate at k={k}")
-        inv = invert_fisher(window_information(mid, traj, ScoreWindow(1, int(k)), model, fisher_method)[1])
+        prefix = replace(traj, observations=obs[: k + 1])
+        inv = invert_fisher(window_information(mid, prefix, model, fisher_method)[1])
         total = loglik_grad(mid, obs[:k], obs[1 : k + 1], model).sum(axis=0)
         thetas[i] = mid + inv @ total / k
     return EstimatorPath(base.ks, thetas, "two-step", base.N, prelim, base.n)

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import norm
 
 import mlestep as ms
-from mlestep.likelihood import ScoreWindow, loglik, loglik_grad, loglik_hess
+from mlestep.likelihood import loglik, loglik_grad, loglik_hess
 from mlestep.preliminary import emm, learning_length, mle
 from mlestep.process import full_mle_path, one_step_path, recurrent_path, second_preliminary_path
 
@@ -83,9 +83,8 @@ def test_criterion_3_fisher_triangle(example1, example2, big_traj_example1, big_
         (example2, 0.5, big_traj_example2),
         (example1, 2.5, big_traj_example1),
     ):
-        w = ScoreWindow(1, traj.n)
         vals = [
-            ms.window_information(theta0, traj, w, model, method)[1].matrix[0, 0]
+            ms.window_information(theta0, traj, model, method)[1].matrix[0, 0]
             for method in ("observed", "plugin", "factorized")
         ]
         for i in range(3):

@@ -1,11 +1,17 @@
 import json
+import shlex
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mlestep as ms
 from mlestep import mc
-from mlestep.cli import main
+from mlestep.cli import _build_parser, main
+from mlestep.process import Pipeline
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args):
@@ -252,6 +258,47 @@ class TestEstimateCommand:
         # the written path and the printed terminal do not depend on the level
         assert loud_rows == quiet_rows
         assert json.loads(loud.out)["terminal"] == json.loads(quiet.out)["terminal"]
+
+
+class TestDefaults:
+    def test_pipeline_defaults_are_written_once(self, tmp_path):
+        # `estimate` without pipeline flags runs Pipeline's defaults, and a
+        # study's pipeline fields default to the same values
+        code = run_cli(
+            "estimate", "--model", "example2", "--theta", "0.5", "--n", "300", "--seed", "1",
+            "--out", str(tmp_path / "path.csv"),
+        )
+        assert code == 0
+        config = json.loads((tmp_path / "path.summary.json").read_text())["config"]
+        expected = asdict(Pipeline(0.75))
+        assert {key: config[key] for key in expected} == expected
+        study = {f.name: f.default for f in fields(ms.McConfig)}
+        for name in ("preliminary", "process", "fisher_method", "grid_points"):
+            assert study[name] == expected[name], name
+
+
+class TestReadme:
+    """The README's CLI examples parse and its study config constructs;
+    nothing is run."""
+
+    @staticmethod
+    def _cli_section() -> list[str]:
+        text = README.read_text()
+        section = text.split("## CLI examples", 1)[1].split("\n## ", 1)[0]
+        return section.replace("\\\n", " ").splitlines()
+
+    def test_every_command_parses(self):
+        commands = [shlex.split(line)[1:] for line in self._cli_section() if line.startswith("mlestep ")]
+        parsed = [_build_parser().parse_args(argv) for argv in commands]
+        assert len(parsed) == 6
+        assert {args.command for args in parsed} == {"simulate", "estimate", "kde", "mc"}
+
+    def test_study_config_constructs(self):
+        lines = self._cli_section()
+        start = lines.index("cat > study.json <<'JSON'") + 1
+        payload = json.loads("\n".join(lines[start : lines.index("JSON", start)]))
+        cfg = mc.mc_config_from_dict(payload)
+        assert (cfg.preliminary, cfg.process, cfg.fisher_method) == ("mle", "one-step", "factorized")
 
 
 class TestKdeCommand:

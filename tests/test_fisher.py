@@ -15,7 +15,7 @@ from mlestep.fisher import (
     noise_information,
     window_information,
 )
-from mlestep.likelihood import ScoreWindow, loglik_grad, loglik_hess
+from mlestep.likelihood import loglik_grad, loglik_hess
 
 from helpers import cos_model, make_traj, zero_model
 
@@ -46,57 +46,42 @@ class TestNoiseInformation:
 class TestFisherMatrixType:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            FisherMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]), "observed", 10)
+            FisherMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]), "observed")
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            FisherMatrix(np.ones((2, 3)), "observed", 10)
-
-    def test_json_row_major(self):
-        fm = FisherMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]), "plugin", 5)
-        payload = fm.to_json_dict()
-        assert payload["matrix"] == [[2.0, 1.0], [1.0, 2.0]]
-        assert payload["method"] == "plugin"
-        assert payload["sample_size"] == 5
+            FisherMatrix(np.ones((2, 3)), "observed")
 
 
 class TestEstimators:
     def test_observed_linear_ground_truth(self, linear, big_traj_linear):
-        w = ScoreWindow(1, big_traj_linear.n)
-        fm = window_information(0.5, big_traj_linear, w, linear, "observed")[1]
+        fm = window_information(0.5, big_traj_linear, linear, "observed")[1]
         assert fm.matrix[0, 0] == pytest.approx(4.0 / 3.0, rel=0.05)
         assert fm.method == "observed"
-        assert fm.sample_size == big_traj_linear.n
 
     def test_plugin_linear_ground_truth(self, linear, big_traj_linear):
-        w = ScoreWindow(1, big_traj_linear.n)
-        fm = window_information(0.5, big_traj_linear, w, linear, "plugin")[1]
+        fm = window_information(0.5, big_traj_linear, linear, "plugin")[1]
         assert fm.matrix[0, 0] == pytest.approx(4.0 / 3.0, rel=0.05)
 
     def test_factorized_linear_ground_truth(self, linear, big_traj_linear):
-        w = ScoreWindow(1, big_traj_linear.n)
-        fm = window_information(0.5, big_traj_linear, w, linear, "factorized")[1]
+        fm = window_information(0.5, big_traj_linear, linear, "factorized")[1]
         assert fm.matrix[0, 0] == pytest.approx(4.0 / 3.0, rel=0.05)
 
     def test_zero_drift_raises_with_zero_matrix(self):
         model = zero_model()
         traj = ms.simulate(model, 0.0, 500, seed=1)
-        w = ScoreWindow(1, 500)
         with pytest.raises(DegenerateInformationError) as err:
-            window_information(0.0, traj, w, model, "observed")
+            window_information(0.0, traj, model, "observed")
         np.testing.assert_array_equal(err.value.matrix, np.zeros((1, 1)))
         with pytest.raises(DegenerateInformationError) as err:
-            window_information(0.0, traj, w, model, "factorized")
+            window_information(0.0, traj, model, "factorized")
         np.testing.assert_array_equal(err.value.matrix, np.zeros((1, 1)))
 
     def test_plugin_single_transition(self, linear):
         traj = make_traj([2.0, 1.3], 0.5, "linear")
-        fm = window_information(0.5, traj, ScoreWindow(1, 1), linear, "plugin")[1]
-        from mlestep.likelihood import loglik_grad
-
+        fm = window_information(0.5, traj, linear, "plugin")[1]
         term = loglik_grad(0.5, 2.0, 1.3, linear)[0]
         assert fm.matrix[0, 0] == pytest.approx(term**2)
-        assert fm.sample_size == 1
 
     def test_window_shorter_than_dimension(self, linear, big_traj_linear):
         from helpers import pair_model
@@ -104,16 +89,15 @@ class TestEstimators:
         model = pair_model()
         traj = make_traj([0.1, 0.2], [0.0, 0.0], "pair")
         with pytest.raises(ValueError, match="dimension"):
-            window_information([0.0, 0.0], traj, ScoreWindow(1, 1), model, "observed")
+            window_information([0.0, 0.0], traj, model, "observed")
 
     @pytest.mark.parametrize("key,theta", [("example1", 2.5), ("example2", 0.5)])
     def test_triangle_agreement(self, key, theta, request):
         model = request.getfixturevalue(key)
         traj = request.getfixturevalue(f"big_traj_{key}")
-        w = ScoreWindow(1, traj.n)
-        obs = window_information(theta, traj, w, model, "observed")[1].matrix[0, 0]
-        plug = window_information(theta, traj, w, model, "plugin")[1].matrix[0, 0]
-        fact = window_information(theta, traj, w, model, "factorized")[1].matrix[0, 0]
+        obs = window_information(theta, traj, model, "observed")[1].matrix[0, 0]
+        plug = window_information(theta, traj, model, "plugin")[1].matrix[0, 0]
+        fact = window_information(theta, traj, model, "factorized")[1].matrix[0, 0]
         assert obs == pytest.approx(plug, rel=0.05)
         assert obs == pytest.approx(fact, rel=0.05)
         assert plug == pytest.approx(fact, rel=0.05)
@@ -123,7 +107,7 @@ class TestEstimators:
         values = []
         for theta0 in (-0.5, 0.0, 0.5):
             traj = ms.simulate(example2, theta0, 100_000, seed=17)
-            fm = window_information(theta0, traj, ScoreWindow(1, traj.n), example2, "plugin")[1]
+            fm = window_information(theta0, traj, example2, "plugin")[1]
             values.append(fm.matrix[0, 0])
         assert max(values) / min(values) < 1.05
 
@@ -132,9 +116,8 @@ class TestEstimators:
         slopes = []
         for seed in (1, 2, 3, 4):
             traj = ms.simulate(example2, 0.5, 50_000, seed=seed)
-            w = ScoreWindow(1, traj.n)
-            a = window_information(0.45, traj, w, example2, "plugin")[1].matrix[0, 0]
-            b = window_information(0.55, traj, w, example2, "plugin")[1].matrix[0, 0]
+            a = window_information(0.45, traj, example2, "plugin")[1].matrix[0, 0]
+            b = window_information(0.55, traj, example2, "plugin")[1].matrix[0, 0]
             slopes.append(abs(a - b) / 0.1)
         print(f"example2 information Lipschitz probe, fitted slopes: {slopes}")
         assert all(np.isfinite(s) for s in slopes)
@@ -160,9 +143,9 @@ class TestOneEngine:
             assert np.array_equal(scores, grad)
             if method == "observed":
                 assert np.array_equal(terms, -hess)
-            window_scores, info = window_information(theta, traj, ScoreWindow(1, traj.n), model, method)
+            window_scores, info = window_information(theta, traj, model, method)
             assert np.array_equal(window_scores, grad)
-            assert np.array_equal(info.matrix, FisherMatrix(terms.mean(axis=0), method, 0).matrix)
+            assert np.array_equal(info.matrix, FisherMatrix(terms.mean(axis=0), method).matrix)
 
 
 class TestMethodNames:
@@ -180,7 +163,7 @@ class TestMethodNames:
         if caller == "information_terms":
             call = lambda: information_terms(0.5, obs[:-1], obs[1:], example2, method)
         elif caller == "window_information":
-            call = lambda: window_information(0.5, traj, ScoreWindow(1, traj.n), example2, method)
+            call = lambda: window_information(0.5, traj, example2, method)
         else:
             prelim = ms.emm(traj, 40, example2)
             call = lambda: getattr(ms, caller)(traj, example2, prelim, method)
@@ -191,21 +174,21 @@ class TestMethodNames:
 
 class TestInvert:
     def test_identity(self):
-        fm = FisherMatrix(np.eye(3), "observed", 10)
+        fm = FisherMatrix(np.eye(3), "observed")
         np.testing.assert_allclose(invert_fisher(fm), np.eye(3))
 
     def test_scalar(self):
-        fm = FisherMatrix(np.array([[4.0]]), "observed", 10)
+        fm = FisherMatrix(np.array([[4.0]]), "observed")
         assert invert_fisher(fm)[0, 0] == pytest.approx(0.25)
 
     def test_two_by_two_hand_inverse(self):
-        fm = FisherMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]), "observed", 10)
+        fm = FisherMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]), "observed")
         expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         np.testing.assert_allclose(invert_fisher(fm), expected, atol=1e-12)
 
     def test_product_is_identity(self, rng):
         a = rng.normal(size=(4, 4))
-        fm = FisherMatrix(a @ a.T + 0.5 * np.eye(4), "plugin", 10)
+        fm = FisherMatrix(a @ a.T + 0.5 * np.eye(4), "plugin")
         inv = invert_fisher(fm)
         np.testing.assert_allclose(fm.matrix @ inv, np.eye(4), atol=1e-8)
 
@@ -213,15 +196,15 @@ class TestInvert:
         # _checked and invert_fisher refuse it with one message
         matrix = np.diag([1.0, -1.0])
         messages = set()
-        for check in (lambda: _checked(matrix, "observed", 10),
-                      lambda: invert_fisher(FisherMatrix(matrix, "observed", 10))):
+        for check in (lambda: _checked(matrix, "observed"),
+                      lambda: invert_fisher(FisherMatrix(matrix, "observed"))):
             with pytest.raises(DegenerateInformationError, match="^observed information matrix is not positive") as err:
                 check()
             messages.add(str(err.value))
         assert len(messages) == 1
 
     def test_ill_conditioned_rejected(self):
-        fm = FisherMatrix(np.diag([1.0, 1e-11]), "observed", 10)
+        fm = FisherMatrix(np.diag([1.0, 1e-11]), "observed")
         with pytest.raises(DegenerateInformationError, match="condition"):
             invert_fisher(fm)
 
@@ -238,10 +221,10 @@ class TestInvert:
             warnings.simplefilter("error")
             if not np.array_equal(matrix, matrix.T, equal_nan=True):
                 with pytest.raises(ValueError, match="not symmetric"):
-                    _checked(matrix, "observed", 10)
+                    _checked(matrix, "observed")
                 return
-            fm = FisherMatrix(matrix, "observed", 10)
-            for check in (lambda: _checked(matrix, "observed", 10), lambda: invert_fisher(fm)):
+            fm = FisherMatrix(matrix, "observed")
+            for check in (lambda: _checked(matrix, "observed"), lambda: invert_fisher(fm)):
                 with pytest.raises(DegenerateInformationError, match="non-finite") as err:
                     check()
                 np.testing.assert_array_equal(err.value.matrix, fm.matrix)
@@ -258,7 +241,7 @@ class TestInvert:
         for value, inverse, flag in zip(values, inverses, flagged):
             matrix = np.array([[value]])
             try:
-                refused = not np.isfinite(invert_fisher(_checked(matrix, "observed", 10))).all()
+                refused = not np.isfinite(invert_fisher(_checked(matrix, "observed"))).all()
             except DegenerateInformationError:
                 refused = True
             assert flag == refused, value

@@ -2,23 +2,13 @@ import numpy as np
 import pytest
 
 import mlestep as ms
-from mlestep.fisher import window_information
-from mlestep.likelihood import ScoreWindow, loglik, loglik_grad, loglik_hess
+from mlestep.fisher import information_terms, window_information
+from mlestep.likelihood import loglik, loglik_grad, loglik_hess
 
 from helpers import assert_close_rel, fd_grad, fd_jac, pair_model, zero_model
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-
-
-class TestScoreWindow:
-    def test_valid(self):
-        w = ScoreWindow(3, 7)
-        assert w.length == 5
-
-    @pytest.mark.parametrize("start,end", [(0, 5), (5, 4), (-1, 2)])
-    def test_invalid(self, start, end):
-        with pytest.raises(ValueError):
-            ScoreWindow(start, end)
+_EXAMPLE2_TAKES_ONE = r"theta has shape \(2,\); model 'example2' takes a vector of length 1"
 
 
 class TestLoglik:
@@ -106,19 +96,44 @@ class TestLoglikHess:
             assert_close_rel(loglik_hess(theta, 0.3, -0.2, model), fd, rtol=1e-4, atol=1e-6)
 
 
+class TestThetaLength:
+    """A theta whose length is not the model's d is refused by name, never
+    read in part, by every function on the likelihood kernel."""
+
+    def test_kernel_refuses_other_lengths(self, example2):
+        with pytest.raises(ValueError, match=_EXAMPLE2_TAKES_ONE):
+            loglik([0.5, 0.1], 0.2, 0.1, example2)
+        for fn in (loglik_grad, loglik_hess):
+            with pytest.raises(ValueError, match=r"model 'pair' takes a vector of length 2"):
+                fn([0.1], 0.3, -0.2, pair_model())
+        # the grid estimators' broadcast form (d, B, 1) passes; (2, B, 1) does not
+        block = np.linspace(-0.5, 0.5, 5)[np.newaxis, :, np.newaxis]
+        assert loglik(block, np.zeros(3), np.ones(3), example2).shape == (5, 3)
+        with pytest.raises(ValueError, match=r"theta has shape \(2, 5, 1\)"):
+            loglik(np.concatenate([block, block]), np.zeros(3), np.ones(3), example2)
+        # outside the domain is evaluated: the likelihood is defined there,
+        # and the paths project into the domain first
+        assert np.isfinite(loglik(5.0, 0.2, 0.1, example2))
+
+    def test_information_and_paths_refuse_other_lengths(self, example2):
+        traj = ms.simulate(example2, 0.5, 300, seed=1)
+        with pytest.raises(ValueError, match=_EXAMPLE2_TAKES_ONE):
+            window_information([0.5, 0.1], traj, example2, "observed")
+        prelim = ms.PreliminaryEstimate([0.4, 0.3], "fixed", 17, {})
+        for path_fn in (ms.one_step_path, ms.two_step_path, ms.recurrent_path):
+            with pytest.raises(ValueError, match=_EXAMPLE2_TAKES_ONE):
+                path_fn(traj, example2, prelim, "observed")
+
+
 class TestNormalizedScore:
     def test_single_term_window(self, example2):
         traj = ms.simulate(example2, 0.5, 20, seed=1)
         j = 7
-        scores, _ = window_information(0.4, traj, ScoreWindow(j, j), example2, "plugin")
+        obs = traj.observations
+        scores, _ = information_terms(0.4, obs[j - 1 : j], obs[j : j + 1], example2, "plugin")
         got = scores.sum(axis=0) / np.sqrt(j)
         term = loglik_grad(0.4, traj.observations[j - 1], traj.observations[j], example2)
         np.testing.assert_allclose(got, term / np.sqrt(j))
-
-    def test_window_must_fit(self, example2):
-        traj = ms.simulate(example2, 0.5, 20, seed=1)
-        with pytest.raises(ValueError, match="exceeds"):
-            window_information(0.4, traj, ScoreWindow(1, 21), example2, "plugin")
 
     def test_martingale_mean_zero_linear(self, linear):
         # score at the true parameter: MC mean over 500 replications near 0

@@ -126,12 +126,10 @@ class TestLinearModel:
 
     def test_known_information(self, linear, big_traj_linear):
         # ground truth 1/(1-theta^2); cross-check by the long simulated run
-        from mlestep.likelihood import ScoreWindow
-
-        fm = ms.window_information(0.5, big_traj_linear, ScoreWindow(1, big_traj_linear.n), linear, "plugin")[1]
+        fm = ms.window_information(0.5, big_traj_linear, linear, "plugin")[1]
         assert fm.matrix[0, 0] == pytest.approx(1.0 / 0.75, rel=0.05)
         traj0 = ms.simulate(linear, 0.0, 100_000, seed=3)
-        fm0 = ms.window_information(0.0, traj0, ScoreWindow(1, traj0.n), linear, "plugin")[1]
+        fm0 = ms.window_information(0.0, traj0, linear, "plugin")[1]
         assert fm0.matrix[0, 0] == pytest.approx(1.0, rel=0.05)
 
 

@@ -9,7 +9,7 @@ import mlestep as ms
 from mlestep import fisher as fisher_module, process as process_module
 from mlestep.errors import DegenerateInformationError, MlestepError
 from mlestep.fisher import FISHER_METHODS, invert_fisher, window_information
-from mlestep.likelihood import ScoreWindow, loglik_grad
+from mlestep.likelihood import loglik_grad
 from mlestep.models import Drift, ModelSpec
 from mlestep.preliminary import PreliminaryEstimate, emm, learning_length, mle
 from mlestep.process import (
@@ -171,7 +171,7 @@ class TestWindows:
         prelim = emm(traj, N, example2)
         path = second_preliminary_path(traj, example2, prelim, "observed", stride=1)
         theta0 = prelim.theta
-        inv = invert_fisher(window_information(theta0, traj, ScoreWindow(1, 300), example2, "observed")[1])
+        inv = invert_fisher(window_information(theta0, traj, example2, "observed")[1])
         k, obs = N + 1, traj.observations
         total = loglik_grad(theta0, obs[:k], obs[1 : k + 1], example2).sum(axis=0)
         np.testing.assert_allclose(path.at(k), theta0 + inv @ total / k, atol=1e-14)
@@ -182,7 +182,7 @@ class TestWindows:
         prelim = emm(traj, N, example2)
         path = one_step_path(traj, example2, prelim, "observed", stride=1)
         theta0 = prelim.theta
-        inv = invert_fisher(window_information(theta0, traj, ScoreWindow(1, 300), example2, "observed")[1])
+        inv = invert_fisher(window_information(theta0, traj, example2, "observed")[1])
         k, obs = N + 5, traj.observations
         total = loglik_grad(theta0, obs[N:k], obs[N + 1 : k + 1], example2).sum(axis=0)
         np.testing.assert_allclose(path.at(k), theta0 + inv @ total / k, atol=1e-14)
@@ -243,7 +243,7 @@ class TestRecurrent:
         prelim = emm(traj, 20, example2)
         path = recurrent_path(traj, example2, prelim, "observed")
         theta0 = prelim.theta
-        inv = invert_fisher(window_information(theta0, traj, ScoreWindow(1, 200), example2, "observed")[1])
+        inv = invert_fisher(window_information(theta0, traj, example2, "observed")[1])
         obs = traj.observations
         for i, k in enumerate(path.ks[:-1]):
             step = loglik_grad(theta0, obs[k], obs[k + 1], example2)
@@ -280,21 +280,26 @@ class TestFrozenStart:
 
 def _two_step_outcome(monkeypatch, path_fn, *args):
     """(path, None) of one call, or (None, (k, type, message, matrix)) of its
-    refusal, k being the sample size of the last matrix ``_checked`` saw."""
-    sizes = []
-    checked = fisher_module._checked
+    refusal, k being the number of transitions in the latest
+    ``information_terms`` evaluation whose mean is the refused matrix (to
+    rounding: a window mean or a prefix sum over k)."""
+    windows = []
+    terms_fn = fisher_module.information_terms
 
-    def spy(matrix, method, sample_size):
-        sizes.append(sample_size)
-        return checked(matrix, method, sample_size)
+    def spy(*terms_args):
+        scores, terms = terms_fn(*terms_args)
+        windows.append((len(terms), terms.mean(axis=0)))
+        return scores, terms
 
     with monkeypatch.context() as patch:
-        patch.setattr(fisher_module, "_checked", spy)
-        patch.setattr(process_module, "_checked", spy)
+        patch.setattr(fisher_module, "information_terms", spy)
+        patch.setattr(process_module, "information_terms", spy)
         try:
             return path_fn(*args), None
         except DegenerateInformationError as exc:
-            return None, (sizes[-1], type(exc), str(exc), exc.matrix)
+            k = next(size for size, mean in reversed(windows)
+                     if np.allclose(mean, exc.matrix, rtol=1e-12, atol=0.0, equal_nan=True))
+            return None, (k, type(exc), str(exc), exc.matrix)
 
 
 class TestTwoStepEngine:
@@ -772,10 +777,8 @@ class TestSerialization:
         traj = ms.simulate(example2, 0.5, 300, seed=7)
         prelim = emm(traj, 40, example2)
         path = second_preliminary_path(traj, example2, prelim, stride=100)
-        payload = path_to_json_dict(path, config={"n": 300})
+        payload = path_to_json_dict(path)
+        assert set(payload) == {"kind", "N", "n", "preliminary"}
         assert payload["kind"] == "second-preliminary"
         assert payload["N"] == 40
-        assert payload["config"] == {"n": 300}
         assert payload["preliminary"]["kind"] == "emm"
-        assert len(payload["entries"]) == len(path.ks)
-        assert payload["entries"][-1]["k"] == 300
