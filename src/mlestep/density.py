@@ -18,9 +18,10 @@ _CHUNK = 2048
 _TILE = 32
 _BLOCK_TERMS = 16384
 _ROWS = _BLOCK_TERMS // _TILE
-# a term with |z| > 38.6 underflows to exactly 0; at |z| > 40, exp(-z*z/2)
-# is below exp(-800), which is 0 under any exp implementation
-_REACH = 40.0
+# a term left out has |z| > 12, so exp(-z*z/2) < exp(-72); the n or fewer left
+# out of a grid value move it by less than phi(12) / h = exp(-72) / (h sqrt(2 pi))
+# ~ 2.1e-32 / h, and a value of at least 2**53 * phi(12) / h does not move
+_REACH = 12.0
 _GRID_RULE = "a non-empty, 1-D, finite, strictly ascending vector"
 
 
@@ -68,10 +69,12 @@ def kde(traj: Trajectory, grid=None, bandwidth: float | None = None) -> DensityE
 
     The bandwidth defaults to n**(-1/5); the grid defaults to 512 points
     spanning the sample range widened by four bandwidths. Each grid point sums
-    the Gaussian terms of the observations within 40 bandwidths of its tile
-    of up to 32 grid points, in chunks to bound memory; the terms left out
-    are exactly 0, so on a grid of two or more points the values are those
-    of the direct O(n * grid) sum bit for bit.
+    the Gaussian terms of the observations within 12 bandwidths of its tile
+    of up to 32 grid points, in chunks to bound memory. Each term left out is
+    below exp(-72), so a value differs from the direct O(n * grid) sum by at
+    most phi(12) / h = exp(-72) / (h * sqrt(2 pi)) ~ 2.1e-32 / h plus last-bit
+    rounding; on a grid of two or more points, a value of at least
+    2**53 * phi(12) / h is that of the direct sum bit for bit.
     """
     xs = traj.observations[1:]
     n = xs.size
@@ -89,7 +92,9 @@ def kde(traj: Trajectory, grid=None, bandwidth: float | None = None) -> DensityE
     # picked rows in their original order, _ROWS at a time through buffers that
     # stay in cache. Row 0 of ``block`` carries the running column sum, and
     # numpy reduces two or more columns along axis 0 row by row, so a chunk sum
-    # equals the one over all its terms, since 0 <= t and x + 0.0 == x.
+    # adds the kept terms in the order of the sum over all its terms; that sum
+    # adds the left-out terms in between, each below exp(-72), and they change
+    # no partial sum whose half ulp exceeds their total.
     # Balanced tiles are one column wide only for a one-point grid, whose
     # column numpy sums pairwise, so its value can move in the last bit.
     z = np.empty((_ROWS, _TILE))

@@ -147,6 +147,18 @@ class McReport:
     def replications_used(self) -> int:
         return self.terminal_errors.shape[0]
 
+    @property
+    def mean_error(self) -> np.ndarray:
+        """Mean of the sqrt(n)-scaled terminal errors e, shape (d,)."""
+        return self.terminal_errors.mean(axis=0)
+
+    @property
+    def mse(self) -> np.ndarray:
+        """Mean of e e^T over the sqrt(n)-scaled terminal errors, shape (d, d):
+        the covariance plus the squared bias, so a biased study shows here."""
+        errors = self.terminal_errors
+        return errors.T @ errors / errors.shape[0]
+
 
 def oracle_information(model: ModelSpec, theta0, n_oracle: int = ORACLE_LENGTH) -> FisherMatrix:
     """Plug-in information at theta0 from one long simulated trajectory.
@@ -194,7 +206,7 @@ def _run_block(cfgs: tuple, start: int, stop: int) -> list[list[tuple]]:
         trajs = [_outcome(simulate, model, head.theta0, head.n, seed, **sim) for seed in seeds]
     else:
         trajs = [
-            (Trajectory(row, head.theta0, seed, head.burn_in, model.name), None)
+            (Trajectory(row, head.theta0, seed, head.burn_in, model.name, head.x_init), None)
             for seed, row in zip(seeds, rows)
         ]
     return [
@@ -333,6 +345,8 @@ def compare_estimators(cfgs: Sequence[McConfig], workers: int = 1) -> list[dict]
             "pipeline": f"{cfg.preliminary}+{cfg.process}",
             "delta": cfg.delta,
             "variance": report.empirical_covariance.tolist(),
+            "mean_error": report.mean_error.tolist(),
+            "mse": report.mse.tolist(),
             "quantiles": report.quantiles["empirical"],
             "replications_used": report.replications_used,
         }
@@ -348,6 +362,8 @@ def report_to_json_dict(report: McReport) -> dict:
         "config": report.config.to_json_dict(),
         "terminal_errors": report.terminal_errors.tolist(),
         "empirical_covariance": report.empirical_covariance.tolist(),
+        "mean_error": report.mean_error.tolist(),
+        "mse": report.mse.tolist(),
         "reference_information_inverse": report.reference_information_inverse.tolist(),
         "quantiles": {
             side: {str(p): v for p, v in table.items()}

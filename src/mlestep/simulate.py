@@ -36,17 +36,20 @@ class Trajectory:
     seed: int
     burn_in: int
     model_name: str
+    x_init: float = 0.0
 
     def __post_init__(self):
         _require_numbers(seed=self.seed, burn_in=self.burn_in)
         obs = _finite_reals(self.observations, "observations", "finite real numbers")
         theta = np.atleast_1d(_finite_reals(self.true_theta, "true_theta", "finite and real"))
+        x_init = float(_finite_reals(self.x_init, "x_init", "a finite real number", ()))
         if obs.ndim != 1 or obs.size < 2:
             raise ValueError("a trajectory needs at least two observations")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "true_theta", theta)
+        object.__setattr__(self, "x_init", x_init)
 
     @property
     def n(self) -> int:
@@ -59,6 +62,7 @@ class Trajectory:
             "true_theta": self.true_theta.tolist(),
             "seed": int(self.seed),
             "burn_in": int(self.burn_in),
+            "x_init": self.x_init,
         }
 
 
@@ -173,6 +177,7 @@ def simulate(
         seed=int(seed),
         burn_in=int(burn_in),
         model_name=model.name,
+        x_init=x_init,
     )
 
 
@@ -202,4 +207,5 @@ def read_trajectory_json(path) -> Trajectory:
     if missing:
         raise ValueError(f"trajectory file {path} must be a JSON object with keys {list(keys)}; "
                          f"it lacks {list(missing)}")
-    return Trajectory(**{key: payload[key] for key in keys})
+    # files written before x_init was recorded hold chains started at 0.0
+    return Trajectory(**{key: payload[key] for key in keys}, x_init=payload.get("x_init", 0.0))

@@ -70,6 +70,16 @@ class TestSimulateCommand:
         assert payload["burn_in"] == 1000
         assert len(payload["observations"]) == 51
 
+    def test_config_records_x_init(self, tmp_path):
+        configs = []
+        for extra in ((), ("--x-init", "3")):
+            out = tmp_path / f"traj{len(configs)}.csv"
+            code = run_cli("simulate", "--model", "example2", "--theta", "0.5", "--n", "5",
+                           "--burn-in", "0", "--seed", "1", *extra, "--out", str(out))
+            assert code == 0
+            configs.append(json.loads(out.read_text().splitlines()[0][2:]))
+        assert [config["x_init"] for config in configs] == [0.0, 3.0]
+
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MLESTEP_OUTDIR", str(tmp_path / "nested"))
         code = run_cli(

@@ -81,14 +81,32 @@ class TestKde:
     def test_bit_identical_to_the_sum_over_every_term(self, model_name, theta, n):
         # bandwidths where most terms underflow to 0 and where none do; the
         # default grid, one reaching past the sample (tiles with no observation
-        # in reach) and a 33-point grid (two tiles of 17 and 16 points)
+        # in reach) and a 33-point grid (two tiles of 17 and 16 points).
+        # Bit-identical wherever the sum over every term is at least
+        # 2**53 * phi(12) / h, and within phi(12) / h + 4 ulp everywhere.
         traj = ms.simulate(ms.get_model(model_name), theta, n, seed=n)
         xs = traj.observations[1:]
         far = np.linspace(xs.min() - 60.0, xs.max() + 60.0, 301)
         for bandwidth in (1e-3, 0.05, 3.0):
+            bound = _PHI_12 / bandwidth
             for grid in (None, far, np.linspace(-2.0, 3.0, 33)):
                 est = kde(traj, grid=grid, bandwidth=bandwidth)
-                assert np.array_equal(est.values, _every_term_sum(xs, est.grid, bandwidth))
+                every = _every_term_sum(xs, est.grid, bandwidth)
+                large = every >= 2.0**53 * bound
+                assert np.array_equal(est.values[large], every[large])
+                assert np.all(np.abs(est.values - every) <= bound + 4.0 * np.spacing(every))
+
+    def test_error_within_the_bound_where_every_term_is_left_out(self):
+        # observations 1/0.03 = 33 bandwidths apart; the two-point tile lies
+        # 12.5 bandwidths from one and 16.7 from the other, so it sums no term
+        h = 0.03
+        traj = make_traj([0.0, 0.0, 1.0])
+        grid = np.array([12.5 * h, 0.5])
+        est = kde(traj, grid=grid, bandwidth=h)
+        every = _every_term_sum(traj.observations[1:], grid, h)
+        assert np.array_equal(est.values, [0.0, 0.0])
+        assert np.all(every > 0.0)
+        assert np.all(every <= _PHI_12 / h)
 
     @pytest.mark.parametrize("grid", [[0.0, np.nan], [-np.inf, 0.0], [0.0, np.inf], 0.5, [],
                                       [[0.0, 1.0]], [1.0, 0.0], [0.0, 0.0, 1.0], ["a", "b"]])
@@ -101,6 +119,10 @@ class TestKde:
         monkeypatch.setattr(np, "exp", no_kernel_terms)
         with pytest.raises(ValueError, match="grid must be"):
             kde(traj, grid=grid)
+
+
+# the scaled kernel at 12 bandwidths: a bound on a value's truncation error, times h
+_PHI_12 = np.exp(-72.0) / np.sqrt(2.0 * np.pi)
 
 
 def _every_term_sum(xs, grid, h):

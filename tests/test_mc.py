@@ -11,7 +11,7 @@ from mlestep.models import Drift, ModelSpec, NoiseDensity, ParamDomain, register
 from mlestep.models import _linear_drift, _linear_drift_grad, _linear_drift_hess
 from mlestep.models import _gauss_logpdf, _gauss_pdf, _gauss_score, _gauss_score_deriv
 
-from helpers import cubic_model
+from helpers import cos_model, cubic_model
 
 
 def _zero_sampler(rng, size=None):
@@ -38,6 +38,7 @@ def silent_linear_model():
 
 register_model("silent-linear", silent_linear_model)
 register_model("cubic", cubic_model)
+register_model("cos", cos_model)
 
 
 class TestMcConfig:
@@ -348,6 +349,31 @@ class TestRunStudy:
         assert eig.min() >= 0.0
 
 
+class TestBias:
+    def test_mean_error_is_the_offset_of_the_outcomes(self):
+        cfg = ms.McConfig("linear", 0.5, 400, 0.6, replications=10,
+                          reference_information=((4.0 / 3.0,),))
+        # sqrt(n)-scaled errors 1.5 + spread; replication 4 fails and is left out
+        spread = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 0.5, -0.5]
+        outcomes = [(np.array([0.5 + (1.5 + e) / 20.0]), None) for e in spread]
+        outcomes.insert(4, (None, "synthetic failure"))
+        report = mc._report(cfg, np.eye(1), outcomes)
+        assert report.replications_used == 9
+        assert report.mean_error.shape == (1,)
+        assert report.mean_error[0] == pytest.approx(1.5, rel=1e-12)
+
+    def test_mse_is_the_covariance_plus_the_squared_mean(self):
+        cfg = ms.McConfig("cos", [0.1, 0.2], 400, 0.6, replications=12,
+                          reference_information=((1.0, 0.0), (0.0, 1.0)))
+        rng = np.random.default_rng(5)
+        errors = rng.normal(size=(12, 2)) @ np.array([[1.0, 0.4], [0.0, 0.7]]) + [0.8, -1.3]
+        report = mc._report(cfg, np.eye(2), [(cfg.theta0 + e / 20.0, None) for e in errors])
+        r, cov, mean = report.replications_used, report.empirical_covariance, report.mean_error
+        assert report.mse.shape == (2, 2)
+        np.testing.assert_allclose(report.mse, cov * (r - 1) / r + np.outer(mean, mean),
+                                   rtol=1e-12, atol=1e-12)
+
+
 class TestOracle:
     def test_cached_and_positive(self, example2):
         a = ms.oracle_information(example2, 0.5)
@@ -405,6 +431,8 @@ class TestCompare:
         for cfg, row in zip(cfgs, rows):
             alone = ms.run_study(cfg)
             assert row["variance"] == alone.empirical_covariance.tolist()
+            assert row["mean_error"] == alone.mean_error.tolist()
+            assert row["mse"] == alone.mse.tolist()
             assert row["quantiles"] == alone.quantiles["empirical"]
 
     def test_efficiency_ordering_example2(self, example2):
@@ -443,6 +471,8 @@ class TestReportSerialization:
         assert payload["config"]["model_name"] == "linear"
         assert len(payload["terminal_errors"]) == 6
         assert payload["quantiles"]["empirical"]["50"]
+        assert payload["mean_error"] == report.mean_error.tolist()
+        assert payload["mse"] == report.mse.tolist()
         lines = cpath.read_text().strip().splitlines()
         assert lines[1] == "replication,seed,err_1"
         assert len(lines) == 2 + 6

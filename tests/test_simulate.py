@@ -39,6 +39,8 @@ class TestTrajectoryType:
             (dict(observations="abc"), "observations must be finite real numbers"),
             (dict(observations=[0.0] * 10**5 + [None]), "observations must be finite real numbers"),
             (dict(true_theta=[float("nan")]), "true_theta must be finite and real"),
+            (dict(x_init=float("nan")), "x_init must be a finite real number"),
+            (dict(x_init="3"), "x_init must be a finite real number"),
         ):
             with pytest.raises(ValueError, match=message) as err:
                 Trajectory(**{**good, **overrides})
@@ -172,6 +174,18 @@ class TestSerialization:
         assert back.burn_in == traj.burn_in
         assert back.model_name == traj.model_name
         np.testing.assert_array_equal(back.true_theta, traj.true_theta)
+
+    def test_json_round_trip_keeps_x_init(self, tmp_path, example2):
+        traj = ms.simulate(example2, 0.5, 5, seed=1, burn_in=0, x_init=3.0)
+        out = tmp_path / "traj.json"
+        write_trajectory_json(traj, out)
+        assert json.loads(out.read_text())["x_init"] == 3.0
+        assert read_trajectory_json(out).x_init == 3.0
+        # a file written before x_init was recorded holds a chain started at 0.0
+        payload = json.loads(out.read_text())
+        del payload["x_init"]
+        out.write_text(json.dumps(payload))
+        assert read_trajectory_json(out).x_init == 0.0
 
     @staticmethod
     def _awkward_traj(example2):
