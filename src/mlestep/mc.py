@@ -6,8 +6,8 @@ their spread against the inverse of a long-run reference information matrix.
 Replications use seeds base_seed + i, so a report is a pure function of its
 configuration.
 
-The engine simulates the seeds in blocks (see _block_bounds), all rows of a
-block in lockstep, and runs every study that shares the block's
+The engine simulates the seeds in blocks (see _block_bounds), each block in
+one simulate_paths call, and runs every study that shares the block's
 trajectories on each row before it drops the block: studies compared side
 by side then simulate each seed once (common random numbers).
 """

@@ -230,3 +230,28 @@ class TestRegistry:
             name="probe",
         )
         assert model._broadcasts_theta is broadcasts
+
+    @pytest.mark.parametrize(
+        "S",
+        [
+            lambda theta, x: theta[0] * x + 0.0 * theta.shape[0],  # raises on a list
+            lambda theta, x: theta[0] * x + (type(x) is float),  # other values
+        ],
+        ids=["raises", "values"],
+    )
+    def test_float_stepping_probed(self, linear, S):
+        from dataclasses import replace
+
+        from mlestep.models import ModelSpec
+
+        model = ModelSpec(
+            drift=replace(linear.drift, S=S), noise=linear.noise, domain=linear.domain,
+            name="probe",
+        )
+        assert not model._steps_floats
+
+    def test_builtin_drifts_step_in_floats_and_broadcast(self, example1, example2, linear):
+        for model in (example1, example2, linear):
+            assert model._steps_floats and model._broadcasts_theta
+            # a python float state stays one, at a python float's cost per op
+            assert type(model.drift.S(model.domain.midpoint().tolist(), 0.7)) is float

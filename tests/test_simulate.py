@@ -1,11 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mlestep as ms
 from mlestep.errors import SimulationDiverged
+from mlestep.models import ModelSpec
 from mlestep.simulate import (
+    _ROW_CHAINS,
     Trajectory,
     read_trajectory_json,
     write_trajectory_csv,
@@ -13,6 +17,43 @@ from mlestep.simulate import (
 )
 
 from helpers import cubic_model, make_traj, pair_model, zero_model
+
+_MODELS = {
+    "example1": (ms.example1_model, 2.5),
+    "example2": (ms.example2_model, 0.5),
+    "linear": (ms.linear_model, 0.5),
+    "pair": (pair_model, [0.1, -0.2]),
+}
+
+
+def _array_theta_S(theta, x):
+    # reads theta.shape, which a list theta lacks
+    return theta[0] * x + 0.0 * theta.shape[0]
+
+
+def _steep_S(theta, x):
+    # x**400 overflows from |x| of about 5.9: a python float raises there,
+    # where a numpy scalar gives inf and the term 0
+    return theta[0] * x + 1.0 / (1.0 + x**400)
+
+
+def _linear_with(S, name):
+    linear = ms.linear_model()
+    return ModelSpec(drift=replace(linear.drift, S=S), noise=linear.noise,
+                     domain=linear.domain, name=name)
+
+
+def _numpy_scalar_states(model, theta, n, seed, burn_in, x_init):
+    """The retained states of one chain stepped as numpy scalars, the way
+    every chain was stepped before python floats."""
+    noise = model.noise.sampler(np.random.default_rng(seed), burn_in + n + 1)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    x, states = np.float64(x_init), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eps in noise:
+            x = model.drift.S(theta, x) + eps
+            states.append(x)
+    return np.array(states[burn_in:])
 
 
 class TestTrajectoryType:
@@ -64,19 +105,58 @@ class TestSimulate:
         b = ms.simulate(linear, 0.5, 500, seed=10)
         assert not np.array_equal(a.observations, b.observations)
 
-    @pytest.mark.parametrize("factory,theta", [
-        (ms.example1_model, 2.5),
-        (ms.example2_model, 0.5),
-        (ms.linear_model, 0.5),
-        (pair_model, [0.1, -0.2]),
-    ], ids=["example1", "example2", "linear", "pair"])
-    def test_lockstep_rows_match_single_runs(self, factory, theta):
-        # a lone chain steps as a scalar, the batch as arrays: same bits
+    @pytest.mark.parametrize("name", list(_MODELS))
+    def test_lockstep_rows_match_single_runs(self, name):
+        # a lone chain and a small block step each row as a scalar chain, a
+        # block above _ROW_CHAINS rows steps them as lockstep arrays: same bits
+        factory, theta = _MODELS[name]
         model = factory()
-        batch = ms.simulate_paths(model, theta, 400, seeds=[3, 4, 5])
-        for i, seed in enumerate([3, 4, 5]):
-            solo = ms.simulate(model, theta, 400, seed=seed)
-            np.testing.assert_array_equal(batch[i], solo.observations)
+        for rows in (3, _ROW_CHAINS + 1):
+            seeds = list(range(3, 3 + rows))
+            batch = ms.simulate_paths(model, theta, 400, seeds=seeds)
+            for i, seed in enumerate(seeds):
+                solo = ms.simulate(model, theta, 400, seed=seed)
+                np.testing.assert_array_equal(batch[i], solo.observations)
+
+    @given(
+        name=st.sampled_from(list(_MODELS)),
+        rows=st.integers(1, _ROW_CHAINS + 4),
+        n=st.integers(1, 300),
+        burn_in=st.integers(0, 50),
+        x_init=st.floats(-5.0, 5.0),
+        first_seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=100)
+    def test_every_row_is_its_seeds_chain(self, name, rows, n, burn_in, x_init, first_seed):
+        factory, theta = _MODELS[name]
+        model = factory()
+        seeds = list(range(first_seed, first_seed + rows))
+        batch = ms.simulate_paths(model, theta, n, seeds, burn_in=burn_in, x_init=x_init)
+        assert batch.shape == (rows, n + 1)
+        for i, seed in enumerate(seeds):
+            solo = ms.simulate(model, theta, n, seed, burn_in=burn_in, x_init=x_init)
+            assert batch[i].tobytes() == solo.observations.tobytes()
+        expected = _numpy_scalar_states(model, theta, n, seeds[0], burn_in, x_init)
+        assert batch[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_drift_refusing_a_list_theta_steps_as_numpy_scalars(self):
+        model = _linear_with(_array_theta_S, "array-theta")
+        assert not model._steps_floats
+        traj = ms.simulate(model, 0.5, 500, seed=4, burn_in=20, x_init=1.5)
+        expected = _numpy_scalar_states(model, 0.5, 500, 4, 20, 1.5)
+        assert traj.observations.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float_step_that_raises_is_stepped_as_numpy_scalars(self):
+        model = _linear_with(_steep_S, "steep")
+        assert model._steps_floats
+        with pytest.raises(OverflowError):
+            _steep_S([0.5], 6.0)
+        traj = ms.simulate(model, 0.5, 500, seed=4, burn_in=0, x_init=6.0)
+        expected = _numpy_scalar_states(model, 0.5, 500, 4, 0, 6.0)
+        assert np.all(np.isfinite(expected))
+        assert traj.observations.tobytes() == expected.tobytes()
 
     def test_zero_drift_gives_iid_noise(self):
         model = zero_model()
@@ -139,11 +219,13 @@ class TestSimulate:
             ms.simulate(model, 0.5, 500, seed=2, burn_in=0)
         assert err.value.step >= 1
         assert "step" in str(err.value)
-        # in lockstep, the first diverging row raises simulate's own error
-        with pytest.raises(SimulationDiverged) as batch_err:
-            ms.simulate_paths(model, 0.5, 500, seeds=[2, 3], burn_in=0)
-        assert str(batch_err.value) == str(err.value)
-        assert batch_err.value.step == err.value.step
+        # row by row and in lockstep, the first diverging row raises
+        # simulate's own error
+        for seeds in ([2, 3], list(range(2, 3 + _ROW_CHAINS))):
+            with pytest.raises(SimulationDiverged) as batch_err:
+                ms.simulate_paths(model, 0.5, 500, seeds=seeds, burn_in=0)
+            assert str(batch_err.value) == str(err.value)
+            assert batch_err.value.step == err.value.step
 
     def test_burn_in_shifts_the_stream(self, linear):
         # with burn_in = b, the retained states continue the same noise stream
