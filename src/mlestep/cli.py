@@ -55,40 +55,47 @@ def _resolve_out(args, default_name: str) -> Path:
     return _outdir(args) / default_name
 
 
+# the flags that fix a simulated chain, by argparse dest
+_CHAIN_FLAGS = ("model", "theta", "n", "seed", "burn_in", "x_init")
+
+
 def _load_or_simulate(args):
     """Trajectory from --input, or simulated inline from the model flags."""
     if getattr(args, "input", None):
+        given = [f"--{name.replace('_', '-')}" for name in _CHAIN_FLAGS
+                 if getattr(args, name) is not None]
+        if given:
+            raise MlestepError(
+                f"--input fixes the chain; it cannot be combined with {', '.join(given)}"
+            )
         traj = read_trajectory_json(args.input)
         model = get_model(traj.model_name)
         return traj, model
     if args.model is None or args.theta is None or args.n is None:
         raise MlestepError("provide --input, or --model/--theta/--n to simulate inline")
     model = get_model(args.model)
-    traj = simulate(
-        model,
-        np.asarray(args.theta, dtype=float),
-        args.n,
-        seed=args.seed,
-        burn_in=args.burn_in,
-        x_init=args.x_init,
-    )
+    chain = {name: getattr(args, name) for name in ("seed", "burn_in", "x_init")
+             if getattr(args, name) is not None}
+    traj = simulate(model, np.asarray(args.theta, dtype=float), args.n, **chain)
     return traj, model
 
 
 def _add_sim_flags(sub, require_model: bool) -> None:
+    """The chain flags. --seed, --burn-in and --x-init default to None, which
+    takes simulate's default, so that one given beside --input is refused."""
     sub.add_argument("--model", required=require_model, choices=builtin_model_names())
     sub.add_argument("--theta", type=float, nargs="+", required=require_model,
                      help="true parameter value(s)")
     sub.add_argument("--n", type=int, required=require_model,
                      help="number of transitions to simulate")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--burn-in", dest="burn_in", type=int, default=1000)
-    sub.add_argument("--x-init", dest="x_init", type=float, default=0.0)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--burn-in", dest="burn_in", type=int)
+    sub.add_argument("--x-init", dest="x_init", type=float)
 
 
 def cmd_simulate(args) -> int:
     traj, _ = _load_or_simulate(args)
-    out = _resolve_out(args, f"trajectory_{args.model}_{args.seed}.{args.format}")
+    out = _resolve_out(args, f"trajectory_{traj.model_name}_{traj.seed}.{args.format}")
     if args.format == "csv":
         write_trajectory_csv(traj, out)
     else:

@@ -13,11 +13,9 @@ from .simulate import Trajectory
 __all__ = ["DensityEstimate", "kde", "write_density_csv"]
 
 _DEFAULT_GRID_POINTS = 512
+# a chunk's kernel terms for one tile are a (_CHUNK, _TILE) block of 512 kB
 _CHUNK = 2048
-# grid points per tile and kernel terms per block: 512 observation rows
 _TILE = 32
-_BLOCK_TERMS = 16384
-_ROWS = _BLOCK_TERMS // _TILE
 # a term left out has |z| > 12, so exp(-z*z/2) < exp(-72); the n or fewer left
 # out of a grid value move it by less than phi(12) / h = exp(-72) / (h sqrt(2 pi))
 # ~ 2.1e-32 / h, and a value of at least 2**53 * phi(12) / h does not move
@@ -88,40 +86,24 @@ def kde(traj: Trajectory, grid=None, bandwidth: float | None = None) -> DensityE
         grid = np.linspace(xs.min() - 4.0 * h, xs.max() + 4.0 * h, _DEFAULT_GRID_POINTS)
     grid = _checked_grid(grid)
     acc = np.zeros(grid.size)
-    # a tile adds each chunk of _CHUNK observations to ``acc`` on its own, the
-    # picked rows in their original order, _ROWS at a time through buffers that
-    # stay in cache. Row 0 of ``block`` carries the running column sum, and
-    # numpy reduces two or more columns along axis 0 row by row, so a chunk sum
-    # adds the kept terms in the order of the sum over all its terms; that sum
-    # adds the left-out terms in between, each below exp(-72), and they change
-    # no partial sum whose half ulp exceeds their total.
+    # a tile adds the terms of each chunk of _CHUNK observations to ``acc`` as
+    # one block, the picked rows in their original order. numpy reduces two or
+    # more columns along axis 0 row by row, so a chunk sum adds the kept terms
+    # in the order of the sum over all its terms; that sum adds the left-out
+    # terms in between, each below exp(-72), and they change no partial sum
+    # whose half ulp exceeds their total.
     # Balanced tiles are one column wide only for a one-point grid, whose
     # column numpy sums pairwise, so its value can move in the last bit.
-    z = np.empty((_ROWS, _TILE))
-    block = np.empty((_ROWS + 1, _TILE))
-    running = np.empty(_TILE)
     chunk_starts = np.arange(_CHUNK, n, _CHUNK)
     tiles = -(-grid.size // _TILE)
     for g, out in zip(np.array_split(grid, tiles), np.array_split(acc, tiles)):
-        w = g.size
         # z is computed below as here, and rounding is monotone, so an
         # observation left out has |z| > _REACH at every point of the tile
         picked = np.flatnonzero(((xs - g[0]) / h >= -_REACH) & ((xs - g[-1]) / h <= _REACH))
-        near = xs[picked]
-        for chunk in np.split(near, np.searchsorted(picked, chunk_starts)):
-            block[0, :w] = 0.0
-            for lo in range(0, chunk.size, _ROWS):
-                rows = chunk[lo : lo + _ROWS]
-                m = rows.size
-                zb, terms = z[:m, :w], block[1 : m + 1, :w]
-                np.subtract(rows[:, np.newaxis], g, out=zb)
-                zb /= h
-                np.multiply(-0.5, zb, out=terms)
-                terms *= zb
-                np.exp(terms, out=terms)
-                block[: m + 1, :w].sum(axis=0, out=running[:w])
-                block[0, :w] = running[:w]
-            out += block[0, :w]
+        for chunk in np.split(xs[picked], np.searchsorted(picked, chunk_starts)):
+            z = (chunk[:, np.newaxis] - g) / h
+            terms = -0.5 * z * z
+            out += np.exp(terms, out=terms).sum(axis=0)
     values = acc / (n * h * np.sqrt(2.0 * np.pi))
     return DensityEstimate(grid=grid, values=values, bandwidth=h, n_used=n)
 

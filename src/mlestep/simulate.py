@@ -90,8 +90,8 @@ def _check_chain(model: ModelSpec, theta, n: int, burn_in: int, x_init, name: st
 # a block of at most this many rows steps each row as its own chain: a python
 # float chain beats lockstep arrays per row up to about 16-24 rows (README)
 _ROW_CHAINS = 16
-# a float chain is stepped over this many noise values at a time, so its
-# python lists stay a few hundred kB however long the chain
+# a scalar chain is stepped over this many noise values at a time, so its
+# python list stays a few hundred kB however long the chain
 _CHUNK = 4096
 
 
@@ -110,6 +110,8 @@ def simulate_paths(
     row consumes its own generator stream and the recursion is elementwise.
     Up to ``_ROW_CHAINS`` rows are stepped one chain at a time (see
     ``_scalar_chain``); more rows are stepped together in lockstep arrays.
+    Either way every state is kept, burn-in included, so a diverged row
+    names its first non-finite step without being stepped again.
     """
     theta = _check_chain(model, theta, n, burn_in, x_init)
     if len(seeds) < 1:
@@ -125,27 +127,22 @@ def simulate_paths(
         rng = np.random.default_rng(int(seed))
         noise[i] = model.noise.sampler(rng, total)
 
+    states = np.empty_like(noise)
     if len(seeds) <= _ROW_CHAINS:
-        states = np.empty_like(noise)
         for i in range(len(seeds)):
             _scalar_chain(model, theta, noise[i], x_init, states[i])
-        out = states[:, burn_in:]
     else:
-        S, states = model.drift.S, None
-        out = np.empty((len(seeds), n + 1))
         x = np.full(len(seeds), float(x_init))
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(total):
-                x = S(theta, x) + noise[:, step]
-                if step >= burn_in:
-                    out[:, step - burn_in] = x
+                x = model.drift.S(theta, x) + noise[:, step]
+                states[:, step] = x
+    out = states[:, burn_in:]
     finite = np.all(np.isfinite(out), axis=1)
     if not np.all(finite):
         row = int(np.argmin(finite))
-        # the first non-finite state (1-based); lockstep kept no burn-in, so
-        # its row is replayed
-        chain = _scalar_chain(model, theta, noise[row], x_init) if states is None else states[row]
-        step = int(np.argmin(np.isfinite(chain))) + 1
+        # the first non-finite state of the chain (1-based), burn-in included
+        step = int(np.argmin(np.isfinite(states[row]))) + 1
         raise SimulationDiverged(
             f"state became non-finite at generation step {step} "
             f"(seed {int(seeds[row])}); the parameter may be non-ergodic",
@@ -154,8 +151,8 @@ def simulate_paths(
     return out
 
 
-def _scalar_chain(model: ModelSpec, theta, noise_row, x_init, states=None) -> np.ndarray:
-    """Every generated state of one chain, written to ``states`` (new if None).
+def _scalar_chain(model: ModelSpec, theta, noise_row, x_init, states) -> None:
+    """Write every generated state of one chain to ``states``.
 
     The chain steps in python floats if the drift passed the model's float
     probe (models module docstring), else as numpy scalars. Both are several
@@ -163,34 +160,30 @@ def _scalar_chain(model: ModelSpec, theta, noise_row, x_init, states=None) -> np
     2.5 times cheaper than numpy scalars. Both round +, -, * and / as IEEE 754
     requires, so the states are the same bits.
     """
-    if states is None:
-        states = np.empty(noise_row.size)
     S = model.drift.S
     with np.errstate(over="ignore", invalid="ignore"):
         if model._steps_floats:
             try:
-                _float_chain(S, theta.tolist(), noise_row, float(x_init), states)
-                return states
+                _float_chain(S, theta.tolist(), noise_row, float(x_init), states, np.ndarray.tolist)
+                return
             except (ArithmeticError, ValueError, TypeError):
                 # python floats raise on ** overflow, division by zero and math
                 # domain errors, and a complex state fails to store, where numpy
                 # gives inf or nan: the numpy scalar chain below reproduces
                 # every state, or the error
                 pass
-        # numpy scalars keep overflow as inf instead of raising
-        x = np.float64(x_init)
-        for step, eps in enumerate(noise_row):
-            x = S(theta, x) + eps
-            states[step] = x
-    return states
+        # numpy scalars keep overflow as inf instead of raising; numpy scalar
+        # noise keeps a drift that returns python floats stepping in numpy
+        _float_chain(S, theta, noise_row, np.float64(x_init), states, iter)
 
 
-def _float_chain(S, theta: list, noise_row, x: float, states) -> None:
-    """Step one chain in python floats, storing ``_CHUNK`` states at a time."""
+def _float_chain(S, theta, noise_row, x, states, scalars) -> None:
+    """Step one chain from ``x``, storing ``_CHUNK`` states at a time; each
+    noise chunk is added as the scalars ``scalars(chunk)`` yields."""
     for start in range(0, noise_row.size, _CHUNK):
         chunk = []
         append = chunk.append
-        for eps in noise_row[start : start + _CHUNK].tolist():
+        for eps in scalars(noise_row[start : start + _CHUNK]):
             x = S(theta, x) + eps
             append(x)
         states[start : start + len(chunk)] = chunk

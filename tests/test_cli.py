@@ -10,6 +10,7 @@ import mlestep as ms
 from mlestep import mc
 from mlestep.cli import _build_parser, main
 from mlestep.process import Pipeline
+from mlestep.simulate import write_trajectory_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -169,6 +170,23 @@ class TestEstimateCommand:
         summary = json.loads(out.with_suffix(".summary.json").read_text())
         assert summary["config"]["trajectory"]["seed"] == 6
 
+    @pytest.mark.parametrize("command", ["estimate", "kde"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--model", "example1"), ("--theta", "3.0"), ("--n", "50"), ("--seed", "9"),
+        ("--burn-in", "0"), ("--x-init", "0.0"),
+    ])
+    def test_input_refuses_a_chain_flag(self, capsys, tmp_path, command, flag, value):
+        # the file fixes the chain, so a chain flag beside it is refused, not
+        # ignored, even at its default value
+        traj_path = tmp_path / "traj.json"
+        write_trajectory_json(ms.simulate(ms.get_model("example2"), 0.5, 300, seed=1), traj_path)
+        out = tmp_path / "out" / "result.csv"
+        code = run_cli(command, "--input", str(traj_path), flag, value, "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input") and flag in err
+        assert not out.parent.exists()
+
     def test_missing_inputs_fail_cleanly(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MLESTEP_OUTDIR", str(tmp_path))
         code = run_cli("estimate", "--delta", "0.75")
@@ -235,8 +253,6 @@ class TestEstimateCommand:
         register_model("zero", zero_model)
         traj_path = tmp_path / "traj.json"
         traj = ms.simulate(ms.get_model("zero"), 0.0, 200, seed=1)
-        from mlestep.simulate import write_trajectory_json
-
         write_trajectory_json(traj, traj_path)
         code = run_cli(
             "estimate", "--input", str(traj_path), "--delta", "0.75",

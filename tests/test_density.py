@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -67,8 +68,7 @@ class TestKde:
 
     @pytest.mark.parametrize("n,grid", [(5037, None), (100, None), (100, [0.25]), (5037, [0.25])])
     def test_matches_unchunked_direct_sum(self, linear, n, grid):
-        # sizes off the 512-row blocks and 2048-row chunks, n below one block,
-        # and a one-point grid
+        # n off the 2048-row chunks, n below one chunk, and a one-point grid
         traj = ms.simulate(linear, 0.5, n, seed=n)
         est = kde(traj, grid=grid)
         xs, h = traj.observations[1:], est.bandwidth
@@ -84,6 +84,9 @@ class TestKde:
         # in reach) and a 33-point grid (two tiles of 17 and 16 points).
         # Bit-identical wherever the sum over every term is at least
         # 2**53 * phi(12) / h, and within phi(12) / h + 4 ulp everywhere.
+        # A one-point grid's column is summed pairwise, not in that order: its
+        # value is only held within phi(12) / h + 4 ulp of the correctly
+        # rounded sum over every term (the order above can be 20 ulp off it).
         traj = ms.simulate(ms.get_model(model_name), theta, n, seed=n)
         xs = traj.observations[1:]
         far = np.linspace(xs.min() - 60.0, xs.max() + 60.0, 301)
@@ -95,6 +98,12 @@ class TestKde:
                 large = every >= 2.0**53 * bound
                 assert np.array_equal(est.values[large], every[large])
                 assert np.all(np.abs(est.values - every) <= bound + 4.0 * np.spacing(every))
+            for point in (0.25, float(np.median(xs))):
+                est = kde(traj, grid=[point], bandwidth=bandwidth)
+                z = (xs - point) / bandwidth
+                exact = math.fsum(np.exp(-0.5 * z * z).tolist())
+                exact /= n * bandwidth * np.sqrt(2.0 * np.pi)
+                assert abs(est.values[0] - exact) <= bound + 4.0 * np.spacing(exact)
 
     def test_error_within_the_bound_where_every_term_is_left_out(self):
         # observations 1/0.03 = 33 bandwidths apart; the two-point tile lies

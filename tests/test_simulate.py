@@ -139,7 +139,6 @@ class TestSimulate:
         expected = _numpy_scalar_states(model, theta, n, seeds[0], burn_in, x_init)
         assert batch[0].tobytes() == expected.tobytes()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_drift_refusing_a_list_theta_steps_as_numpy_scalars(self):
         model = _linear_with(_array_theta_S, "array-theta")
         assert not model._steps_floats
@@ -147,7 +146,6 @@ class TestSimulate:
         expected = _numpy_scalar_states(model, 0.5, 500, 4, 20, 1.5)
         assert traj.observations.tobytes() == expected.tobytes()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_float_step_that_raises_is_stepped_as_numpy_scalars(self):
         model = _linear_with(_steep_S, "steep")
         assert model._steps_floats
@@ -224,6 +222,19 @@ class TestSimulate:
         for seeds in ([2, 3], list(range(2, 3 + _ROW_CHAINS))):
             with pytest.raises(SimulationDiverged) as batch_err:
                 ms.simulate_paths(model, 0.5, 500, seeds=seeds, burn_in=0)
+            assert str(batch_err.value) == str(err.value)
+            assert batch_err.value.step == err.value.step
+        # lockstep with burn-in, the first diverging row not row 0: seed 7
+        # outlasts both chains (12 and 13 steps), seed 8 leaves the finite
+        # range at step 8, inside the first burn-in and after the second
+        seeds = list(range(7, 9 + _ROW_CHAINS))
+        for n, burn_in in ((3, 8), (10, 2)):
+            ms.simulate(model, 0.5, n, seed=7, burn_in=burn_in)
+            with pytest.raises(SimulationDiverged) as err:
+                ms.simulate(model, 0.5, n, seed=8, burn_in=burn_in)
+            assert err.value.step == 8
+            with pytest.raises(SimulationDiverged) as batch_err:
+                ms.simulate_paths(model, 0.5, n, seeds=seeds, burn_in=burn_in)
             assert str(batch_err.value) == str(err.value)
             assert batch_err.value.step == err.value.step
 
