@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import kde, write_density_csv
+from .density import _check_bandwidth, kde, write_density_csv
 from .errors import MlestepError
 from .fisher import FISHER_METHODS
 from .mc import mc_config_from_dict, run_study, write_report_csv, write_report_json
@@ -33,6 +33,7 @@ from .process import (
     write_path_csv,
 )
 from .simulate import (
+    _write_json,
     read_trajectory_json,
     simulate,
     write_trajectory_csv,
@@ -123,15 +124,16 @@ def cmd_estimate(args) -> int:
         "config": config,
     }
     out_json = out_csv.with_suffix(".summary.json")
-    with open(out_json, "w") as fh:
-        json.dump(summary, fh)
-        fh.write("\n")
+    _write_json(out_json, summary)
     print(json.dumps({"written": [str(out_csv), str(out_json)], "N": int(N),
                       "terminal": path.terminal.tolist()}))
     return 0
 
 
 def cmd_kde(args) -> int:
+    if args.bandwidth is not None:
+        # refused before a chain is read or simulated
+        _check_bandwidth(args.bandwidth)
     traj, _ = _load_or_simulate(args)
     est = kde(traj, bandwidth=args.bandwidth)
     config = {"trajectory": traj.meta(), "grid_points": est.grid.size}

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import _brief, _finite_reals, _require_numbers
-from .simulate import Trajectory
+from .simulate import Trajectory, _write_csv
 
 __all__ = ["DensityEstimate", "kde", "write_density_csv"]
 
@@ -111,7 +110,4 @@ def kde(traj: Trajectory, grid=None, bandwidth: float | None = None) -> DensityE
 def write_density_csv(est: DensityEstimate, path, config: dict | None = None) -> None:
     """Write `x,density` rows with a leading # config line."""
     meta = dict(config or {}, bandwidth=est.bandwidth, n_used=est.n_used)
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(meta) + "\n")
-        fh.write("x,density\n")
-        fh.writelines("%.17g,%.17g\n" % row for row in zip(est.grid.tolist(), est.values.tolist()))
+    _write_csv(path, meta, "x,density", "%.17g,%.17g\n", zip(est.grid.tolist(), est.values.tolist()))

@@ -14,7 +14,6 @@ by side then simulate each seed once (common random numbers).
 
 from __future__ import annotations
 
-import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
@@ -28,7 +27,7 @@ from .fisher import FisherMatrix, invert_fisher, window_information
 from .models import ModelSpec, _finite_reals, _require_numbers, get_model
 from .preliminary import learning_length
 from .process import STRIDED_PROCESSES, Pipeline
-from .simulate import Trajectory, _check_chain, simulate, simulate_paths
+from .simulate import Trajectory, _check_chain, _write_csv, _write_json, simulate, simulate_paths
 
 __all__ = [
     "McConfig",
@@ -375,9 +374,7 @@ def report_to_json_dict(report: McReport) -> dict:
 
 
 def write_report_json(report: McReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_json_dict(report), fh)
-        fh.write("\n")
+    _write_json(path, report_to_json_dict(report))
 
 
 def write_report_csv(report: McReport, path) -> None:
@@ -386,9 +383,6 @@ def write_report_csv(report: McReport, path) -> None:
     ok_indices = sorted(
         set(range(report.config.replications)) - {i for i, _ in report.failures}
     )
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(report.config.to_json_dict()) + "\n")
-        fh.write("replication,seed," + ",".join(f"err_{i + 1}" for i in range(d)) + "\n")
-        for row, index in enumerate(ok_indices):
-            values = ",".join(f"{v:.17g}" for v in report.terminal_errors[row])
-            fh.write(f"{index},{report.seeds[index]},{values}\n")
+    header = "replication,seed," + ",".join(f"err_{i + 1}" for i in range(d))
+    rows = ((i, report.seeds[i], *errors) for i, errors in zip(ok_indices, report.terminal_errors.tolist()))
+    _write_csv(path, report.config.to_json_dict(), header, "%d,%d" + ",%.17g" * d + "\n", rows)

@@ -85,6 +85,11 @@ def _finite_reals(value, name: str, what: str, shape: tuple | None = None) -> np
     return array.astype(float, copy=False)
 
 
+# ParamDomain.project clamps into the box shrunk by this fraction of its width
+# on each side, so that information matrices stay well defined at the edges
+_PROJECT_MARGIN = 1e-6
+
+
 @dataclass(frozen=True)
 class ParamDomain:
     """Open, bounded, convex box of admissible parameter values."""
@@ -117,22 +122,16 @@ class ParamDomain:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, theta, margin: float = 0.0) -> bool:
-        """True if theta lies strictly inside the box shrunk by margin*width."""
+    def contains(self, theta) -> bool:
+        """True if theta lies strictly inside the box."""
         t = np.atleast_1d(np.asarray(theta, dtype=float))
-        pad = margin * self.width
-        return bool(np.all(t > self.lower + pad) and np.all(t < self.upper - pad))
+        return bool(np.all(t > self.lower) and np.all(t < self.upper))
 
-    def project(self, theta, margin: float = 1e-6) -> np.ndarray:
-        """Clamp theta into the box shrunk by margin*width on each side."""
+    def project(self, theta) -> np.ndarray:
+        """Clamp theta into the box shrunk by _PROJECT_MARGIN * width on each side."""
         t = np.atleast_1d(np.asarray(theta, dtype=float))
-        pad = margin * self.width
+        pad = _PROJECT_MARGIN * self.width
         return np.clip(t, self.lower + pad, self.upper - pad)
-
-    def sample(self, rng, margin: float = 0.05) -> np.ndarray:
-        """Uniform draw from the box shrunk by margin*width on each side."""
-        pad = margin * self.width
-        return rng.uniform(self.lower + pad, self.upper - pad)
 
 
 @dataclass(frozen=True)

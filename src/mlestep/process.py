@@ -11,15 +11,14 @@ evaluated:
                              preliminary estimate
     two_step_path            second preliminary value re-corrected with the
                              information re-estimated at it on [1, k]
-    recurrent_path           online O(1)-per-step recursion equal to the
-                             batch values
+    recurrent_path           online O(1)-per-step recursion agreeing with
+                             second_preliminary_path up to rounding
     full_mle_path            expensive reference: the grid MLE recomputed at
                              checkpoints (comparison oracle only)
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 from .fisher import FISHER_METHODS, _checked, _reciprocals, information_terms, invert_fisher, window_information
 from .models import ModelSpec, _require_numbers
 from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
-from .simulate import Trajectory
+from .simulate import Trajectory, _write_csv
 
 __all__ = [
     "EstimatorPath",
@@ -392,27 +391,24 @@ def recurrent_path(
     model: ModelSpec,
     prelim: PreliminaryEstimate,
     fisher_method: str = "observed",
-    full_window: bool = True,
 ) -> EstimatorPath:
-    """Online recursion reproducing the batch corrected path at every k.
+    """Online recursion for the values of ``second_preliminary_path`` at every k.
 
     Each update uses only the previous value, the preliminary estimate, and
     the newest pair of observations:
 
         theta_{k+1} = (k theta_k + prelim + I^{-1} loglik_grad(prelim, X_k, X_{k+1})) / (k+1)
 
-    With ``full_window=True`` the accumulation starts at transition 1 and the
-    values match ``second_preliminary_path``; otherwise the recursion is
-    seeded at k = N+1 with the single windowed term and matches
-    ``one_step_path``.
+    seeded at k = N+1 with the score sum over transitions 1..N+1, so the
+    values match the batch ones up to rounding.
     """
     n, N = traj.n, prelim.learning_length
     theta0, scores, inv = _frozen_start(traj, model, prelim, fisher_method)
     k0 = N + 1
-    # the frozen start's score terms of transitions 1..k0 (N+1..k0 windowed)
-    # seed the recursion; the rest enter it one per step as
-    # I^{-1} loglik_grad(prelim, X_k, X_{k+1}), k = k0..n-1
-    head = scores[(0 if full_window else N) : k0].sum(axis=0)
+    # the frozen start's score terms of transitions 1..k0 seed the recursion;
+    # the rest enter it one per step as I^{-1} loglik_grad(prelim, X_k, X_{k+1}),
+    # k = k0..n-1
+    head = scores[:k0].sum(axis=0)
     corrections = scores[k0:] @ inv.T
     ks = np.arange(k0, n + 1, dtype=int)
     thetas = np.empty((ks.size, model.dim))
@@ -426,8 +422,7 @@ def recurrent_path(
             current = (k * current + prelim_i + w) / (k + 1)
             column.append(current)
         thetas[:, i] = column
-    kind = "recurrent" if full_window else "recurrent-windowed"
-    return EstimatorPath(ks, thetas, kind, N, prelim, n)
+    return EstimatorPath(ks, thetas, "recurrent", N, prelim, n)
 
 
 def full_mle_path(
@@ -538,10 +533,8 @@ def write_path_csv(path_obj: EstimatorPath, file_path, config: dict | None = Non
     header = "k,s," + ",".join(f"theta_{i + 1}" for i in range(d)) + ",kind"
     row_format = "%d," + "%.17g," * (d + 1) + path_obj.kind.replace("%", "%%") + "\n"
     rows = zip(path_obj.ks.tolist(), path_obj.s_values().tolist(), *path_obj.thetas.T.tolist())
-    with open(file_path, "w") as fh:
-        fh.write("# " + json.dumps(config if config is not None else path_to_json_dict(path_obj)) + "\n")
-        fh.write(header + "\n")
-        fh.writelines(row_format % values for values in rows)
+    config = config if config is not None else path_to_json_dict(path_obj)
+    _write_csv(file_path, config, header, row_format, rows)
 
 
 def path_to_json_dict(path_obj: EstimatorPath) -> dict:

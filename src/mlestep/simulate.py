@@ -218,19 +218,26 @@ def simulate(
 # --- Serialization --------------------------------------------------------------
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write `index,x` rows; the generating config rides in a leading # line."""
+def _write_csv(path, config: dict, header: str, row_format: str, rows) -> None:
+    """Every CSV artifact: a # line of config JSON, the header, ``row_format % row`` per row."""
     with open(path, "w") as fh:
-        fh.write("# " + json.dumps(traj.meta()) + "\n")
-        fh.write("index,x\n")
-        fh.writelines("%d,%.17g\n" % row for row in enumerate(traj.observations.tolist()))
+        fh.write("# " + json.dumps(config) + "\n" + header + "\n")
+        fh.writelines(row_format % row for row in rows)
 
 
-def write_trajectory_json(traj: Trajectory, path) -> None:
-    payload = dict(traj.meta(), observations=traj.observations.tolist())
+def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         # json.dumps runs the C encoder; json.dump streams through the python one
         fh.write(json.dumps(payload) + "\n")
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write `index,x` rows; the generating config rides in a leading # line."""
+    _write_csv(path, traj.meta(), "index,x", "%d,%.17g\n", enumerate(traj.observations.tolist()))
+
+
+def write_trajectory_json(traj: Trajectory, path) -> None:
+    _write_json(path, dict(traj.meta(), observations=traj.observations.tolist()))
 
 
 def read_trajectory_json(path) -> Trajectory:

@@ -35,6 +35,12 @@ def fd_jac(f, theta, h=1e-5):
     return np.stack(cols, axis=-1)
 
 
+def sample_domain(domain, rng, margin=0.05):
+    """Uniform draw from the domain's box shrunk by margin*width on each side."""
+    pad = margin * domain.width
+    return rng.uniform(domain.lower + pad, domain.upper - pad)
+
+
 def assert_close_rel(actual, expected, rtol, atol=1e-9):
     np.testing.assert_allclose(actual, expected, rtol=rtol, atol=atol)
 

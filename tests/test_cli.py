@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mlestep as ms
-from mlestep import mc
+from mlestep import cli, mc
 from mlestep.cli import _build_parser, main
 from mlestep.process import Pipeline
 from mlestep.simulate import write_trajectory_json
@@ -363,6 +363,22 @@ class TestKdeCommand:
         assert code == 1
         assert "bandwidth" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", [
+        ("--model", "example1", "--theta", "2.5", "--n", "300000"),
+        ("--input", "chain.json"),
+    ])
+    def test_bad_bandwidth_refused_before_the_chain(self, tmp_path, capsys, monkeypatch, source):
+        def no_chain(*args, **kwargs):
+            pytest.fail("the chain was built before the bandwidth was checked")
+
+        monkeypatch.setattr(cli, "simulate", no_chain)
+        monkeypatch.setattr(cli, "read_trajectory_json", no_chain)
+        code = run_cli("kde", *source, "--bandwidth", "-1", "--outdir", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bandwidth" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMcCommand:

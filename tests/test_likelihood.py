@@ -5,7 +5,7 @@ import mlestep as ms
 from mlestep.fisher import information_terms, window_information
 from mlestep.likelihood import loglik, loglik_grad, loglik_hess
 
-from helpers import assert_close_rel, fd_grad, fd_jac, pair_model, zero_model
+from helpers import assert_close_rel, fd_grad, fd_jac, pair_model, sample_domain, zero_model
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 _EXAMPLE2_TAKES_ONE = r"theta has shape \(2,\); model 'example2' takes a vector of length 1"
@@ -42,7 +42,7 @@ class TestLoglikGrad:
 
     def test_zero_residual_gives_zero(self, example2, rng):
         for _ in range(10):
-            theta = example2.domain.sample(rng)
+            theta = sample_domain(example2.domain, rng)
             x = rng.normal()
             x_next = float(example2.drift.S(theta, x))
             np.testing.assert_allclose(
@@ -58,7 +58,7 @@ class TestLoglikGrad:
         for key in ("example1", "example2", "linear"):
             model = request.getfixturevalue(key)
             for _ in range(100):
-                theta = model.domain.sample(rng, margin=0.1)
+                theta = sample_domain(model.domain, rng, margin=0.1)
                 x = float(rng.normal(scale=1.5)) or 0.4
                 xn = float(rng.normal(scale=1.5))
                 grad = loglik_grad(theta, x, xn, model)
@@ -79,7 +79,7 @@ class TestLoglikHess:
         for key in ("example1", "example2", "linear"):
             model = request.getfixturevalue(key)
             for _ in range(100):
-                theta = model.domain.sample(rng, margin=0.1)
+                theta = sample_domain(model.domain, rng, margin=0.1)
                 x = float(rng.normal(scale=1.5)) or 0.4
                 xn = float(rng.normal(scale=1.5))
                 hess = loglik_hess(theta, x, xn, model)
@@ -89,7 +89,7 @@ class TestLoglikHess:
     def test_symmetric_for_two_parameters(self, rng):
         model = pair_model()
         for _ in range(50):
-            theta = model.domain.sample(rng, margin=0.1)
+            theta = sample_domain(model.domain, rng, margin=0.1)
             h = loglik_hess(theta, rng.normal(), rng.normal(), model)
             np.testing.assert_allclose(h, h.T, atol=1e-12)
             fd = fd_jac(lambda t: loglik_grad(t, 0.3, -0.2, model), theta)

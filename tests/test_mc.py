@@ -476,3 +476,30 @@ class TestReportSerialization:
         lines = cpath.read_text().strip().splitlines()
         assert lines[1] == "replication,seed,err_1"
         assert len(lines) == 2 + 6
+
+    def test_csv_rows_skip_failed_replications(self, tmp_path, monkeypatch):
+        real = mc._replicate
+
+        def flaky(cfg, traj, model):
+            if traj.seed in (3, 9):
+                raise ValueError("synthetic failure")
+            return real(cfg, traj, model)
+
+        monkeypatch.setattr(mc, "_replicate", flaky)
+        cfg = ms.McConfig(
+            "linear", 0.5, 300, 0.6, preliminary="mle", process="one-step",
+            replications=20, base_seed=1, reference_information=((4.0 / 3.0,),),
+        )
+        report = ms.run_study(cfg)
+        assert [i for i, _ in report.failures] == [2, 8]
+        cpath = tmp_path / "report.csv"
+        mc.write_report_csv(report, cpath)
+        lines = cpath.read_text().splitlines()
+        assert json.loads(lines[0][2:]) == cfg.to_json_dict()
+        assert lines[1] == "replication,seed,err_1"
+        rows = [line.split(",") for line in lines[2:]]
+        assert [(int(i), int(seed)) for i, seed, _ in rows] == [
+            (i, 1 + i) for i in range(20) if i not in (2, 8)
+        ]
+        errors = np.array([[float(err)] for _, _, err in rows])
+        np.testing.assert_array_equal(errors, report.terminal_errors)

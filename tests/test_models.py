@@ -5,7 +5,7 @@ from scipy import integrate
 import mlestep as ms
 from mlestep.models import ParamDomain
 
-from helpers import assert_close_rel, fd_grad, fd_jac, pair_model
+from helpers import assert_close_rel, fd_grad, fd_jac, pair_model, sample_domain
 
 
 class TestParamDomain:
@@ -24,13 +24,13 @@ class TestParamDomain:
         assert dom.contains([0.5, 0.0])
         assert not dom.contains([0.0, 0.0])
         proj = dom.project([2.0, -5.0])
-        assert dom.contains(proj, margin=0.0)
+        assert dom.contains(proj)
         np.testing.assert_allclose(proj, [1.0 - 1e-6, -1.0 + 2e-6])
 
     def test_interior_points_project_to_themselves(self, rng):
         dom = ParamDomain([-1.0], [1.0])
         for _ in range(20):
-            t = dom.sample(rng)
+            t = sample_domain(dom, rng)
             np.testing.assert_array_equal(dom.project(t), t)
 
 
@@ -87,7 +87,7 @@ class TestExample1:
 
     def test_drift_vanishes_at_origin(self, example1, rng):
         for _ in range(10):
-            theta = example1.domain.sample(rng)
+            theta = sample_domain(example1.domain, rng)
             assert example1.drift.S(theta, 0.0) == 0.0
 
     def test_domain(self, example1):
@@ -106,7 +106,7 @@ class TestExample2:
     def test_shift_structure(self, example2, rng):
         # S(theta, x) - x depends only on x - theta
         for _ in range(25):
-            theta = example2.domain.sample(rng)
+            theta = sample_domain(example2.domain, rng)
             x = rng.normal()
             c = rng.normal()
             lhs = example2.drift.S(theta + c, x + c) - (x + c)
@@ -139,7 +139,7 @@ class TestDerivativeConsistency:
         model = request.getfixturevalue(model_key)
         dom = model.domain
         for _ in range(100):
-            theta = dom.sample(rng, margin=0.1)
+            theta = sample_domain(dom, rng, margin=0.1)
             x = float(rng.normal(scale=1.5))
             if abs(x) < 0.05:
                 x = 0.5
@@ -153,7 +153,7 @@ class TestDerivativeConsistency:
     def test_two_parameter_fixture(self, rng):
         model = pair_model()
         for _ in range(50):
-            theta = model.domain.sample(rng, margin=0.1)
+            theta = sample_domain(model.domain, rng, margin=0.1)
             x = float(rng.normal(scale=1.5))
             fd = fd_grad(lambda t: float(model.drift.S(t, x)), theta)
             assert_close_rel(model.drift.dS(theta, x), fd, rtol=1e-5, atol=1e-8)

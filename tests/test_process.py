@@ -194,28 +194,20 @@ class TestRecurrent:
         traj = ms.simulate(example2, 0.5, 1000, seed=seed)
         prelim = emm(traj, learning_length(1000, 0.75), example2)
         batch = second_preliminary_path(traj, example2, prelim, "observed", stride=1)
-        rec = recurrent_path(traj, example2, prelim, "observed", full_window=True)
-        assert np.abs(batch.thetas - rec.thetas).max() <= 1e-10
-
-    def test_windowed_matches_one_step_example1(self, example1):
-        traj = ms.simulate(example1, 2.5, 1000, seed=5)
-        prelim = mle(traj, learning_length(1000, 0.75), example1)
-        batch = one_step_path(traj, example1, prelim, "observed", stride=1)
-        rec = recurrent_path(traj, example1, prelim, "observed", full_window=False)
+        rec = recurrent_path(traj, example2, prelim, "observed")
         assert np.abs(batch.thetas - rec.thetas).max() <= 1e-10
 
     @staticmethod
-    def _recurrent_and_batch(case, full_window):
+    def _recurrent_and_batch(case):
         factory, theta, seed, n, delta, fisher_method = case
         model = factory()
         traj = ms.simulate(model, theta, n, seed=seed)
         prelim = mle(traj, learning_length(n, delta), model)
-        batch_fn = second_preliminary_path if full_window else one_step_path
         try:
-            batch = batch_fn(traj, model, prelim, fisher_method, stride=1)
+            batch = second_preliminary_path(traj, model, prelim, fisher_method, stride=1)
         except DegenerateInformationError:
             reject()
-        return recurrent_path(traj, model, prelim, fisher_method, full_window), batch
+        return recurrent_path(traj, model, prelim, fisher_method), batch
 
     _cases = st.tuples(
         st.sampled_from([(ms.example1_model, 2.5), (ms.example2_model, 0.5), (ms.linear_model, 0.5)]),
@@ -227,13 +219,7 @@ class TestRecurrent:
 
     @given(case=_cases)
     def test_full_window_equals_second_preliminary_property(self, case):
-        rec, batch = self._recurrent_and_batch(case, full_window=True)
-        np.testing.assert_array_equal(rec.ks, batch.ks)
-        np.testing.assert_allclose(rec.thetas, batch.thetas, rtol=0, atol=1e-10)
-
-    @given(case=_cases)
-    def test_windowed_equals_one_step_property(self, case):
-        rec, batch = self._recurrent_and_batch(case, full_window=False)
+        rec, batch = self._recurrent_and_batch(case)
         np.testing.assert_array_equal(rec.ks, batch.ks)
         np.testing.assert_allclose(rec.thetas, batch.thetas, rtol=0, atol=1e-10)
 
@@ -269,8 +255,7 @@ class TestFrozenStart:
         runs = {
             "one-step": lambda: one_step_path(traj, model, prelim, fisher_method),
             "second-preliminary": lambda: second_preliminary_path(traj, model, prelim, fisher_method),
-            "recurrent": lambda: recurrent_path(traj, model, prelim, fisher_method, True),
-            "recurrent-windowed": lambda: recurrent_path(traj, model, prelim, fisher_method, False),
+            "recurrent": lambda: recurrent_path(traj, model, prelim, fisher_method),
         }
         for kind, run in runs.items():
             sizes.clear()
