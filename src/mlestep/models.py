@@ -177,6 +177,11 @@ class ModelSpec:
     # docstring), both set by the probe
     _broadcasts_theta: bool = field(default=False, init=False, repr=False, compare=False)
     _steps_floats: bool = field(default=False, init=False, repr=False, compare=False)
+    # whether the conditional log-likelihood is analytic in theta on a
+    # neighbourhood of the box, set only by the built-in factories
+    # (``_analytic``); the grid mle then certifies its argmax from a
+    # Chebyshev interpolant instead of evaluating every grid point
+    _analytic_theta: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the shape conventions of the module docstring, at a scalar probe x
@@ -270,6 +275,16 @@ def gaussian_noise(sigma: float = 1.0) -> NoiseDensity:
 # Module-level functions (not closures) so ModelSpec instances pickle cleanly.
 
 
+def _analytic(spec: ModelSpec) -> ModelSpec:
+    """Mark a built-in spec's likelihood as analytic in theta. Gaussian noise
+    with a drift that is a rational function of theta without a pole on the
+    box qualifies: example1's poles sit at theta = -1/|x| < 0, example2's at
+    theta = x +- i, and linear's drift is a polynomial. A spec built any
+    other way (a custom drift or noise, ``dataclasses.replace``) is unmarked."""
+    object.__setattr__(spec, "_analytic_theta", True)
+    return spec
+
+
 def _ratio_drift(theta, x):
     # abs, not np.abs: it keeps a python float x a python float
     ax = abs(x)
@@ -320,12 +335,12 @@ def example1_model() -> ModelSpec:
 
     Standard Gaussian noise; the drift gradient is -|x|^3 / (1 + theta |x|)^2.
     """
-    return ModelSpec(
+    return _analytic(ModelSpec(
         drift=Drift(_ratio_drift, _ratio_drift_grad, _ratio_drift_hess),
         noise=gaussian_noise(),
         domain=ParamDomain([2.0], [5.0]),
         name="example1",
-    )
+    ))
 
 
 def example2_model() -> ModelSpec:
@@ -335,12 +350,12 @@ def example2_model() -> ModelSpec:
     Gaussian noise. The dynamics depend on x - theta only, so theta acts as a
     pure location parameter of the invariant law.
     """
-    return ModelSpec(
+    return _analytic(ModelSpec(
         drift=Drift(_shift_drift, _shift_drift_grad, _shift_drift_hess),
         noise=gaussian_noise(),
         domain=ParamDomain([-1.0], [1.0]),
         name="example2",
-    )
+    ))
 
 
 def linear_model(domain: tuple[float, float] = (-0.9, 0.9)) -> ModelSpec:
@@ -353,12 +368,12 @@ def linear_model(domain: tuple[float, float] = (-0.9, 0.9)) -> ModelSpec:
     lo, hi = float(domain[0]), float(domain[1])
     if lo <= -1.0 or hi >= 1.0:
         raise ValueError("linear model domain must lie inside (-1, 1)")
-    return ModelSpec(
+    return _analytic(ModelSpec(
         drift=Drift(_linear_drift, _linear_drift_grad, _linear_drift_hess),
         noise=gaussian_noise(),
         domain=ParamDomain([lo], [hi]),
         name="linear",
-    )
+    ))
 
 
 _REGISTRY: dict[str, Callable[[], ModelSpec]] = {

@@ -26,7 +26,7 @@ import numpy as np
 
 from .fisher import FISHER_METHODS, _checked, _reciprocals, information_terms, invert_fisher, window_information
 from .models import ModelSpec, _require_numbers
-from .preliminary import PreliminaryEstimate, bayes, emm, learning_length, mle
+from .preliminary import PreliminaryEstimate, _chebyshev_points, bayes, emm, learning_length, mle
 from .simulate import Trajectory, _write_csv
 
 __all__ = [
@@ -183,11 +183,10 @@ def second_preliminary_path(
     )
 
 
-# Chebyshev points of the second kind on [-1, 1], ascending. The interpolated
-# sums take M of them, every (128 // (M - 1))-th, so each doubling of M
-# evaluates only the new points.
+# The interpolated sums take M of the Chebyshev points of
+# ``preliminary._UNIT_NODES``, every (128 // (M - 1))-th, so each doubling
+# of M evaluates only the new points.
 _NODE_COUNTS = (17, 33, 65, 129)
-_UNIT_NODES = np.sin(np.pi * np.arange(-64, 65) / 128)
 # M is accepted once the last eighth of each Chebyshev series lies below this
 # fraction of its largest coefficient
 _TAIL_TOL = 1e-14
@@ -325,8 +324,7 @@ def _interpolated_sums(
     if lo == hi:
         totals, infos = _prefix_sums(lo, xp, xn, model, fisher_method, ks[:-1] - 1)
         return totals, infos / ks[:-1], np.zeros(x.size, dtype=bool)
-    grid = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _UNIT_NODES
-    grid[0], grid[-1] = lo, hi
+    grid = _chebyshev_points(lo, hi)
     if np.any(np.diff(grid) <= 0.0):
         return None
     # barycentric numerators and denominators per class of grid index i:

@@ -27,6 +27,33 @@ def half_defined_model(linear):
     )
 
 
+def _spiked_gauss_logpdf(u):
+    return np.where(u == 0.0, np.inf, -0.5 * np.log(2.0 * np.pi) - 0.5 * u * u)
+
+
+def spiked_model(linear):
+    """The linear drift with a Gaussian noise law whose log-density is +inf
+    at u = 0: a residual of exactly zero gives an infinite likelihood."""
+    noise = ms.NoiseDensity(
+        g=lambda u: np.exp(_spiked_gauss_logpdf(u)),
+        log_g=_spiked_gauss_logpdf,
+        psi=linear.noise.psi,
+        dpsi=linear.noise.dpsi,
+        sampler=linear.noise.sampler,
+        support=linear.noise.support,
+    )
+    return ms.ModelSpec(drift=linear.drift, noise=noise, domain=linear.domain, name="spiked")
+
+
+def spiked_traj(model, grid_points, index):
+    """A linear chain whose first transition 1 -> grid[index] has residual
+    zero exactly at theta = grid[index], so only that grid value is +inf."""
+    theta = float(preliminary._grid(model, grid_points)[index])
+    obs = ms.simulate(ms.linear_model(), 0.5, 200, seed=3).observations.copy()
+    obs[:2] = 1.0, theta
+    return make_traj(obs, 0.5, "linear"), theta
+
+
 @lru_cache(maxsize=None)
 def _long_traj(name):
     theta0 = {"example1": 2.5, "example2": 0.5, "linear": 0.5}[name]
@@ -135,6 +162,13 @@ class TestGridMle:
         # the same grid without NaN still estimates
         assert mle(traj, 200, linear).theta[0] == pytest.approx(0.5, abs=0.3)
 
+    def test_plus_inf_on_grid_errors(self, linear):
+        # not a flat likelihood (top - min = inf) returning the lower edge
+        model = spiked_model(linear)
+        traj, theta = spiked_traj(model, 512, 300)
+        with pytest.raises(EstimationError, match=re.escape(f"+inf at theta={theta} ")):
+            mle(traj, 200, model)
+
     def test_matches_dense_grid_argmax(self, linear):
         # oracle: brute-force argmax on a 1e5-point grid
         N = 200
@@ -216,6 +250,13 @@ class TestBayes:
         with pytest.raises(EstimationError, match=re.escape(f"NaN at theta={first} ")):
             bayes(traj, 200, model)
 
+    def test_plus_inf_on_grid_errors(self, linear):
+        # not "all posterior weights underflowed"; bayes's grid has 513 points
+        model = spiked_model(linear)
+        traj, theta = spiked_traj(model, 513, 300)
+        with pytest.raises(EstimationError, match=re.escape(f"+inf at theta={theta} ")):
+            bayes(traj, 200, model)
+
     def test_underflow_everywhere_errors(self):
         model = box_model()
         traj = make_traj([0.0, 10.0, -10.0, 10.0], 0.0, "box")
@@ -243,9 +284,13 @@ class TestGridBlocks:
         single = np.array(
             [preliminary._learning_loglik(np.array([t]), traj, N, model) for t in grid]
         )
+        # mle's size rule reads _GRID_TERMS: here it certifies the argmax
+        # (_certified_argmax) when N * grid_points >= 4 * 32768 and
+        # grid_points > 132, and scans the whole grid otherwise ...
         results = [mle(traj, N, model, grid_points), bayes(traj, N, model, None, grid_points)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(preliminary, "_GRID_TERMS", 1)  # B = 1: a plain theta vector per call
+            # ... and below it certifies whenever grid_points > 132
             loop = [
                 preliminary._grid_loglik(grid, traj, N, model),
                 mle(traj, N, model, grid_points),
@@ -276,6 +321,101 @@ class TestGridBlocks:
             got, want = estimator(traj, 40, model), estimator(traj, 40, linear)
             np.testing.assert_array_equal(got.theta, want.theta)
             assert got.diagnostics == want.diagnostics
+
+
+def _forced(certify: bool, *calls):
+    """Each call's result with mle's size rule forced to ``certify``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preliminary, "_certifies", lambda model, N, grid_points: certify)
+        return [call() for call in calls]
+
+
+def _assert_same_mle(got, want):
+    assert got.theta.tobytes() == want.theta.tobytes()
+    assert got.diagnostics == want.diagnostics
+
+
+class TestCertifiedArgmax:
+    """mle's certified argmax gives the estimate of the full grid scan."""
+
+    def test_size_rule(self, example2, linear):
+        assert preliminary._certifies(example2, 10_000, 512)
+        assert preliminary._certifies(linear, 256, 512)
+        assert not preliminary._certifies(linear, 255, 512)  # N * 512 < 4 * 32768
+        assert not preliminary._certifies(example2, 17, 512)  # the twostep_paths N
+        assert not preliminary._certifies(example2, 10_000, 132)
+        assert not preliminary._certifies(half_defined_model(linear), 10_000, 512)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "linear"])
+    def test_certifies_built_ins(self, name):
+        # the path is taken, not only its fallback
+        model, traj = ms.get_model(name), _long_traj(name)
+        grid = preliminary._grid(model, 512)
+        best = preliminary._certified_argmax(grid, traj, 10_000, model)
+        assert best == int(np.argmax(preliminary._grid_loglik(grid, traj, 10_000, model)))
+
+    @given(
+        name=st.sampled_from(["example1", "example2", "linear"]),
+        N=st.sampled_from([17, 100, 1000, 10_000]),
+        grid_points=st.sampled_from([3, 64, 512, 513]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(name="example2", N=10_000, grid_points=512, seed=0)
+    @settings(max_examples=24)
+    def test_census_matches_exact_scan(self, name, N, grid_points, seed):
+        model = ms.get_model(name)
+        theta0 = {"example1": 2.5, "example2": 0.5, "linear": 0.5}[name]
+        traj = ms.simulate(model, theta0, N, seed=seed)
+        calls = (
+            lambda: mle(traj, N, model, grid_points),
+            lambda: ms.full_mle_path(traj, model, grid_points, [max(1, N // 3), N]).thetas,
+        )
+        natural = [call() for call in calls]
+        certified, exact = _forced(True, *calls), _forced(False, *calls)
+        for got in (natural, certified):
+            _assert_same_mle(got[0], exact[0])
+            assert got[1].tobytes() == exact[1].tobytes()
+
+    def test_fallbacks_keep_results_and_messages(self, linear):
+        # flat: every grid value is contested, so the full scan flags it
+        model = zero_model()
+        traj = ms.simulate(model, 0.0, 400, seed=4)
+        got, want = _forced(True, lambda: mle(traj, 400, model))[0], mle(traj, 400, model)
+        _assert_same_mle(got, want)
+        assert got.diagnostics["flat_likelihood"] is True
+        # a point sum that is NaN or -inf: the full scan names the first NaN
+        # grid value, or refuses an all -inf grid
+        model = half_defined_model(linear)
+        traj = ms.simulate(linear, 0.5, 400, seed=3)
+        first = float(model.domain.project(model.domain.lower)[0])
+        with pytest.raises(EstimationError, match=re.escape(f"NaN at theta={first} ")):
+            _forced(True, lambda: mle(traj, 400, model))
+        model = box_model()
+        traj = make_traj([0.0, 10.0, -10.0, 10.0], 0.0, "box")
+        with pytest.raises(EstimationError, match="-inf"):
+            _forced(True, lambda: mle(traj, 3, model))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_custom_drift_nan_between_points_raises(self, linear):
+        # NaN at one interior grid value that no Chebyshev point hits: an
+        # interpolant cannot see it, so a custom model takes the full scan
+        grid = preliminary._grid(linear, 512)
+        bad = float(grid[300])
+        assert bad not in preliminary._chebyshev_points(grid[0], grid[-1])
+
+        def S(theta, x):
+            return np.where(theta[0] == bad, np.nan, theta[0] * np.asarray(x, dtype=float))
+
+        model = ms.ModelSpec(
+            drift=ms.Drift(S, linear.drift.dS, linear.drift.d2S),
+            noise=linear.noise,
+            domain=linear.domain,
+            name="nan-at-one-point",
+        )
+        traj = ms.simulate(linear, 0.5, 1000, seed=3)
+        assert not model._analytic_theta
+        with pytest.raises(EstimationError, match=re.escape(f"NaN at theta={bad} ")):
+            mle(traj, 1000, model)
 
 
 class TestEmm:
