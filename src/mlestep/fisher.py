@@ -100,27 +100,37 @@ def noise_information(noise: NoiseDensity) -> float:
     return float(value)
 
 
-def _require_positive_definite(fm: FisherMatrix) -> None:
+def _require_positive_definite(fm: FisherMatrix, theta=None, n: int | None = None) -> None:
     # inf/nan slip past the sign and condition checks (inf/inf is nan, and a
     # comparison with nan is False), so they are refused first; the
     # eigenvalues ascend, so the two ends bound the rest
     eig = fm.eigenvalues if np.isfinite(fm.matrix).all() else None
     if eig is None or not (math.isfinite(eig[0]) and math.isfinite(eig[-1])):
         raise DegenerateInformationError(
-            f"{fm.method} information matrix has non-finite entries or eigenvalues",
+            f"{fm.method} information matrix has non-finite entries or eigenvalues{_at(theta, n)}",
             matrix=fm.matrix,
         )
     if eig[0] <= 0.0:
         raise DegenerateInformationError(
-            f"{fm.method} information matrix is not positive definite "
-            "(window too short, or the parameter carries no information)",
+            f"{fm.method} information matrix is not positive definite{_at(theta, n)}",
             matrix=fm.matrix,
         )
 
 
-def _checked(matrix: np.ndarray, method: str) -> FisherMatrix:
+def _at(theta, n) -> str:
+    """Where an estimate was evaluated, for a refusal: the point theta and
+    the number n of transitions, or nothing without a theta."""
+    if theta is None:
+        return ""
+    at = np.array2string(np.asarray(theta, dtype=float), precision=7, separator=", ")
+    return f" at theta={at} over {n} transitions"
+
+
+def _checked(matrix: np.ndarray, method: str, theta=None, n: int | None = None) -> FisherMatrix:
+    """``matrix`` as ``method``'s FisherMatrix, refused by
+    ``_require_positive_definite``, naming theta and n where given."""
     fm = FisherMatrix(matrix, method)
-    _require_positive_definite(fm)
+    _require_positive_definite(fm, theta, n)
     return fm
 
 
@@ -132,7 +142,7 @@ def window_information(theta, traj: Trajectory, model: ModelSpec, method: str):
         raise ValueError("window is shorter than the parameter dimension")
     obs = traj.observations
     scores, terms = information_terms(theta, obs[:-1], obs[1:], model, method)
-    return scores, _checked(terms.mean(axis=0), method)
+    return scores, _checked(terms.mean(axis=0), method, theta, traj.n)
 
 
 # --- Per-transition information terms ---------------------------------------------

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 QUANTILE_LEVELS = (5, 25, 50, 75, 95)
+# the standard normal quantiles at QUANTILE_LEVELS
+_GAUSSIAN_Z = norm.ppf(np.array(QUANTILE_LEVELS) / 100.0)
 
 ORACLE_LENGTH = 1_000_000
 _ORACLE_SEED = 20_240_001
@@ -263,11 +265,11 @@ def _run_replications(cfgs: Sequence[McConfig], workers: int) -> list[list[tuple
 
 def _quantile_table(errors: np.ndarray, ref_inv: np.ndarray) -> dict:
     sd = np.sqrt(np.diag(ref_inv))
-    empirical = {
-        p: np.percentile(errors, p, axis=0).tolist() for p in QUANTILE_LEVELS
+    empirical = np.percentile(errors, QUANTILE_LEVELS, axis=0)
+    return {
+        "empirical": {p: row.tolist() for p, row in zip(QUANTILE_LEVELS, empirical)},
+        "gaussian": {p: (z * sd).tolist() for p, z in zip(QUANTILE_LEVELS, _GAUSSIAN_Z)},
     }
-    gaussian = {p: (norm.ppf(p / 100.0) * sd).tolist() for p in QUANTILE_LEVELS}
-    return {"empirical": empirical, "gaussian": gaussian}
 
 
 def _reference_inverse(cfg: McConfig) -> np.ndarray:

@@ -271,7 +271,7 @@ def two_step_path(
             totals[rows], infos[rows] = _exact_sums(traj, model, fisher_method, ks[rows], mids[rows])
             inverses[rows], flagged[rows] = _reciprocals(infos[rows])
         if flagged[r]:
-            inverses[r] = invert_fisher(_checked(infos[r], fisher_method))
+            inverses[r] = invert_fisher(_checked(infos[r], fisher_method, mids[r], ks[r]))
     thetas = mids + (inverses @ totals[:, :, np.newaxis])[:, :, 0] / ks[:, np.newaxis]
     return EstimatorPath(ks, thetas, "two-step", N, prelim, n)
 

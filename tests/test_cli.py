@@ -261,6 +261,20 @@ class TestEstimateCommand:
         assert code == 1
         assert "positive definite" in capsys.readouterr().err
 
+    def test_indefinite_information_names_theta_and_transitions(self, capsys, tmp_path):
+        # the N = 8 preliminary lands at the box edge, where the observed
+        # information over the whole sample is negative: the message names
+        # that point and the 300 transitions, not a short window
+        code = run_cli(
+            "estimate", "--model", "example1", "--theta", "3.67", "--n", "300",
+            "--seed", "4", "--preliminary", "mle", "--process", "two-step",
+            "--delta", "0.375", "--outdir", str(tmp_path),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: observed information matrix is not positive definite "
+            "at theta=[4.999997] over 300 transitions\n"
+        )
 
     def test_log_level_prints_projections_on_stderr(self, tmp_path, capsys):
         # example1 at n=300, seed 2: the second preliminary values leave (2, 5)

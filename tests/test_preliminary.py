@@ -418,6 +418,85 @@ class TestCertifiedArgmax:
             mle(traj, 1000, model)
 
 
+def _sum_sizes(monkeypatch):
+    """The number of thetas of each ``_theta_sums`` call from now on."""
+    sizes, sums = [], preliminary._theta_sums
+
+    def spy(thetas, *args):
+        sizes.append(thetas.size)
+        return sums(thetas, *args)
+
+    monkeypatch.setattr(preliminary, "_theta_sums", spy)
+    return sizes
+
+
+def near_pole_model(example2, c):
+    """example2's drift x + 3 (theta - x) / (1 + (x - theta)^2) with the 1
+    replaced by c: its likelihood has poles at theta = x +- i sqrt(c),
+    which a small c pulls toward the grid."""
+
+    def S(theta, x):
+        v = x - theta[0]
+        return x - 3.0 * v / (c + v * v)
+
+    return ms.ModelSpec(
+        drift=ms.Drift(S, example2.drift.dS, example2.drift.d2S),
+        noise=example2.noise,
+        domain=example2.domain,
+        name="near-pole",
+    )
+
+
+class TestCertifyLadder:
+    """The certified argmax climbs from 33 Chebyshev points to 65, and
+    scans the whole grid only when 65 do not certify the maximum."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "linear"])
+    def test_built_ins_take_33_point_sums(self, name, monkeypatch):
+        model, traj = ms.get_model(name), _long_traj(name)
+        sizes = _sum_sizes(monkeypatch)
+        mle(traj, 10_000, model)
+        # the 33 points, then the contested grid values; no 65-point rung
+        assert sizes[0] == 33 and len(sizes) == 2 and 1 <= sizes[1] <= 16
+
+    @pytest.mark.parametrize(
+        "c,climbed",
+        # the 65-point rung certifies; 65 points do not, and the grid is scanned
+        [(0.2, lambda last: last <= 16), (0.01, lambda last: last == 512)],
+        ids=["65-rung", "scan"],
+    )
+    def test_unresolved_drift_climbs_and_keeps_the_scan_result(self, example2, c, climbed, monkeypatch):
+        model = near_pole_model(example2, c)
+        traj = ms.simulate(model, 0.5, 1000, seed=1)
+        want = _forced(False, lambda: mle(traj, 1000, model))[0]
+        sizes = _sum_sizes(monkeypatch)
+        got = _forced(True, lambda: mle(traj, 1000, model))[0]
+        _assert_same_mle(got, want)
+        assert sizes[:2] == [33, 32] and len(sizes) == 3 and climbed(sizes[2])
+
+    @pytest.mark.parametrize("lo,hi,size", [(-1.0, 1.0, 512), (-1.0, 1.0, 513), (2.000003, 4.999997, 64)])
+    def test_cached_weights_match_the_formula(self, lo, hi, size):
+        grid = np.linspace(lo, hi, size)
+        rng = np.random.default_rng(size)
+        for step in (8, 4, 2):
+            nodes = preliminary._chebyshev_points(lo, hi)[::step]
+            values = rng.normal(size=nodes.size) * 1e4
+            # the second barycentric formula, built afresh
+            weights = np.ones(nodes.size)
+            weights[1::2] = -1.0
+            weights[[0, -1]] *= 0.5
+            diff = grid[:, np.newaxis] - nodes
+            hit = diff == 0.0
+            diff[hit] = 1.0
+            c = weights / diff
+            want = (c @ values) / c.sum(axis=1)
+            rows, cols = np.nonzero(hit)
+            want[rows] = values[cols]
+            assert rows.size >= 2  # the grid's ends are points
+            for _ in range(2):  # built, then cached
+                assert preliminary._interpolated(grid, step, values).tobytes() == want.tobytes()
+
+
 class TestEmm:
     def test_example2_identity_moments(self, example2):
         # location model: theta estimated by the plain sample mean
