@@ -12,7 +12,6 @@ integer in [1, n] with a ValueError naming N (``_require_learning_length``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -39,15 +38,12 @@ _GRID_TERMS = 32768
 _FLAT_TOL = 1e-12
 
 # Chebyshev points of the second kind on [-1, 1], ascending. The grid mle's
-# certified argmax takes every 4th and, if needed, every 2nd (33 and 65
-# points), the two-step interpolated sums every (128 // (M - 1))-th, M = 17,
-# 33, 65, 129; each set holds the smaller ones.
+# certified argmax takes every 4th and every 8th (33 and 17 points), the
+# two-step interpolated sums every (128 // (M - 1))-th, M = 17, 33, 65, 129;
+# each set holds the smaller ones.
 _UNIT_NODES = np.sin(np.pi * np.arange(-64, 65) / 128)
-# the certified argmax's rungs, as steps through _UNIT_NODES: 33 points, then
-# 65, each evaluating only the points the one before lacks
-_CERTIFY_RUNGS = (4, 2)
-# the error of a rung's interpolant is taken as this multiple of its largest
-# distance from the interpolant through every other one of its points ...
+# the certified argmax: the error of the 33-point interpolant is taken as
+# this multiple of its largest distance from the 17-point one ...
 _CERTIFY_SAFETY = 10.0
 # ... and at least this multiple of N * max |sum at a point|, the rounding
 # of an N-term sum
@@ -143,15 +139,10 @@ def _chebyshev_points(lo: float, hi: float) -> np.ndarray:
     return points
 
 
-@lru_cache(maxsize=6)
-def _barycentric_weights(lo: float, hi: float, size: int, step: int):
-    """The second barycentric formula's weights c (size, M) from the grid
-    ``np.linspace(lo, hi, size)`` to the M Chebyshev points
-    ``_chebyshev_points(lo, hi)[::step]``, their row sums, and the (row,
-    point) pairs where a grid value is a point; read-only, built once per
-    grid and point set (a 512 x 65 c is 266 KB)."""
-    x = np.linspace(lo, hi, size)
-    nodes = _chebyshev_points(lo, hi)[::step]
+def _barycentric(x: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The polynomial through ``values`` at ``nodes``, Chebyshev points of
+    the second kind in ascending order, at each x (the second barycentric
+    formula); an x on a node takes the node's value."""
     weights = np.ones(nodes.size)
     weights[1::2] = -1.0
     weights[[0, -1]] *= 0.5
@@ -159,74 +150,53 @@ def _barycentric_weights(lo: float, hi: float, size: int, step: int):
     hit = diff == 0.0
     diff[hit] = 1.0
     c = weights / diff
-    cached = (c, c.sum(axis=1), *np.nonzero(hit))
-    for array in cached:
-        array.setflags(write=False)
-    return cached
-
-
-def _interpolated(grid: np.ndarray, step: int, values: np.ndarray) -> np.ndarray:
-    """The polynomial through ``values`` at the Chebyshev points
-    ``_chebyshev_points(grid[0], grid[-1])[::step]`` at each value of
-    ``grid``, a linspace (the second barycentric formula); a grid value on
-    a point takes the point's value."""
-    c, den, rows, cols = _barycentric_weights(float(grid[0]), float(grid[-1]), grid.size, step)
-    out = (c @ values) / den
+    out = (c @ values) / c.sum(axis=1)
+    rows, cols = np.nonzero(hit)
     out[rows] = values[cols]
     return out
 
 
 def _certifies(model: ModelSpec, N: int, grid_points: int) -> bool:
     """Whether ``mle`` tries ``_certified_argmax``: the likelihood is
-    analytic in theta, the grid holds more than twice the 66 sums its
-    65-point rung takes (65 points and a contested value or more), and the
-    scan is at least 4 blocks of ``_GRID_TERMS`` terms. A smaller scan is a
-    few numpy calls, cheaper than the point sums: at N = 128 and 512 points
-    the scan took 0.72 ms and the 65-point certified argmax 0.78 ms."""
+    analytic in theta, grid_points > 132 and the scan is at least 4 blocks
+    of ``_GRID_TERMS`` terms. The rule was set for a certified argmax from
+    65 point sums and is kept as it was: on 512 points the 33-point one
+    still costs more than the scan at N = 64 and less at N = 128 (README,
+    "Cost model")."""
     return model._analytic_theta and grid_points > 132 and N * grid_points >= 4 * _GRID_TERMS
 
 
 def _certified_argmax(grid: np.ndarray, traj: Trajectory, N: int, model: ModelSpec) -> int | None:
-    """The first index of the maximum of ``_grid_loglik`` on the grid (a
-    linspace), without evaluating it at every grid value; None where this
-    cannot be certified, and the grid then takes the full scan.
+    """The first index of the maximum of ``_grid_loglik`` on the grid,
+    without evaluating it at every grid value; None where this cannot be
+    certified, and the grid then takes the full scan.
 
     The sums at the 33 Chebyshev points of [grid[0], grid[-1]] are
     interpolated onto the grid, and so are those at every other one of
     them. The error eps of the 33-point interpolant is taken as
     _CERTIFY_SAFETY times the two interpolants' largest difference, and at
     least the rounding of an N-term sum. Only the grid values whose
-    interpolated sum lies within 2 eps of the largest are contested: any
-    other lies below the maximum by more than the error. If more than
-    _CERTIFY_CONTESTED are, the sums at the 32 points between add up to a
-    65-point rung, whose eps is taken against the 33-point interpolant in
-    the same way. The contested values are evaluated exactly. None if a sum
-    is not finite (the full scan names a NaN or +inf, or refuses an all
-    -inf grid), if the 65-point rung still leaves more than
-    _CERTIFY_CONTESTED values contested, or if the likelihood range over
-    the grid lies within 4 eps of the flat threshold.
+    interpolated sum lies within 2 eps of the largest are evaluated
+    exactly: any other lies below the maximum by more than the error. None
+    if a sum is not finite (the full scan names a NaN or +inf, or refuses
+    an all -inf grid), if more than _CERTIFY_CONTESTED values are
+    contested, or if the likelihood range over the grid lies within 4 eps
+    of the flat threshold.
     """
-    points = _chebyshev_points(grid[0], grid[-1])
-    if np.any(np.diff(points[::2]) <= 0.0):  # a box too narrow for 65 distinct points
+    nodes = _chebyshev_points(grid[0], grid[-1])[::4]
+    if np.any(np.diff(nodes) <= 0.0):  # a box too narrow for 33 distinct points
         return None
-    sums = np.empty(points.size)
-    fine = None
-    for step in _CERTIFY_RUNGS:
-        # the points this rung adds: all of its own on the first rung
-        new = slice(0, None, step) if fine is None else slice(step, None, 2 * step)
-        sums[new] = _theta_sums(points[new], traj, N, model)
-        if not np.all(np.isfinite(sums[new])):
-            return None
-        coarse = _interpolated(grid, 2 * step, sums[:: 2 * step]) if fine is None else fine
-        fine = _interpolated(grid, step, sums[::step])
-        eps = max(
-            _CERTIFY_SAFETY * float(np.max(np.abs(fine - coarse))),
-            _CERTIFY_ROUNDING * N * float(np.max(np.abs(sums[::step]))),
-        )
-        contested = np.flatnonzero(fine >= fine.max() - 2.0 * eps)
-        if contested.size <= _CERTIFY_CONTESTED:
-            break
-    else:
+    node_sums = _theta_sums(nodes, traj, N, model)
+    if not np.all(np.isfinite(node_sums)):
+        return None
+    fine = _barycentric(grid, nodes, node_sums)
+    coarse = _barycentric(grid, nodes[::2], node_sums[::2])
+    eps = max(
+        _CERTIFY_SAFETY * float(np.max(np.abs(fine - coarse))),
+        _CERTIFY_ROUNDING * N * float(np.max(np.abs(node_sums))),
+    )
+    contested = np.flatnonzero(fine >= fine.max() - 2.0 * eps)
+    if contested.size > _CERTIFY_CONTESTED:
         return None
     exact = _theta_sums(grid[contested], traj, N, model)
     if not np.all(np.isfinite(exact)):

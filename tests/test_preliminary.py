@@ -447,54 +447,27 @@ def near_pole_model(example2, c):
     )
 
 
-class TestCertifyLadder:
-    """The certified argmax climbs from 33 Chebyshev points to 65, and
-    scans the whole grid only when 65 do not certify the maximum."""
+class TestCertifyFrom33Points:
+    """The certified argmax sums the likelihood at 33 Chebyshev points and
+    scans the whole grid when they do not certify the maximum."""
 
     @pytest.mark.parametrize("name", ["example1", "example2", "linear"])
     def test_built_ins_take_33_point_sums(self, name, monkeypatch):
         model, traj = ms.get_model(name), _long_traj(name)
         sizes = _sum_sizes(monkeypatch)
         mle(traj, 10_000, model)
-        # the 33 points, then the contested grid values; no 65-point rung
+        # the 33 points, then the contested grid values
         assert sizes[0] == 33 and len(sizes) == 2 and 1 <= sizes[1] <= 16
 
-    @pytest.mark.parametrize(
-        "c,climbed",
-        # the 65-point rung certifies; 65 points do not, and the grid is scanned
-        [(0.2, lambda last: last <= 16), (0.01, lambda last: last == 512)],
-        ids=["65-rung", "scan"],
-    )
-    def test_unresolved_drift_climbs_and_keeps_the_scan_result(self, example2, c, climbed, monkeypatch):
-        model = near_pole_model(example2, c)
+    def test_unresolved_drift_keeps_the_scan_result(self, example2, monkeypatch):
+        model = near_pole_model(example2, 0.2)
         traj = ms.simulate(model, 0.5, 1000, seed=1)
         want = _forced(False, lambda: mle(traj, 1000, model))[0]
         sizes = _sum_sizes(monkeypatch)
         got = _forced(True, lambda: mle(traj, 1000, model))[0]
         _assert_same_mle(got, want)
-        assert sizes[:2] == [33, 32] and len(sizes) == 3 and climbed(sizes[2])
-
-    @pytest.mark.parametrize("lo,hi,size", [(-1.0, 1.0, 512), (-1.0, 1.0, 513), (2.000003, 4.999997, 64)])
-    def test_cached_weights_match_the_formula(self, lo, hi, size):
-        grid = np.linspace(lo, hi, size)
-        rng = np.random.default_rng(size)
-        for step in (8, 4, 2):
-            nodes = preliminary._chebyshev_points(lo, hi)[::step]
-            values = rng.normal(size=nodes.size) * 1e4
-            # the second barycentric formula, built afresh
-            weights = np.ones(nodes.size)
-            weights[1::2] = -1.0
-            weights[[0, -1]] *= 0.5
-            diff = grid[:, np.newaxis] - nodes
-            hit = diff == 0.0
-            diff[hit] = 1.0
-            c = weights / diff
-            want = (c @ values) / c.sum(axis=1)
-            rows, cols = np.nonzero(hit)
-            want[rows] = values[cols]
-            assert rows.size >= 2  # the grid's ends are points
-            for _ in range(2):  # built, then cached
-                assert preliminary._interpolated(grid, step, values).tobytes() == want.tobytes()
+        # more than 16 grid values contested at 33 points: the grid is scanned
+        assert sizes == [33, 512]
 
 
 class TestEmm:
