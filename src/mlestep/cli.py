@@ -33,6 +33,7 @@ from .process import (
     write_path_csv,
 )
 from .simulate import (
+    _read_json,
     _write_json,
     read_trajectory_json,
     simulate,
@@ -41,19 +42,11 @@ from .simulate import (
 )
 
 
-def _outdir(args) -> Path:
-    base = args.outdir or os.environ.get("MLESTEP_OUTDIR") or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _resolve_out(args, default_name: str) -> Path:
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        return out
-    return _outdir(args) / default_name
+    base = Path(args.outdir or os.environ.get("MLESTEP_OUTDIR") or ".")
+    out = Path(args.out) if args.out else base / default_name
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 # the flags that fix a simulated chain, by argparse dest
@@ -144,9 +137,7 @@ def cmd_kde(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    with open(args.config) as fh:
-        payload = json.load(fh)
-    cfg = mc_config_from_dict(payload)
+    cfg = mc_config_from_dict(_read_json(args.config, "study config"))
     report = run_study(cfg, workers=args.workers)
     out_json = _resolve_out(args, "mc_report.json")
     write_report_json(report, out_json)

@@ -384,7 +384,12 @@ _REGISTRY: dict[str, Callable[[], ModelSpec]] = {
 
 
 def register_model(name: str, factory: Callable[[], ModelSpec]) -> None:
-    """Make a custom model addressable by name (CLI, Monte Carlo configs)."""
+    """Make a custom model addressable by name (CLI, Monte Carlo configs);
+    ValueError unless name is a non-empty string and factory is callable."""
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"name must be a non-empty string, got {_brief.repr(name)}")
+    if not callable(factory):
+        raise ValueError(f"factory must be callable, got {_brief.repr(factory)}")
     _REGISTRY[name] = factory
 
 

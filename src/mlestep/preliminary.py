@@ -38,10 +38,10 @@ _GRID_TERMS = 32768
 _FLAT_TOL = 1e-12
 
 # Chebyshev points of the second kind on [-1, 1], ascending. The grid mle's
-# certified argmax takes every 4th and every 8th (33 and 17 points), the
-# two-step interpolated sums every (128 // (M - 1))-th, M = 17, 33, 65, 129;
-# each set holds the smaller ones.
-_UNIT_NODES = np.sin(np.pi * np.arange(-64, 65) / 128)
+# certified argmax takes every 2nd and every 4th (33 and 17 points), the
+# two-step interpolated sums every (64 // (M - 1))-th, M = 17, 33, 65; each
+# set holds the smaller ones.
+_UNIT_NODES = np.sin(np.pi * np.arange(-32, 33) / 64)
 # the certified argmax: the error of the 33-point interpolant is taken as
 # this multiple of its largest distance from the 17-point one ...
 _CERTIFY_SAFETY = 10.0
@@ -158,12 +158,11 @@ def _barycentric(x: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> np.nda
 
 def _certifies(model: ModelSpec, N: int, grid_points: int) -> bool:
     """Whether ``mle`` tries ``_certified_argmax``: the likelihood is
-    analytic in theta, grid_points > 132 and the scan is at least 4 blocks
-    of ``_GRID_TERMS`` terms. The rule was set for a certified argmax from
-    65 point sums and is kept as it was: on 512 points the 33-point one
-    still costs more than the scan at N = 64 and less at N = 128 (README,
-    "Cost model")."""
-    return model._analytic_theta and grid_points > 132 and N * grid_points >= 4 * _GRID_TERMS
+    analytic in theta, grid_points > 132, N >= 128 and the scan is at least
+    4 blocks of ``_GRID_TERMS`` terms. Its interpolation costs about as
+    much as the scan at N = 128 and more below, on 512 points as on 4096
+    (README, "Cost model"); up to 1024 points the 4 blocks imply N >= 128."""
+    return model._analytic_theta and grid_points > 132 and N >= 128 and N * grid_points >= 4 * _GRID_TERMS
 
 
 def _certified_argmax(grid: np.ndarray, traj: Trajectory, N: int, model: ModelSpec) -> int | None:
@@ -183,7 +182,7 @@ def _certified_argmax(grid: np.ndarray, traj: Trajectory, N: int, model: ModelSp
     contested, or if the likelihood range over the grid lies within 4 eps
     of the flat threshold.
     """
-    nodes = _chebyshev_points(grid[0], grid[-1])[::4]
+    nodes = _chebyshev_points(grid[0], grid[-1])[::2]
     if np.any(np.diff(nodes) <= 0.0):  # a box too narrow for 33 distinct points
         return None
     node_sums = _theta_sums(nodes, traj, N, model)

@@ -183,10 +183,9 @@ def second_preliminary_path(
     )
 
 
-# The interpolated sums take M of the Chebyshev points of
-# ``preliminary._UNIT_NODES``, every (128 // (M - 1))-th, so each doubling
-# of M evaluates only the new points.
-_NODE_COUNTS = (17, 33, 65, 129)
+# the ladder's point counts M, nested in ``preliminary._UNIT_NODES``: each
+# doubling of M evaluates only the new points
+_NODE_COUNTS = (17, 33, 65)
 # M is accepted once the last eighth of each Chebyshev series lies below this
 # fraction of its largest coefficient
 _TAIL_TOL = 1e-14
@@ -217,7 +216,7 @@ def two_step_path(
     depend on the stride. The terminal k = n, d > 1, and paths whose
     interpolant is not resolved take exact sums, one k at a time
     (``_exact_sums``). The interpolation evaluates each of its M points
-    (17, 33, 65 or 129) once, about (M + 1) n term evaluations however many
+    (17, 33 or 65) once, about (M + 1) n term evaluations however many
     ks are emitted, and holds a few sums per emitted k, not the points'
     sums; the exact sums cost the sum of the emitted ks: a gain when the ks
     are many (|ks| well above 2 (M + 1) for evenly spread ks), a loss for a
@@ -311,9 +310,9 @@ def _interpolated_sums(
     and k = ks[-1] = n are resolved (``_resolved``). Each point is evaluated
     once, folded into the running sums of the second barycentric formula and
     dropped; an x on a point takes the point's value. The pass costs about
-    M n term evaluations. None if the sums are not resolved by M = 129, if a
+    M n term evaluations. None if the sums are not resolved by M = 65, if a
     sum is not finite (a prefix sum that is not finite leaves the sum at n
-    not finite), or if the box is too narrow for 129 distinct points. A box
+    not finite), or if the box is too narrow for 65 distinct points. A box
     of zero width is its one point, every x equals it, and that point's
     prefix sums are the exact window sums (unflagged), at n evaluations.
     """
@@ -328,9 +327,8 @@ def _interpolated_sums(
     if np.any(np.diff(grid) <= 0.0):
         return None
     # barycentric numerators and denominators per class of grid index i:
-    # 0 for i % 16 == 0, 1 for i % 16 == 8, 2 for i % 8 == 4, 3 for
-    # i % 4 == 2, 4 for odd i
-    num, den = np.zeros((5, 2, x.size)), np.zeros((5, x.size))
+    # 0 for i % 8 == 0, 1 for i % 8 == 4, 2 for i % 4 == 2, 3 for odd i
+    num, den = np.zeros((4, 2, x.size)), np.zeros((4, x.size))
     on_node, node_values = np.zeros(x.size, dtype=bool), np.empty((2, x.size))
     scale = np.zeros(x.size)
     ends = {}
@@ -350,7 +348,7 @@ def _interpolated_sums(
                 node_values[:, hit] = sums[:, hit]
                 diff[hit] = 1.0
             c = (0.5 if i in (0, grid.size - 1) else 1.0) / diff
-            cls = 4 if i % 2 else 3 if i % 4 else 2 if i % 8 else 1 if i % 16 else 0
+            cls = 3 if i % 2 else 2 if i % 4 else 1 if i % 8 else 0
             num[cls] += c * sums
             den[cls] += c
             np.maximum(scale, np.abs(sums[1]), out=scale)

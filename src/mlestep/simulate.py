@@ -231,6 +231,14 @@ def _write_json(path, payload) -> None:
         fh.write(json.dumps(payload) + "\n")
 
 
+def _read_json(path, what: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `index,x` rows; the generating config rides in a leading # line."""
     _write_csv(path, traj.meta(), "index,x", "%d,%.17g\n", enumerate(traj.observations.tolist()))
@@ -241,8 +249,7 @@ def write_trajectory_json(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_json(path) -> Trajectory:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_json(path, "trajectory file")
     keys = ("observations", "true_theta", "seed", "burn_in", "model_name")
     missing = [key for key in keys if key not in payload] if isinstance(payload, dict) else keys
     if missing:

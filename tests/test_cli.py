@@ -238,6 +238,15 @@ class TestEstimateCommand:
             assert err.startswith(f"error: {message}") and len(err) < 200
         assert not (tmp_path / "p.csv").exists()
 
+    def test_trajectory_file_that_is_not_json_names_the_file(self, capsys, tmp_path):
+        traj_path = tmp_path / "bad.json"
+        traj_path.write_text("observations: [0.0, 1.0]\n")
+        code = run_cli("estimate", "--input", str(traj_path), "--out", str(tmp_path / "p.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: trajectory file {traj_path} is not valid JSON: ")
+        assert not (tmp_path / "p.csv").exists()
+
     def test_non_finite_x_init_fails_cleanly(self, capsys, tmp_path):
         for command, value in (("simulate", "nan"), ("estimate", "inf")):
             code = run_cli(command, "--model", "example2", "--theta", "0.5", "--n", "100",
@@ -461,6 +470,16 @@ class TestMcCommand:
             cfg_path.write_text(text)
             assert run_cli("mc", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")) == 1
             assert message in capsys.readouterr().err
+
+    def test_config_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("")
+        code = run_cli("mc", "--config", str(cfg_path), "--workers", "1",
+                       "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: study config {cfg_path} is not valid JSON: ")
+        assert not (tmp_path / "r.json").exists()
 
     def test_replication_failures_propagate(self, tmp_path, capsys, monkeypatch):
         def broken(cfg, traj, model):

@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 import mlestep as ms
-from mlestep.models import ParamDomain
+from mlestep.models import ParamDomain, builtin_model_names
 
 from helpers import assert_close_rel, fd_grad, fd_jac, pair_model, sample_domain
 
@@ -175,6 +175,20 @@ class TestRegistry:
 
         ms.register_model("zero-test", zero_model)
         assert ms.get_model("zero-test").name == "zero"
+
+    @pytest.mark.parametrize(
+        "name,factory,field",
+        [(123, ms.linear_model, "name"), ("", ms.linear_model, "name"),
+         (None, ms.linear_model, "name"), ("not-callable", "linear", "factory"),
+         ("a-spec", ms.linear_model(), "factory")],
+        ids=["int-name", "empty-name", "none-name", "str-factory", "spec-factory"],
+    )
+    def test_register_refuses_bad_name_or_factory(self, name, factory, field):
+        # the registry is unchanged, so parsers built afterwards still work
+        before = builtin_model_names()
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ms.register_model(name, factory)
+        assert builtin_model_names() == before
 
     def test_dimension_mismatch_rejected(self, linear):
         from mlestep.models import Drift, ModelSpec, ParamDomain

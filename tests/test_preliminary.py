@@ -285,12 +285,12 @@ class TestGridBlocks:
             [preliminary._learning_loglik(np.array([t]), traj, N, model) for t in grid]
         )
         # mle's size rule reads _GRID_TERMS: here it certifies the argmax
-        # (_certified_argmax) when N * grid_points >= 4 * 32768 and
-        # grid_points > 132, and scans the whole grid otherwise ...
+        # (_certified_argmax) when N * grid_points >= 4 * 32768,
+        # grid_points > 132 and N >= 128, and scans the whole grid otherwise ...
         results = [mle(traj, N, model, grid_points), bayes(traj, N, model, None, grid_points)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(preliminary, "_GRID_TERMS", 1)  # B = 1: a plain theta vector per call
-            # ... and below it certifies whenever grid_points > 132
+            # ... and below it certifies whenever grid_points > 132 and N >= 128
             loop = [
                 preliminary._grid_loglik(grid, traj, N, model),
                 mle(traj, N, model, grid_points),
@@ -344,6 +344,10 @@ class TestCertifiedArgmax:
         assert not preliminary._certifies(linear, 255, 512)  # N * 512 < 4 * 32768
         assert not preliminary._certifies(example2, 17, 512)  # the twostep_paths N
         assert not preliminary._certifies(example2, 10_000, 132)
+        # on 4096 points 4 blocks take only N = 32; the rule asks N >= 128 too
+        assert preliminary._certifies(example2, 128, 4096)
+        assert not preliminary._certifies(example2, 127, 4096)
+        assert not preliminary._certifies(linear, 32, 4096)
         assert not preliminary._certifies(half_defined_model(linear), 10_000, 512)
 
     @pytest.mark.parametrize("name", ["example1", "example2", "linear"])

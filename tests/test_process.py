@@ -388,14 +388,14 @@ class TestTwoStepEngine:
         return points
 
     def test_each_point_is_evaluated_once_on_a_long_path(self, example2, monkeypatch):
-        # more ks than all points' sums at every k would fit in 32 MiB: each
-        # of the M = 17 points (the first rung, on the path's own box) is
-        # still evaluated once, and a coarse stride reads the same values
+        # every k from N + 1 to n, some 20,000 of them: each of the M = 17
+        # points (the first rung, on the path's own box) is evaluated once
+        # for all of them, and a coarse stride reads the same values
         evaluations = self._evaluated_points(monkeypatch)
         traj = ms.simulate(example2, 0.5, 20_000, seed=4)
         prelim = emm(traj, learning_length(traj.n, 0.375), example2)
         dense = two_step_path(traj, example2, prelim, "observed", 1)
-        assert dense.ks.size * 16 * 129 > 32 << 20
+        assert dense.ks.size == traj.n - prelim.learning_length > 19_000
         assert len(evaluations) == len(set(evaluations)) == process_module._NODE_COUNTS[0] == 17
         coarse = two_step_path(traj, example2, prelim, "observed", 97)
         np.testing.assert_array_equal(coarse.thetas, dense.thetas[np.searchsorted(dense.ks, coarse.ks)])
@@ -431,11 +431,12 @@ class TestTwoStepEngine:
 
     def test_unresolved_interpolant_runs_the_exact_engine(self, monkeypatch):
         # kink_model's window sums jump at each observation inside the box,
-        # so no Chebyshev interpolant resolves them
+        # so no Chebyshev interpolant resolves them: each of the 65 points of
+        # the last rung is evaluated once before the exact engine runs
         model = kink_model()
         traj = ms.simulate(model, 0.2, 300, seed=0)
         prelim = emm(traj, learning_length(300, 0.375), model)
-        exact = self._exact_rows(monkeypatch)
+        exact, points = self._exact_rows(monkeypatch), self._evaluated_points(monkeypatch)
         compared = 0
         for fisher_method in FISHER_METHODS:
             second = second_preliminary_path(traj, model, prelim, fisher_method, 1).thetas
@@ -444,11 +445,28 @@ class TestTwoStepEngine:
             assert np.any((box.min() < x_prev) & (x_prev < box.max()))
             for stride in (1, 7):
                 exact.clear()
+                points.clear()
                 if self._assert_matches(monkeypatch, traj, model, prelim, fisher_method, stride):
                     compared += 1
                     ks = second_preliminary_path(traj, model, prelim, fisher_method, stride).ks
                     assert exact == ks.tolist()
+                    assert len(points) == len(set(points)) == process_module._NODE_COUNTS[-1] == 65
         assert compared >= 4
+
+    def test_built_in_request_resolves_at_65_points(self, example2, monkeypatch):
+        # example2 at n = 2000, seed 126, delta = 0.3 (N = 10), mle: the sums
+        # resolve only on the last rung, whose 65 points are each evaluated
+        # once; only the terminal takes exact sums
+        traj = ms.simulate(example2, 0.5, 2000, seed=126)
+        prelim = mle(traj, learning_length(traj.n, 0.3), example2)
+        assert prelim.learning_length == 10
+        points, exact = self._evaluated_points(monkeypatch), self._exact_rows(monkeypatch)
+        dense = two_step_path(traj, example2, prelim, "observed", 1)
+        assert len(points) == len(set(points)) == 65
+        assert exact == [traj.n]
+        coarse = two_step_path(traj, example2, prelim, "observed", 7)
+        np.testing.assert_array_equal(coarse.thetas, dense.thetas[np.searchsorted(dense.ks, coarse.ks)])
+        assert self._assert_matches(monkeypatch, traj, example2, prelim, "observed", 1)
 
     def test_non_finite_node_sums_run_the_exact_engine(self, example2, monkeypatch):
         # the second point evaluated, inside the box, takes a non-finite
@@ -517,7 +535,7 @@ class TestTwoStepEngine:
                 np.testing.assert_array_equal(path.thetas, exact.thetas[np.searchsorted(exact.ks, path.ks)])
 
     def test_box_too_narrow_for_distinct_points_is_not_interpolated(self, example2):
-        # 129 Chebyshev points on a box a few ulps wide round onto each other
+        # 65 Chebyshev points on a box a few ulps wide round onto each other
         traj = ms.simulate(example2, 0.5, 300, seed=0)
         ks = np.arange(20, 301)
         mids = np.full((ks.size, 1), 0.5)
