@@ -24,7 +24,6 @@ from .errors import MlestepError
 from .fisher import FISHER_METHODS
 from .mc import mc_config_from_dict, run_study, write_report_csv, write_report_json
 from .models import builtin_model_names, get_model
-from .preliminary import learning_length
 from .process import (
     PRELIMINARY_KINDS,
     PROCESS_KINDS,
@@ -103,7 +102,6 @@ def cmd_estimate(args) -> int:
         args.delta, args.preliminary, args.process, args.fisher, args.stride, args.grid_points
     )
     traj, model = _load_or_simulate(args)
-    N = learning_length(traj.n, args.delta)
     config = {"trajectory": traj.meta(), "n": traj.n, **asdict(pipeline)}
     prelim, path = pipeline.run(traj, model)
 
@@ -111,14 +109,14 @@ def cmd_estimate(args) -> int:
     write_path_csv(path, out_csv, config=config)
     summary = {
         "preliminary": prelim.to_json_dict() if prelim is not None else None,
-        "N": int(N),
+        "N": int(path.N),
         "terminal": path.terminal.tolist(),
         "path": path_to_json_dict(path),
         "config": config,
     }
     out_json = out_csv.with_suffix(".summary.json")
     _write_json(out_json, summary)
-    print(json.dumps({"written": [str(out_csv), str(out_json)], "N": int(N),
+    print(json.dumps({"written": [str(out_csv), str(out_json)], "N": int(path.N),
                       "terminal": path.terminal.tolist()}))
     return 0
 

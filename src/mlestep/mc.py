@@ -25,7 +25,6 @@ from scipy.stats import norm
 from .errors import MlestepError, StudyError
 from .fisher import FisherMatrix, invert_fisher, window_information
 from .models import ModelSpec, _finite_reals, _require_numbers, get_model
-from .preliminary import learning_length
 from .process import STRIDED_PROCESSES, Pipeline
 from .simulate import Trajectory, _check_chain, _write_csv, _write_json, simulate, simulate_paths
 
@@ -91,9 +90,7 @@ class McConfig:
             self.delta, self.preliminary, self.process, self.fisher_method, stride,
             self.grid_points,
         ))
-        N = learning_length(self.n, self.delta)
-        if N >= self.n:
-            raise ValueError(f"n={self.n} leaves no transitions after the learning interval N={N}")
+        self.spec.learning_length(self.n)
         model = get_model(self.model_name)
         _check_chain(model, theta0, self.n, self.burn_in, self.x_init, "theta0")
         d = model.dim

@@ -37,11 +37,12 @@ _GRID_TERMS = 32768
 # a likelihood range within this fraction of max(1, |top|) is flat
 _FLAT_TOL = 1e-12
 
-# Chebyshev points of the second kind on [-1, 1], ascending. The grid mle's
-# certified argmax takes every 2nd and every 4th (33 and 17 points), the
-# two-step interpolated sums every (64 // (M - 1))-th, M = 17, 33, 65; each
-# set holds the smaller ones.
+# Chebyshev points of the second kind on [-1, 1], ascending, and the point
+# counts M of their nested subsets, every (64 // (M - 1))-th point: each set
+# holds the smaller ones. The grid mle's certified argmax takes 33 and 17,
+# the two-step interpolated sums 17, 33 and 65 (``_Barycentric``).
 _UNIT_NODES = np.sin(np.pi * np.arange(-32, 33) / 64)
+_NODE_COUNTS = (17, 33, 65)
 # the certified argmax: the error of the 33-point interpolant is taken as
 # this multiple of its largest distance from the 17-point one ...
 _CERTIFY_SAFETY = 10.0
@@ -132,36 +133,56 @@ def _theta_sums(thetas: np.ndarray, traj: Trajectory, N: int, model: ModelSpec) 
     return values
 
 
-def _chebyshev_points(lo: float, hi: float) -> np.ndarray:
-    """``_UNIT_NODES`` mapped onto [lo, hi], the ends exactly lo and hi."""
-    points = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _UNIT_NODES
-    points[0], points[-1] = lo, hi
-    return points
+class _Barycentric:
+    """The interpolants at x through values at nested subsets of ``points``,
+    ``_UNIT_NODES`` on [lo, hi], lo < hi, by the second barycentric formula
+    (Berrut & Trefethen 2004) folded one point at a time: ``add(i, values)``
+    takes point i's values, a scalar or of shape ``shape`` + (x.size,), and
+    ``read(M)`` gives the M-point interpolant once its points are added; an
+    x on a point takes its value. An M-point set weights its j-th point
+    (-1)^j, halved at the ends: + on the index classes i % 8 == 0, i % 8 ==
+    4, i % 4 == 2 and odd i before the c-th (c = 1, 2, 3 for M = 17, 33,
+    65), - on the c-th."""
 
+    def __init__(self, lo: float, hi: float, x: np.ndarray, shape: tuple = ()):
+        self.points, self.x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _UNIT_NODES, x
+        self.points[0], self.points[-1] = lo, hi
+        self.num, self.den = np.zeros((4, *shape, x.size)), np.zeros((4, x.size))
+        # the x on each point, and the values of each such point once added
+        at = np.minimum(np.searchsorted(self.points, x), self.points.size - 1)
+        on = self.points[at] == x
+        self.hits, self.held = {i: on & (at == i) for i in set(at[on].tolist())}, {}
 
-def _barycentric(x: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The polynomial through ``values`` at ``nodes``, Chebyshev points of
-    the second kind in ascending order, at each x (the second barycentric
-    formula); an x on a node takes the node's value."""
-    weights = np.ones(nodes.size)
-    weights[1::2] = -1.0
-    weights[[0, -1]] *= 0.5
-    diff = x[:, np.newaxis] - nodes
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    c = weights / diff
-    out = (c @ values) / c.sum(axis=1)
-    rows, cols = np.nonzero(hit)
-    out[rows] = values[cols]
-    return out
+    def indices(self, M: int) -> range:
+        return range(0, self.points.size, (self.points.size - 1) // (M - 1))
+
+    def add(self, i: int, values) -> None:
+        diff = self.x - self.points[i]
+        cls = 3 if i % 2 else 2 if i % 4 else 1 if i % 8 else 0
+        hit = self.hits.get(i)
+        if hit is not None:
+            self.held[i] = np.broadcast_to(values, self.num.shape[1:])[..., hit]
+            diff[hit] = 1.0
+        c = np.divide(0.5 if i in (0, self.points.size - 1) else 1.0, diff, out=diff)
+        self.num[cls] += c * values
+        self.den[cls] += c
+
+    def read(self, M: int) -> np.ndarray:
+        c = _NODE_COUNTS.index(M) + 1
+        out = (self.num[:c].sum(axis=0) - self.num[c]) / (self.den[:c].sum(axis=0) - self.den[c])
+        for i, values in self.held.items():
+            if i in self.indices(M):
+                out[..., self.hits[i]] = values
+        return out
 
 
 def _certifies(model: ModelSpec, N: int, grid_points: int) -> bool:
     """Whether ``mle`` tries ``_certified_argmax``: the likelihood is
     analytic in theta, grid_points > 132, N >= 128 and the scan is at least
-    4 blocks of ``_GRID_TERMS`` terms. Its interpolation costs about as
-    much as the scan at N = 128 and more below, on 512 points as on 4096
-    (README, "Cost model"); up to 1024 points the 4 blocks imply N >= 128."""
+    4 blocks of ``_GRID_TERMS`` terms; up to 1024 points the blocks imply
+    N >= 128. Below N = 128 the interpolation costs more than the scan, on
+    512 points as on 4096; at N = 100 on 1e5 points example2 took 0.15 s
+    certified against 0.10 s scanned (README, "Cost model")."""
     return model._analytic_theta and grid_points > 132 and N >= 128 and N * grid_points >= 4 * _GRID_TERMS
 
 
@@ -182,14 +203,16 @@ def _certified_argmax(grid: np.ndarray, traj: Trajectory, N: int, model: ModelSp
     contested, or if the likelihood range over the grid lies within 4 eps
     of the flat threshold.
     """
-    nodes = _chebyshev_points(grid[0], grid[-1])[::2]
-    if np.any(np.diff(nodes) <= 0.0):  # a box too narrow for 33 distinct points
+    fold = _Barycentric(grid[0], grid[-1], grid)
+    nodes = fold.indices(33)
+    if np.any(np.diff(fold.points[nodes]) <= 0.0):  # a box too narrow for 33 distinct points
         return None
-    node_sums = _theta_sums(nodes, traj, N, model)
+    node_sums = _theta_sums(fold.points[nodes], traj, N, model)
     if not np.all(np.isfinite(node_sums)):
         return None
-    fine = _barycentric(grid, nodes, node_sums)
-    coarse = _barycentric(grid, nodes[::2], node_sums[::2])
+    for i, value in zip(nodes, node_sums.tolist()):
+        fold.add(i, value)
+    fine, coarse = fold.read(33), fold.read(17)
     eps = max(
         _CERTIFY_SAFETY * float(np.max(np.abs(fine - coarse))),
         _CERTIFY_ROUNDING * N * float(np.max(np.abs(node_sums))),
@@ -297,13 +320,17 @@ def bayes(
     quadrature on weights rescaled by the maximum log-weight, so very small
     likelihood values do not underflow. The likelihood is evaluated at every
     grid value, and a NaN or +inf there raises EstimationError as in
-    ``mle``; a prior value that is negative or not finite raises ValueError.
+    ``mle``, as does a prior that raises; a prior value that is negative or
+    not finite raises ValueError.
     """
     # Simpson quadrature wants an odd point count
     grid = _checked_grid(traj, N, model, grid_points, "bayes", odd=True)
     logw = _grid_loglik(grid, traj, N, model)
     if prior is not None:
-        pvals = np.array([float(prior(t)) for t in grid])
+        try:
+            pvals = np.array([float(prior(t)) for t in grid])
+        except Exception as exc:
+            raise EstimationError(f"prior is undefined on the grid: {exc}") from exc
         if not np.all(np.isfinite(pvals) & (pvals >= 0.0)):
             raise ValueError("prior must be finite and nonnegative on the domain")
         with np.errstate(divide="ignore"):
@@ -327,11 +354,18 @@ def emm(traj: Trajectory, N: int, model: ModelSpec, q=None, h=None) -> Prelimina
 
     Both maps default to the identity, which matches location-type models
     whose invariant law is symmetric about the parameter. The result is
-    projected onto the closure of the parameter box.
+    projected onto the closure of the parameter box. A q or h that raises,
+    or a q(X) without N rows, raises EstimationError.
     """
     _require_learning_length(N, traj)
     xs = traj.observations[1 : N + 1]
-    moments = np.mean(q(xs), axis=0) if q is not None else np.mean(xs)
+    try:
+        mapped = q(xs) if q is not None else xs
+    except Exception as exc:
+        raise EstimationError(f"moment function q is undefined on the learning interval: {exc}") from exc
+    if np.shape(mapped)[:1] != (N,):
+        raise EstimationError(f"moment function q must return N = {N} rows, got shape {np.shape(mapped)}")
+    moments = np.mean(mapped, axis=0) if q is not None else np.mean(xs)
     try:
         value = h(moments) if h is not None else moments
     except Exception as exc:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .fisher import FISHER_METHODS, _checked, _reciprocals, information_terms, invert_fisher, window_information
 from .models import ModelSpec, _require_numbers
-from .preliminary import PreliminaryEstimate, _chebyshev_points, bayes, emm, learning_length, mle
+from .preliminary import _NODE_COUNTS, PreliminaryEstimate, _Barycentric, bayes, emm, learning_length, mle
 from .simulate import Trajectory, _write_csv
 
 __all__ = [
@@ -116,7 +116,7 @@ def _frozen_start(
     learning window of a few dozen points is too noisy for the correction.
     """
     if prelim.learning_length >= traj.n:
-        raise ValueError("learning interval leaves no observations to process")
+        raise ValueError(f"learning interval N={prelim.learning_length} leaves no observations to process: n={traj.n}")
     theta0 = _into_domain(prelim.theta, model, "preliminary estimate")
     scores, info = window_information(theta0, traj, model, fisher_method)
     return theta0, scores, invert_fisher(info)
@@ -183,9 +183,6 @@ def second_preliminary_path(
     )
 
 
-# the ladder's point counts M, nested in ``preliminary._UNIT_NODES``: each
-# doubling of M evaluates only the new points
-_NODE_COUNTS = (17, 33, 65)
 # M is accepted once the last eighth of each Chebyshev series lies below this
 # fraction of its largest coefficient
 _TAIL_TOL = 1e-14
@@ -308,13 +305,13 @@ def _interpolated_sums(
 
     M doubles from 17 until the series through the sums at k = ks[0] = N+1
     and k = ks[-1] = n are resolved (``_resolved``). Each point is evaluated
-    once, folded into the running sums of the second barycentric formula and
-    dropped; an x on a point takes the point's value. The pass costs about
-    M n term evaluations. None if the sums are not resolved by M = 65, if a
-    sum is not finite (a prefix sum that is not finite leaves the sum at n
-    not finite), or if the box is too narrow for 65 distinct points. A box
-    of zero width is its one point, every x equals it, and that point's
-    prefix sums are the exact window sums (unflagged), at n evaluations.
+    once, folded into ``_Barycentric``'s running sums and dropped. The pass
+    costs about M n term evaluations. None if the sums are not resolved by
+    M = 65, if a sum is not finite (a prefix sum that is not finite leaves
+    the sum at n not finite), or if the box is too narrow for 65 distinct
+    points. A box of zero width is its one point, every x equals it, and
+    that point's prefix sums are the exact window sums (unflagged), at n
+    evaluations.
     """
     lo, hi = box
     n = int(ks[-1])
@@ -323,40 +320,24 @@ def _interpolated_sums(
     if lo == hi:
         totals, infos = _prefix_sums(lo, xp, xn, model, fisher_method, ks[:-1] - 1)
         return totals, infos / ks[:-1], np.zeros(x.size, dtype=bool)
-    grid = _chebyshev_points(lo, hi)
-    if np.any(np.diff(grid) <= 0.0):
+    fold = _Barycentric(lo, hi, x, (2,))
+    if np.any(np.diff(fold.points) <= 0.0):
         return None
-    # barycentric numerators and denominators per class of grid index i:
-    # 0 for i % 8 == 0, 1 for i % 8 == 4, 2 for i % 4 == 2, 3 for odd i
-    num, den = np.zeros((4, 2, x.size)), np.zeros((4, x.size))
-    on_node, node_values = np.zeros(x.size, dtype=bool), np.empty((2, x.size))
     scale = np.zeros(x.size)
     ends = {}
-    for used, M in enumerate(_NODE_COUNTS, start=1):
-        picked = range(0, grid.size, (grid.size - 1) // (M - 1))
+    for M in _NODE_COUNTS:
+        picked = fold.indices(M)
         for i in picked:
             if i in ends:
                 continue
-            sums = _prefix_sums(grid[i], xp, xn, model, fisher_method, ks - 1)
+            sums = _prefix_sums(fold.points[i], xp, xn, model, fisher_method, ks - 1)
             if not np.isfinite(sums[:, -1]).all():
                 return None
             ends[i], sums = sums[:, [0, -1]], sums[:, :-1]
-            diff = x - grid[i]
-            hit = diff == 0.0
-            if hit.any():
-                on_node |= hit
-                node_values[:, hit] = sums[:, hit]
-                diff[hit] = 1.0
-            c = (0.5 if i in (0, grid.size - 1) else 1.0) / diff
-            cls = 3 if i % 2 else 2 if i % 4 else 1 if i % 8 else 0
-            num[cls] += c * sums
-            den[cls] += c
+            fold.add(i, sums)
             np.maximum(scale, np.abs(sums[1]), out=scale)
         if _resolved(np.array([ends[i] for i in picked])):
-            # M's weights (-1)^j, in its own numbering, are + on the classes
-            # before `used` and - on class `used`
-            totals, infos = (num[:used].sum(axis=0) - num[used]) / (den[:used].sum(axis=0) - den[used])
-            totals[on_node], infos[on_node] = node_values[:, on_node]
+            totals, infos = fold.read(M)
             return totals, infos / ks[:-1], infos <= _NEAR_SINGULAR * scale
     return None
 
@@ -503,6 +484,13 @@ class Pipeline:
         if self.grid_points < 3:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
 
+    def learning_length(self, n: int) -> int:
+        """``learning_length(n, delta)``, refused naming N, n and delta if it leaves no transitions."""
+        N = learning_length(n, self.delta)
+        if N >= n:
+            raise ValueError(f"learning interval N={N} (delta={self.delta}) leaves no observations to process: n={n}")
+        return N
+
     def run(
         self, traj: Trajectory, model: ModelSpec
     ) -> tuple[PreliminaryEstimate | None, EstimatorPath | None]:
@@ -510,7 +498,7 @@ class Pipeline:
         path_fn = PROCESS_KINDS[self.process]
         if self.process == "full-mle":
             return None, path_fn(traj, model, self.grid_points)
-        N = learning_length(traj.n, self.delta)
+        N = self.learning_length(traj.n)
         grid = {} if self.preliminary == "emm" else {"grid_points": self.grid_points}
         prelim = PRELIMINARY_KINDS[self.preliminary](traj, N, model, **grid)
         if path_fn is None:

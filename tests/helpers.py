@@ -222,6 +222,23 @@ def box_model():
     )
 
 
+def barycentric_reference(x, points, values):
+    """The polynomial through ``values`` (M, ..., K) at the M Chebyshev
+    points of the second kind ``points``, ascending, at each of the K x,
+    x[k] taking values[..., k]: the second barycentric formula with the
+    weights (-1)^j, halved at the ends, summed densely; an x on a point
+    takes the point's value."""
+    weights = (-1.0) ** np.arange(points.size)
+    weights[[0, -1]] *= 0.5
+    diff = x[np.newaxis, :] - points[:, np.newaxis]
+    on = diff == 0.0
+    c = weights[:, np.newaxis] / np.where(on, 1.0, diff)
+    out = np.einsum("mk,m...k->...k", c, values) / c.sum(axis=0)
+    for m, k in zip(*np.nonzero(on)):
+        out[..., k] = values[m, ..., k]
+    return out
+
+
 def noiseless_linear_traj(theta0=0.5, n=200, x_init=2.0):
     """Exact zero-residual linear trajectory: X_j = theta0 * X_{j-1}."""
     obs = np.empty(n + 1)

@@ -285,6 +285,29 @@ class TestEstimateCommand:
             "at theta=[4.999997] over 300 transitions\n"
         )
 
+    def test_no_observations_after_the_learning_interval_names_N_n_and_delta(self, capsys, tmp_path):
+        # n = 2 and N = round(2**0.9) = 2: refused before the preliminary runs
+        code = run_cli(
+            "estimate", "--model", "example2", "--theta", "0.5", "--n", "2", "--delta", "0.9",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: learning interval N=2 (delta=0.9) leaves no observations to process: n=2\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_full_mle_summary_takes_N_from_the_path(self, tmp_path, capsys):
+        # full-mle uses no learning interval: N is the path's 0, not n**delta
+        out = tmp_path / "path.csv"
+        code = run_cli(
+            "estimate", "--model", "example2", "--theta", "0.5", "--n", "100",
+            "--process", "full-mle", "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads(out.with_suffix(".summary.json").read_text())["N"] == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["N"] == 0
+
     def test_log_level_prints_projections_on_stderr(self, tmp_path, capsys):
         # example1 at n=300, seed 2: the second preliminary values leave (2, 5)
         args = ["estimate", "--model", "example1", "--theta", "2.5", "--n", "300",

@@ -10,7 +10,7 @@ from mlestep import preliminary
 from mlestep.errors import EstimationError
 from mlestep.preliminary import bayes, emm, learning_length, mle
 
-from helpers import box_model, make_traj, noiseless_linear_traj, pair_model, zero_model
+from helpers import barycentric_reference, box_model, make_traj, noiseless_linear_traj, pair_model, zero_model
 
 
 def half_defined_model(linear):
@@ -242,6 +242,11 @@ class TestBayes:
         with pytest.raises(ValueError, match="finite"):
             bayes(traj, 50, linear, prior=lambda t: value if t > 0.3 else 1.0)
 
+    def test_raising_prior_is_refused_by_name(self, linear):
+        traj = ms.simulate(linear, 0.5, 100, seed=1)
+        with pytest.raises(EstimationError, match="prior is undefined on the grid: division by zero"):
+            bayes(traj, 50, linear, prior=lambda t: 1 / 0)
+
     def test_nan_on_grid_errors(self, linear):
         # the same refusal as mle's, not "all posterior weights underflowed"
         model = half_defined_model(linear)
@@ -405,7 +410,7 @@ class TestCertifiedArgmax:
         # interpolant cannot see it, so a custom model takes the full scan
         grid = preliminary._grid(linear, 512)
         bad = float(grid[300])
-        assert bad not in preliminary._chebyshev_points(grid[0], grid[-1])
+        assert bad not in preliminary._Barycentric(grid[0], grid[-1], grid).points
 
         def S(theta, x):
             return np.where(theta[0] == bad, np.nan, theta[0] * np.asarray(x, dtype=float))
@@ -474,6 +479,53 @@ class TestCertifyFrom33Points:
         assert sizes == [33, 512]
 
 
+class TestBarycentric:
+    """``_Barycentric``'s folded sums give the 17-, 33- and 65-point
+    interpolants of the dense formula to a few ulp of the values' scale."""
+
+    @staticmethod
+    def _assert_interpolants(fold, x, values):
+        # values: (65, ..., K) at every point; all of them are added
+        for i, value in enumerate(values):
+            fold.add(i, value)
+        for M in (17, 33, 65):
+            picked = list(fold.indices(M))
+            want = barycentric_reference(x, fold.points[picked], values[picked])
+            got = fold.read(M)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=16 * np.finfo(float).eps * np.abs(values).max())
+            # an x on one of the M points takes that point's value exactly
+            on = np.isin(x, fold.points[picked])
+            np.testing.assert_array_equal(got[..., on], want[..., on])
+        return got
+
+    def test_scalar_values_on_a_512_point_grid(self, example2):
+        lo, hi = preliminary._grid(example2, 3)[[0, -1]]
+        points = preliminary._Barycentric(lo, hi, np.empty(0)).points
+        # the ends, and points 4, 7 and 34: on the 17-, 65- and 33-point sets
+        x = np.sort(np.concatenate([np.linspace(lo, hi, 509), points[[4, 7, 34]]]))
+        fold = preliminary._Barycentric(lo, hi, x)
+        values = -1e4 * (1.0 + (points - 0.3) ** 2) + 50.0 * np.cos(7.0 * points)
+        got = self._assert_interpolants(fold, x, np.broadcast_to(values[:, np.newaxis], (65, x.size)))
+        assert got.shape == (512,)
+        assert got[np.flatnonzero(x == points[7])[0]] == values[7]
+
+    def test_per_column_values_at_per_column_x(self):
+        lo, hi = -0.4, 0.9
+        points = preliminary._Barycentric(lo, hi, np.empty(0)).points
+        x = np.random.default_rng(5).uniform(lo, hi, 40)
+        x[[3, 11, 20]] = points[[12, 33, 64]]
+        columns = np.arange(x.size) / 10.0
+        values = np.stack([
+            np.sin(points[:, np.newaxis] + columns) * 300.0,
+            np.exp(points[:, np.newaxis] * columns) + columns,
+        ], axis=1)
+        fold = preliminary._Barycentric(lo, hi, x, (2,))
+        got = self._assert_interpolants(fold, x, values)
+        assert got.shape == (2, 40)
+        np.testing.assert_array_equal(got[:, 11], values[33, :, 11])
+
+
 class TestEmm:
     def test_example2_identity_moments(self, example2):
         # location model: theta estimated by the plain sample mean
@@ -508,6 +560,17 @@ class TestEmm:
             emm(traj, 19, example2, h=lambda t: float("nan") / 0.0)
         with pytest.raises(EstimationError):
             emm(traj, 19, example2, h=lambda t: float("nan"))
+
+    def test_raising_q_is_refused_by_name(self, example2):
+        traj = make_traj(np.full(20, 0.3), 0.5, "example2")
+        with pytest.raises(EstimationError, match="moment function q is undefined on the learning interval: division"):
+            emm(traj, 19, example2, q=lambda x: 1 / 0)
+
+    @pytest.mark.parametrize("q,shape", [(lambda x: x[:3], "(3,)"), (lambda x: float(x.mean()), "()")])
+    def test_q_without_N_rows_is_refused(self, example2, q, shape):
+        traj = make_traj(np.linspace(0.0, 1.0, 20), 0.5, "example2")
+        with pytest.raises(EstimationError, match=re.escape(f"q must return N = 19 rows, got shape {shape}")):
+            emm(traj, 19, example2, q=q)
 
 
 class TestTightnessProxy:
