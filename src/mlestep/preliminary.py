@@ -180,9 +180,10 @@ def _certifies(model: ModelSpec, N: int, grid_points: int) -> bool:
     """Whether ``mle`` tries ``_certified_argmax``: the likelihood is
     analytic in theta, grid_points > 132, N >= 128 and the scan is at least
     4 blocks of ``_GRID_TERMS`` terms; up to 1024 points the blocks imply
-    N >= 128. Below N = 128 the interpolation costs more than the scan, on
-    512 points as on 4096; at N = 100 on 1e5 points example2 took 0.15 s
-    certified against 0.10 s scanned (README, "Cost model")."""
+    N >= 128. Below N = 128 the interpolation costs more than the scan on
+    512 points (1.7-2.6x at N = 64), and at N = 100 on 1e5 points example2
+    took 0.15 s certified against 0.10 s scanned; on 4096 points it is
+    cheaper from N = 64 (README, "Cost model")."""
     return model._analytic_theta and grid_points > 132 and N >= 128 and N * grid_points >= 4 * _GRID_TERMS
 
 
