@@ -2,11 +2,11 @@
 
 These provide the consistent (but rate-suboptimal) starting point that the
 estimator processes later correct. Three kinds are implemented for scalar
-parameters: a grid-plus-golden-section likelihood maximizer, a posterior mean
-under a prior, and a method-of-moments map. All estimates are projected into
-the parameter box shrunk by a small margin so that information matrices stay
-evaluable in the interior. Each refuses a learning length N that is not an
-integer in [1, n] with a ValueError naming N (``_require_learning_length``).
+parameters: a grid likelihood maximizer refined at a root of the score, a
+posterior mean under a prior, and a method-of-moments map. All estimates are
+projected into the parameter box shrunk by a small margin so that information
+matrices stay evaluable in the interior. Each refuses a learning length N not
+an integer in [1, n] with a ValueError naming N (``_require_learning_length``).
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import brentq
 
 from .errors import EstimationError
-from .likelihood import loglik
+from .likelihood import loglik, loglik_grad
 from .models import ModelSpec, _require_numbers
 from .simulate import Trajectory
 
@@ -29,8 +30,8 @@ __all__ = [
     "emm",
 ]
 
-_GOLDEN_TOL = 1e-8
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+# the grid mle's root of the summed score is located to within this in theta
+_ROOT_TOL = 1e-14
 # likelihood terms per grid block, B = _GRID_TERMS // N theta values: 256 KiB
 # per float64 temporary; twice that ran 2-3x slower on example2 for N >= 1000
 _GRID_TERMS = 32768
@@ -187,10 +188,10 @@ def _certifies(model: ModelSpec, N: int, grid_points: int) -> bool:
     return model._analytic_theta and grid_points > 132 and N >= 128 and N * grid_points >= 4 * _GRID_TERMS
 
 
-def _certified_argmax(grid: np.ndarray, traj: Trajectory, N: int, model: ModelSpec) -> int | None:
-    """The first index of the maximum of ``_grid_loglik`` on the grid,
-    without evaluating it at every grid value; None where this cannot be
-    certified, and the grid then takes the full scan.
+def _certified_argmax(grid: np.ndarray, traj: Trajectory, N: int, model: ModelSpec) -> tuple | None:
+    """The first index of the maximum of ``_grid_loglik`` on the grid, and
+    that maximum, without evaluating it at every grid value; None where
+    this cannot be certified, and the grid then takes the full scan.
 
     The sums at the 33 Chebyshev points of [grid[0], grid[-1]] are
     interpolated onto the grid, and so are those at every other one of
@@ -228,24 +229,38 @@ def _certified_argmax(grid: np.ndarray, traj: Trajectory, N: int, model: ModelSp
     # the grid's smallest sum lies within eps of the interpolant's
     if top - float(fine.min()) <= _FLAT_TOL * max(1.0, abs(top)) + 4.0 * eps:
         return None
-    return int(contested[np.argmax(exact)])
+    return int(contested[np.argmax(exact)]), top
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    """Golden-section maximizer on [a, b]; ties resolve toward smaller values."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _refine(grid: np.ndarray, best: int, top: float, traj: Trajectory, N: int, model: ModelSpec) -> tuple:
+    """The estimate and its exact loglik from grid[best], loglik top: the root
+    of the score (the sum of ``loglik_grad`` over 1..N) in the grid cell it
+    points into from grid[best], by Brent's method to _ROOT_TOL at no theta
+    twice; grid[best] if that cell is off the grid, holds no change of sign
+    or gives a root below top beyond the flat threshold (a cell may hold a
+    minimum too). A NaN or infinite score raises EstimationError."""
+    obs = traj.observations
+
+    def score(t: float) -> float:
+        value = float(np.sum(loglik_grad(np.array([t]), obs[:N], obs[1 : N + 1], model)))
+        if not np.isfinite(value):
+            what = "NaN" if np.isnan(value) else f"{value:+}"
+            raise EstimationError(f"conditional likelihood score is {what} at theta={t}")
+        return value
+
+    a = float(grid[best])
+    fa = score(a)
+    j = best + (1 if fa > 0.0 else -1)
+    if fa == 0.0 or not 0 <= j < grid.size:
+        return a, top
+    b = float(grid[j])
+    fb = score(b)
+    if fb == 0.0 or (fb > 0.0) == (fa > 0.0):
+        return a, top
+    known = {a: fa, b: fb}
+    t = brentq(lambda t: known[t] if t in known else score(t), min(a, b), max(a, b), xtol=_ROOT_TOL)
+    value = _learning_loglik(np.array([t]), traj, N, model)
+    return (t, value) if value >= top - _FLAT_TOL * max(1.0, abs(top)) else (a, top)
 
 
 def _grid(model: ModelSpec, grid_points: int) -> np.ndarray:
@@ -269,22 +284,21 @@ def _checked_grid(traj: Trajectory, N, model: ModelSpec, grid_points: int, what:
 def mle(traj: Trajectory, N: int, model: ModelSpec, grid_points: int = 512) -> PreliminaryEstimate:
     """Maximize the conditional log-likelihood of the first N transitions.
 
-    Coarse grid scan followed by golden-section refinement of the bracketing
-    cell to 1e-8 in theta; grid ties break toward the smaller value. A flat
-    likelihood (no information in the window) skips refinement and is flagged
-    in the diagnostics. A NaN or +inf on the grid raises EstimationError
-    naming the first grid value that gives one.
+    Coarse grid scan (ties break toward the smaller value) followed by a
+    root of the exact score next to the grid maximum (``_refine``), never
+    below the grid maximum beyond the flat threshold; the reported loglik
+    is exact. A flat likelihood (no information in the window) skips
+    refinement and is flagged in the diagnostics. A NaN or +inf on the grid
+    raises EstimationError naming the first grid value that gives one.
 
     For a built-in model on a large grid (``_certifies``) the grid maximum
     is located by ``_certified_argmax``, from about 34 likelihood sums
-    instead of one per grid value; where it cannot certify the maximum, and
-    for any other model or grid, every grid value is evaluated. Both give
-    the same index, and the refinement and the reported loglik are exact,
-    so the estimate is the same either way.
+    instead of one per grid value, and otherwise by evaluating every grid
+    value: both give the same index and maximum, so the same estimate.
     """
     grid = _checked_grid(traj, N, model, grid_points, "mle")
-    best = _certified_argmax(grid, traj, N, model) if _certifies(model, N, grid_points) else None
-    if best is None:
+    found = _certified_argmax(grid, traj, N, model) if _certifies(model, N, grid_points) else None
+    if found is None:
         values = _grid_loglik(grid, traj, N, model)
         if np.all(np.isneginf(values)):
             raise EstimationError("conditional likelihood is -inf on the entire grid")
@@ -294,17 +308,9 @@ def mle(traj: Trajectory, N: int, model: ModelSpec, grid_points: int = 512) -> P
             return PreliminaryEstimate(
                 theta, "mle", N, {"loglik": float(values[0]), "flat_likelihood": True}
             )
-        best = int(np.argmax(values))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid_points - 1)]
-    t = _golden_max(lambda t: _learning_loglik(np.array([t]), traj, N, model), a, b, _GOLDEN_TOL)
-    theta = model.domain.project(np.array([t]))
-    return PreliminaryEstimate(
-        theta,
-        "mle",
-        N,
-        {"loglik": _learning_loglik(theta, traj, N, model), "flat_likelihood": False},
-    )
+        found = int(np.argmax(values)), top
+    theta, value = _refine(grid, *found, traj, N, model)
+    return PreliminaryEstimate(np.array([theta]), "mle", N, {"loglik": value, "flat_likelihood": False})
 
 
 def bayes(

@@ -145,6 +145,9 @@ class TestGridMle:
         assert est.diagnostics["flat_likelihood"] is True
         # tie resolves to the lowest grid point, projected into the box
         assert est.theta[0] == pytest.approx(model.domain.lower[0], abs=1e-5)
+        # unrefined: the bits and loglik this branch has always returned
+        assert est.theta[0].hex() == "-0x1.ffffbce4217d3p-1"
+        assert est.diagnostics["loglik"] == -301.32888221045823
 
     def test_all_minus_inf_errors(self):
         model = box_model()
@@ -360,8 +363,9 @@ class TestCertifiedArgmax:
         # the path is taken, not only its fallback
         model, traj = ms.get_model(name), _long_traj(name)
         grid = preliminary._grid(model, 512)
-        best = preliminary._certified_argmax(grid, traj, 10_000, model)
-        assert best == int(np.argmax(preliminary._grid_loglik(grid, traj, 10_000, model)))
+        best, top = preliminary._certified_argmax(grid, traj, 10_000, model)
+        values = preliminary._grid_loglik(grid, traj, 10_000, model)
+        assert best == int(np.argmax(values)) and top == values[best]
 
     @given(
         name=st.sampled_from(["example1", "example2", "linear"]),
@@ -477,6 +481,125 @@ class TestCertifyFrom33Points:
         _assert_same_mle(got, want)
         # more than 16 grid values contested at 33 points: the grid is scanned
         assert sizes == [33, 512]
+
+
+def nan_score_model():
+    """The linear model with a score term dS that is NaN for theta > 0, while
+    the drift S stays finite everywhere."""
+    linear = ms.linear_model()
+
+    def dS(theta, x):
+        return np.where(theta[0] > 0.0, np.nan, linear.drift.dS(theta, x))
+
+    return ms.ModelSpec(
+        drift=ms.Drift(linear.drift.S, dS, linear.drift.d2S),
+        noise=linear.noise,
+        domain=linear.domain,
+        name="nan-score",
+    )
+
+
+def wiggle_model(linear):
+    """The linear drift plus 0.05 sin(w theta), w = 2 pi / 7e-4: its
+    likelihood oscillates within each cell of the 512-point grid, so a cell
+    holds several roots of the score, local minima among them."""
+    w = 2.0 * np.pi / 7e-4
+
+    def S(theta, x):
+        return theta[0] * np.asarray(x, dtype=float) + 0.05 * np.sin(w * theta[0])
+
+    def dS(theta, x):
+        return (np.asarray(x, dtype=float) + 0.05 * w * np.cos(w * theta[0]))[..., np.newaxis]
+
+    def d2S(theta, x):
+        return np.full(np.shape(x) + (1, 1), -0.05 * w * w * np.sin(w * theta[0]))
+
+    return ms.ModelSpec(drift=ms.Drift(S, dS, d2S), noise=linear.noise, domain=linear.domain, name="wiggle")
+
+
+def _grid_top(model, traj, N, grid_points=512):
+    """The grid, the index of its first maximum and that maximum."""
+    grid = preliminary._grid(model, grid_points)
+    values = preliminary._grid_loglik(grid, traj, N, model)
+    return grid, int(np.argmax(values)), float(values.max())
+
+
+class TestScoreRoot:
+    """mle refines the grid maximum at a root of the exact score."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "linear"])
+    @pytest.mark.parametrize("N", [17, 1000, 10_000])
+    def test_root_is_at_rounding_and_above_the_grid(self, name, N):
+        model, traj = ms.get_model(name), _long_traj(name)
+        est = mle(traj, N, model)
+        grid, best, top = _grid_top(model, traj, N)
+        theta, value = float(est.theta[0]), est.diagnostics["loglik"]
+        assert value == preliminary._learning_loglik(est.theta, traj, N, model)
+        assert value >= top - 1e-12 * abs(top)
+        if theta in (grid[0], grid[-1]):
+            return
+        obs = traj.observations
+        terms = ms.loglik_grad(est.theta, obs[:N], obs[1 : N + 1], model)
+        curvature = abs(float(np.sum(ms.loglik_hess(est.theta, obs[:N], obs[1 : N + 1], model))))
+        # the root to within brentq's tolerance, plus the rounding of the sum
+        eps = np.finfo(float).eps
+        bound = curvature * (preliminary._ROOT_TOL + 4 * eps * abs(theta)) + 16 * eps * float(np.sum(np.abs(terms)))
+        assert abs(float(np.sum(terms))) <= bound
+        assert abs(theta - grid[best]) <= grid[1] - grid[0]
+
+    @pytest.mark.parametrize("seed,edge", [(1, "upper"), (3, "lower")])
+    def test_argmax_at_the_grid_edge_returns_the_projected_edge(self, example1, seed, edge):
+        traj = ms.simulate(example1, 2.5, 17, seed=seed)
+        est = mle(traj, 17, example1)
+        box_edge = float(example1.domain.project(getattr(example1.domain, edge))[0])
+        grid, best, top = _grid_top(example1, traj, 17)
+        assert grid[best] == box_edge == est.theta[0]
+        assert est.diagnostics == {"loglik": top, "flat_likelihood": False}
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "linear"])
+    @pytest.mark.parametrize("N", [17, 1000, 10_000])
+    def test_passes_over_the_transitions(self, name, N, monkeypatch):
+        model, traj = ms.get_model(name), _long_traj(name)
+        thetas = {"loglik_grad": [], "_learning_loglik": []}
+        for attr in thetas:
+            original = getattr(preliminary, attr)
+
+            def spy(theta, *args, attr=attr, original=original):
+                thetas[attr].append(float(theta[0]))
+                return original(theta, *args)
+
+            monkeypatch.setattr(preliminary, attr, spy)
+        est = mle(traj, N, model)
+        assert not est.diagnostics["flat_likelihood"]
+        scores = thetas["loglik_grad"]
+        assert 1 <= len(scores) <= 10 and len(set(scores)) == len(scores)
+        # the diagnostic, unless the answer is the grid maximum, whose exact
+        # loglik the grid stage gave
+        on_grid = est.theta[0] in preliminary._grid(model, 512)
+        assert thetas["_learning_loglik"] == ([] if on_grid else [est.theta[0]])
+
+    def test_root_below_the_grid_maximum_is_not_kept(self, linear, monkeypatch):
+        model = wiggle_model(linear)
+        traj = ms.simulate(linear, 0.5, 1000, seed=3)
+        grid, best, top = _grid_top(model, traj, 1000)
+        roots, brentq = [], preliminary.brentq
+        monkeypatch.setattr(preliminary, "brentq", lambda *args, **kw: roots.append(brentq(*args, **kw)) or roots[-1])
+        est = mle(traj, 1000, model)
+        # the cell's root that brentq finds is a local minimum, below the grid
+        assert len(roots) == 1 and preliminary._learning_loglik(np.array(roots), traj, 1000, model) < top - 1e-3
+        assert est.theta[0] == grid[best]
+        assert est.diagnostics == {"loglik": top, "flat_likelihood": False}
+
+    def test_non_finite_score_is_refused_naming_theta(self, monkeypatch):
+        monkeypatch.setitem(ms.models._REGISTRY, "nan-score", nan_score_model)
+        model = ms.get_model("nan-score")
+        traj = ms.simulate(ms.linear_model(), 0.5, 400, seed=3)
+        grid, best, _ = _grid_top(model, traj, 400)
+        assert grid[best] > 0.0
+        with pytest.raises(EstimationError, match=re.escape(f"score is NaN at theta={grid[best]}")):
+            mle(traj, 400, model)
+        # the likelihood itself is finite: the grid stage passes
+        assert np.all(np.isfinite(preliminary._grid_loglik(grid, traj, 400, model)))
 
 
 class TestBarycentric:

@@ -1,0 +1,254 @@
+"""Census of the grid ``mle`` and ``full_mle_path`` over a fixed request set.
+
+A request is a built-in model, a learning length N, a grid size and a seed:
+the chain ``simulate(model, theta0, N, seed)``, its ``mle`` over all N
+transitions and its ``full_mle_path`` at the checkpoints N // 3 and N. Each
+request runs three ways: as ``mle`` chooses (natural), with the certified
+argmax forced, and with the full grid scan forced. The full set is the
+three built-ins x N in {17, 100, 1e3, 1e4} x grid_points in {3, 64, 512,
+513} x seeds 0..49, plus 4096 points for seeds 0..4: 2,460 requests. The
+sample (``--sample``) is 12 of them.
+
+The JSON record (``--out``, or a summary on stdout) holds a sha256 digest of
+the natural estimates' bytes, of the forced certified argmax indices and of
+the flat-likelihood outputs; the refusals by type and message; the
+certificate's calls and fallbacks, natural and forced; the passes per
+natural ``mle`` over the N transitions (``_learning_loglik`` and, where the
+tree refines at a score root, ``loglik_grad``); and per request the
+estimate, its diagnostics and the score |sum of loglik_grad| at it.
+
+``--compare OTHER_TREE`` runs the same set from the tree OTHER_TREE (a
+checkout with ``src/mlestep``) in a second process and prints, per model
+and N, the largest |delta theta| between the two trees' estimates and the
+median and largest |score| at each tree's answers, then which digests and
+refusals differ.
+
+Exit status 1 if, in the tree run here, the three ways disagree on an
+estimate, its diagnostics or a refusal, or an estimate lies outside the
+projected box or below the grid maximum's likelihood by more than 1e-12 of
+max(1, |maximum|).
+
+    python tools/census.py --sample
+    python tools/census.py --out census.json --compare ../parent
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+MODELS = {"example1": 2.5, "example2": 0.5, "linear": 0.5}
+LIKELIHOOD_TOL = 1e-12
+# an estimate within this fraction of the box width from its edge is on it
+EDGE = 1e-5
+
+
+def requests(sample: bool) -> list[tuple[str, int, int, int]]:
+    if sample:
+        return [(m, N, g, 0) for m in MODELS for N in (17, 1000) for g in (3, 512)]
+    full = [(m, N, g, s) for m in MODELS for N in (17, 100, 1000, 10_000) for g in (3, 64, 512, 513) for s in range(50)]
+    return full + [(m, N, 4096, s) for m in MODELS for N in (17, 100, 1000, 10_000) for s in range(5)]
+
+
+class _Spy:
+    """Counts the calls of ``module.name`` (if the module has it) and keeps
+    what each returned, until ``close``."""
+
+    def __init__(self, module, name: str):
+        self.module, self.name, self.calls, self.results = module, name, 0, []
+        self.original = getattr(module, name, None)
+        if self.original is not None:
+            setattr(module, name, self)
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        result = self.original(*args, **kwargs)
+        self.results.append(result)
+        return result
+
+    def close(self) -> None:
+        if self.original is not None:
+            setattr(self.module, self.name, self.original)
+
+
+def _index(found):
+    """The certified argmax's index: it returns the index, or the index and
+    the maximum, or None for a fallback."""
+    return found if found is None or isinstance(found, int) else int(found[0])
+
+
+def run(sample: bool) -> dict:
+    """The census record of the tree that ``mlestep`` is imported from."""
+    import numpy as np
+
+    import mlestep as ms
+    from mlestep import preliminary
+    from mlestep.likelihood import loglik_grad
+
+    start = time.perf_counter()
+    digests = {key: hashlib.sha256() for key in ("theta", "certified_index", "flat")}
+    refusals, failures, rows = collections.Counter(), [], []
+    certificate = collections.Counter()
+    passes = {"loglik": collections.Counter(), "score": collections.Counter()}
+
+    def three_ways(traj, N, model, grid_points):
+        """The outcome of mle and full_mle_path for each way, in order
+        natural, certified, exact."""
+        outcomes = []
+        for way in ("natural", "certified", "exact"):
+            forced = None if way == "natural" else preliminary._certifies
+            if forced is not None:
+                preliminary._certifies = lambda *args, way=way: way == "certified"
+            spies = [_Spy(preliminary, name) for name in ("_certified_argmax", "_learning_loglik", "loglik_grad")]
+            try:
+                est = ms.mle(traj, N, model, grid_points)
+                if way == "natural":
+                    passes["loglik"][spies[1].calls] += 1
+                    passes["score"][spies[2].calls if spies[2].original else None] += 1
+                path = ms.full_mle_path(traj, model, grid_points, [max(1, N // 3), N]).thetas
+                outcome = (est.theta.tobytes(), est.diagnostics, path.tobytes(), None)
+            except Exception as exc:
+                est, outcome = None, (None, None, None, f"{type(exc).__name__}: {exc}")
+            finally:
+                for spy in spies:
+                    spy.close()
+                if forced is not None:
+                    preliminary._certifies = forced
+            found = [_index(r) for r in spies[0].results]
+            certificate[f"{way}_calls"] += len(found)
+            certificate[f"{way}_fallbacks"] += found.count(None)
+            outcomes.append((outcome, est, found))
+        return outcomes
+
+    for name, N, grid_points, seed in requests(sample):
+        model = ms.get_model(name)
+        traj = ms.simulate(model, MODELS[name], N, seed=seed)
+        (natural, est, _), (certified, _, found), (exact, _, _) = three_ways(traj, N, model, grid_points)
+        row = {"model": name, "N": N, "grid_points": grid_points, "seed": seed, "refusal": natural[3]}
+        if natural != certified or natural != exact:
+            failures.append(f"{name} N={N} grid_points={grid_points} seed={seed}: the three ways disagree")
+        digests["certified_index"].update(repr(found).encode())
+        if est is None:
+            refusals[natural[3]] += 1
+            rows.append(row)
+            continue
+        digests["theta"].update(natural[0] + natural[2])
+        theta, value = float(est.theta[0]), est.diagnostics["loglik"]
+        if est.diagnostics["flat_likelihood"]:
+            digests["flat"].update(natural[0] + repr(value).encode())
+        values = preliminary._grid_loglik(preliminary._grid(model, grid_points), traj, N, model)
+        top, lo, hi = float(values.max()), float(model.domain.lower[0]), float(model.domain.upper[0])
+        obs = traj.observations
+        terms = loglik_grad(est.theta, obs[:N], obs[1 : N + 1], model)
+        row.update(
+            theta=theta,
+            path=np.frombuffer(natural[2]).tolist(),
+            loglik=value,
+            flat=est.diagnostics["flat_likelihood"],
+            grid_max=top,
+            edge=min(theta - lo, hi - theta) <= EDGE * (hi - lo),
+            score=float(np.sum(terms)),
+        )
+        if not value >= top - LIKELIHOOD_TOL * max(1.0, abs(top)):
+            failures.append(f"{name} N={N} grid_points={grid_points} seed={seed}: loglik {value!r} below the grid maximum {top!r}")
+        if model.domain.project(est.theta)[0] != theta:
+            failures.append(f"{name} N={N} grid_points={grid_points} seed={seed}: theta {theta!r} outside the box")
+        rows.append(row)
+
+    return {
+        "set": "sample" if sample else "full",
+        "requests": len(rows),
+        "runtime_s": round(time.perf_counter() - start, 1),
+        "digests": {key: d.hexdigest() for key, d in digests.items()},
+        "refusals": dict(refusals),
+        "certificate": dict(certificate),
+        "passes_per_natural_mle": {k: {str(n): c for n, c in sorted(v.items(), key=str)} for k, v in passes.items()},
+        "failures": failures,
+        "results": rows,
+    }
+
+
+def _summary(record: dict) -> dict:
+    return {key: value for key, value in record.items() if key != "results"}
+
+
+def compare(mine: dict, other: dict) -> str:
+    """The table of max |delta theta| and |score| per model and N, and the
+    parts of the two records that differ. The |score| columns leave out the
+    requests answered at the box edge by either tree, where the score need
+    not vanish."""
+    import numpy as np
+
+    lines = [
+        "model     N      max|dtheta| mle  max|dtheta| path  edges  |score| here: median, max   |score| other: median, max",
+    ]
+    groups = collections.defaultdict(list)
+    for a, b in zip(mine["results"], other["results"]):
+        assert (a["model"], a["N"], a["grid_points"], a["seed"]) == (b["model"], b["N"], b["grid_points"], b["seed"])
+        if a["refusal"] is None and b["refusal"] is None:
+            groups[a["model"], a["N"]].append((a, b))
+    for (name, N), pairs in groups.items():
+        d_mle = max(abs(a["theta"] - b["theta"]) for a, b in pairs)
+        d_path = max(max(abs(x - y) for x, y in zip(a["path"], b["path"])) for a, b in pairs)
+        inner = [(a, b) for a, b in pairs if not (a["edge"] or b["edge"])]
+        here = np.abs([a["score"] for a, _ in inner])
+        there = np.abs([b["score"] for _, b in inner])
+        lines.append(
+            f"{name:9s} {N:<6d} {d_mle:<16.2g} {d_path:<17.2g} {len(pairs) - len(inner):<6d} "
+            f"{np.median(here):<10.2g} {here.max():<17.2g} {np.median(there):<10.2g} {there.max():.2g}"
+        )
+    below = sum(a["loglik"] < b["loglik"] - LIKELIHOOD_TOL * max(1.0, abs(b["loglik"])) for pairs in groups.values() for a, b in pairs)
+    lines.append(f"estimates whose loglik lies below the other tree's beyond the tolerance: {below}")
+    for key in ("certified_index", "flat", "theta"):
+        same = mine["digests"][key] == other["digests"][key]
+        lines.append(f"{key} digest: {'identical' if same else 'differs'}")
+    lines.append(f"refusals: {'identical' if mine['refusals'] == other['refusals'] else 'differ'}")
+    lines.append(f"failures here {len(mine['failures'])}, other {len(other['failures'])}")
+    lines.append(f"certificate here {mine['certificate']}, other {other['certificate']}")
+    lines.append(f"passes here {mine['passes_per_natural_mle']}, other {other['passes_per_natural_mle']}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sample", action="store_true", help="run the 12-request sample, not the full set")
+    parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1], help="the checkout to import mlestep from")
+    parser.add_argument("--out", type=Path, help="write the JSON record here")
+    parser.add_argument("--compare", type=Path, metavar="OTHER_TREE", help="also run OTHER_TREE and print the differences")
+    args = parser.parse_args(argv)
+    other = None
+    if args.compare is not None:
+        fd, tmp = tempfile.mkstemp(suffix=".json")
+        os.close(fd)
+        command = [sys.executable, __file__, "--tree", str(args.compare), "--out", tmp] + ["--sample"] * args.sample
+        other = (subprocess.Popen(command, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL), Path(tmp))
+    sys.path.insert(0, str(args.tree.resolve() / "src"))
+    record = run(args.sample)
+    record["tree"] = str(args.tree)
+    if args.out is not None:
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    print(json.dumps(_summary(record), indent=1))
+    if other is not None:
+        process, path = other
+        process.wait()
+        other_record = json.loads(path.read_text()) if process.returncode in (0, 1) else None
+        path.unlink()
+        if other_record is None:
+            print(f"the census of {args.compare} failed", file=sys.stderr)
+            return 1
+        print(compare(record, other_record))
+    for failure in record["failures"]:
+        print(f"FAIL {failure}", file=sys.stderr)
+    return 1 if record["failures"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
