@@ -20,7 +20,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import MlestepError, StudyError
 from .fisher import FisherMatrix, invert_fisher, window_information
@@ -41,8 +40,9 @@ __all__ = [
 ]
 
 QUANTILE_LEVELS = (5, 25, 50, 75, 95)
-# the standard normal quantiles at QUANTILE_LEVELS
-_GAUSSIAN_Z = norm.ppf(np.array(QUANTILE_LEVELS) / 100.0)
+# the standard normal quantiles at QUANTILE_LEVELS: the bits scipy's
+# norm.ppf(levels / 100) gives, not symmetric in the last digit
+_GAUSSIAN_Z = np.array([-1.6448536269514729, -0.6744897501960817, 0.0, 0.6744897501960817, 1.6448536269514722])
 
 ORACLE_LENGTH = 1_000_000
 _ORACLE_SEED = 20_240_001

@@ -161,7 +161,7 @@ class NoiseDensity:
     dpsi: Callable
     sampler: Callable
     support: tuple[float, float]
-    # noise information, filled in by the first factorized information estimate
+    # noise information: 1 / sigma^2 from gaussian_noise, else set by the first factorized estimate
     _information: float | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -258,10 +258,11 @@ def gaussian_noise(sigma: float = 1.0) -> NoiseDensity:
 
     The score is psi(u) = -u / sigma^2 with derivative dpsi(u) = -1 / sigma^2.
     The quadrature support window is +-12 sigma (mass deficit below 1e-30).
+    Its noise information 1 / sigma^2 is stored at construction: no quadrature.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return NoiseDensity(
+    noise = NoiseDensity(
         g=partial(_gauss_pdf, sigma=sigma),
         log_g=partial(_gauss_logpdf, sigma=sigma),
         psi=partial(_gauss_score, sigma=sigma),
@@ -269,6 +270,8 @@ def gaussian_noise(sigma: float = 1.0) -> NoiseDensity:
         sampler=partial(_gauss_sampler, sigma=sigma),
         support=(-12.0 * sigma, 12.0 * sigma),
     )
+    object.__setattr__(noise, "_information", 1.0 / sigma**2)
+    return noise
 
 
 # --- Built-in drifts ----------------------------------------------------------

@@ -11,11 +11,11 @@ an integer in [1, n] with a ValueError naming N (``_require_learning_length``).
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
 
 from .errors import EstimationError
 from .likelihood import loglik, loglik_grad
@@ -30,8 +30,9 @@ __all__ = [
     "emm",
 ]
 
-# the grid mle's root of the summed score is located to within this in theta
+# the grid mle's root of the summed score is located to within this plus _BRENT_RTOL |theta|
 _ROOT_TOL = 1e-14
+_BRENT_RTOL, _BRENT_ITERATIONS = 4.0 * np.finfo(float).eps, 100
 # likelihood terms per grid block, B = _GRID_TERMS // N theta values: 256 KiB
 # per float64 temporary; twice that ran 2-3x slower on example2 for N >= 1000
 _GRID_TERMS = 32768
@@ -257,10 +258,39 @@ def _refine(grid: np.ndarray, best: int, top: float, traj: Trajectory, N: int, m
     fb = score(b)
     if fb == 0.0 or (fb > 0.0) == (fa > 0.0):
         return a, top
-    known = {a: fa, b: fb}
-    t = brentq(lambda t: known[t] if t in known else score(t), min(a, b), max(a, b), xtol=_ROOT_TOL)
+    t = _brent(score, *sorted(((a, fa), (b, fb))))
     value = _learning_loglik(np.array([t]), traj, N, model)
     return (t, value) if value >= top - _FLAT_TOL * max(1.0, abs(top)) else (a, top)
+
+
+def _brent(f, a: tuple, b: tuple) -> float:
+    """A root of f between the ends a = (x, f(x)) and b, x ascending, f of
+    opposite signs there and zero at neither: scipy's ``brentq`` iteration
+    (Brent 1973, ch. 4) in the same operations, so the same root from the same
+    evaluations of f; EstimationError naming the cell after _BRENT_ITERATIONS."""
+    (xpre, fpre), (xcur, fcur) = a, b
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (_ROOT_TOL + _BRENT_RTOL * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # no step to try: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a zero divisor bisects, as its inf or NaN step does in C
+                with contextlib.suppress(ZeroDivisionError):
+                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        spre, scur = (scur, stry) if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta) else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise EstimationError(f"score root not found in the grid cell [{a[0]}, {b[0]}] in {_BRENT_ITERATIONS} iterations")
 
 
 def _grid(model: ModelSpec, grid_points: int) -> np.ndarray:
@@ -313,6 +343,18 @@ def mle(traj: Trajectory, N: int, model: ModelSpec, grid_points: int = 512) -> P
     return PreliminaryEstimate(np.array([theta]), "mle", N, {"loglik": value, "flat_likelihood": False})
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """scipy's ``simpson(y, x=x)`` for an odd number of points x, maybe
+    irregular: the same operations in the same order, so the same bits."""
+    h = np.diff(x)
+    h0, h1 = h[:-1:2], h[1::2]
+    hsum, hprod = h0 + h1, h0 * h1
+    ratio = np.divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    inv = np.divide(1.0, ratio, out=np.zeros_like(ratio), where=ratio != 0)
+    spread = np.divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
+    return float(np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - inv) + y[1:-1:2] * (hsum * spread) + y[2::2] * (2.0 - ratio))))
+
+
 def bayes(
     traj: Trajectory,
     N: int,
@@ -346,8 +388,7 @@ def bayes(
     if not np.isfinite(peak):
         raise EstimationError("all posterior weights underflowed")
     w = np.exp(logw - peak)
-    den = float(integrate.simpson(w, x=grid))
-    num = float(integrate.simpson(w * grid, x=grid))
+    den, num = _simpson(w, grid), _simpson(w * grid, grid)
     if not np.isfinite(den) or den <= 0.0:
         raise EstimationError("posterior mass quadrature failed")
     theta = model.domain.project(np.array([num / den]))

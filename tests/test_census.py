@@ -29,3 +29,10 @@ def test_sampled_census_holds():
     assert certificate["natural_calls"] > 0 and certificate["certified_calls"] == 36
     assert certificate["natural_fallbacks"] == certificate["certified_fallbacks"] == 0
     assert all(row["loglik"] >= row["grid_max"] - 1e-12 * abs(row["grid_max"]) for row in record["results"])
+
+
+def test_sampled_census_runs_bayes():
+    record = _census().run(sample=True)
+    assert record["bayes_refusals"] == {}
+    # sha256 of no bytes: no bayes estimate was digested
+    assert record["digests"]["bayes"] != "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"

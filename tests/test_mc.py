@@ -503,3 +503,23 @@ class TestReportSerialization:
         ]
         errors = np.array([[float(err)] for _, _, err in rows])
         np.testing.assert_array_equal(errors, report.terminal_errors)
+
+
+class TestClosedForms:
+    """The values the package keeps in place of a scipy call agree with it."""
+
+    def test_gaussian_quantiles_are_norm_ppf(self):
+        from scipy.stats import norm
+
+        want = norm.ppf(np.array(mc.QUANTILE_LEVELS) / 100.0)
+        assert np.all(np.abs(mc._GAUSSIAN_Z - want) <= np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.7, 1.0, 1.5, 2.0, 3.0, 7.3])
+    def test_gaussian_noise_information_is_the_quadrature(self, sigma):
+        noise = ms.gaussian_noise(sigma)
+        closed = noise._information
+        assert closed == 1.0 / sigma**2
+        quadrature = ms.noise_information(noise)
+        assert abs(closed - quadrature) <= 4 * np.spacing(closed)
+        if sigma == 1.0:
+            assert closed == quadrature == 1.0

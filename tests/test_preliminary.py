@@ -1,3 +1,4 @@
+import math
 import re
 from functools import lru_cache
 
@@ -582,8 +583,8 @@ class TestScoreRoot:
         model = wiggle_model(linear)
         traj = ms.simulate(linear, 0.5, 1000, seed=3)
         grid, best, top = _grid_top(model, traj, 1000)
-        roots, brentq = [], preliminary.brentq
-        monkeypatch.setattr(preliminary, "brentq", lambda *args, **kw: roots.append(brentq(*args, **kw)) or roots[-1])
+        roots, brent = [], preliminary._brent
+        monkeypatch.setattr(preliminary, "_brent", lambda *args, **kw: roots.append(brent(*args, **kw)) or roots[-1])
         est = mle(traj, 1000, model)
         # the cell's root that brentq finds is a local minimum, below the grid
         assert len(roots) == 1 and preliminary._learning_loglik(np.array(roots), traj, 1000, model) < top - 1e-3
@@ -600,6 +601,69 @@ class TestScoreRoot:
             mle(traj, 400, model)
         # the likelihood itself is finite: the grid stage passes
         assert np.all(np.isfinite(preliminary._grid_loglik(grid, traj, 400, model)))
+
+
+def _bracketed(rng, count):
+    """``count`` smooth functions with a bracket (a, b), a < b, on which
+    they change sign, neither end a root."""
+    out = []
+    while len(out) < count:
+        r, c = rng.uniform(-5.0, 5.0, 3), rng.uniform(0.1, 3.0)
+        f = [
+            lambda x, r=r: (x - r[0]) * (x - r[1]) * (x - r[2]),
+            lambda x, r=r: math.tanh(3.0 * (x - r[0])) + 0.1 * x,
+            lambda x, r=r, c=c: math.exp(x - r[0]) - c,
+            lambda x, r=r: math.atan(x - r[0]) * (1.0 + 0.5 * math.sin(7.0 * x)),
+        ][len(out) % 4]
+        a, b = sorted(rng.uniform(-6.0, 6.0, 2).tolist())
+        fa, fb = f(a), f(b)
+        if fa != 0.0 and fb != 0.0 and (fa > 0.0) != (fb > 0.0):
+            out.append((f, a, b))
+    return out
+
+
+class TestBrentPort:
+    """``_brent`` runs scipy's brentq iteration: the same root from the same
+    evaluations, and a refusal naming the cell where brentq raises."""
+
+    def test_same_roots_and_evaluations_as_brentq(self):
+        from scipy.optimize import brentq
+
+        agree = 0
+        for f, a, b in _bracketed(np.random.default_rng(27), 400):
+            calls = []
+            try:
+                root, info = brentq(f, a, b, xtol=preliminary._ROOT_TOL, full_output=True)
+            except RuntimeError:  # brentq did not converge in 100 iterations
+                with pytest.raises(EstimationError, match="score root not found"):
+                    preliminary._brent(lambda t: calls.append(t) or f(t), (a, f(a)), (b, f(b)))
+                continue
+            got = preliminary._brent(lambda t: calls.append(t) or f(t), (a, f(a)), (b, f(b)))
+            # brentq also evaluates the two ends, which _brent is given
+            assert (got, len(calls)) == (root, info.function_calls - 2)
+            agree += 1
+        assert agree >= 200
+
+    def test_no_convergence_is_refused_naming_the_cell(self):
+        # bisection from a width of 2e300 down to the 1e-14 tolerance takes
+        # about 1040 halvings, more than the 100 iterations allowed
+        with pytest.raises(EstimationError, match=re.escape("not found in the grid cell [-1e+300, 1e+300] in 100 iterations")):
+            preliminary._brent(lambda t: 1.0 if t > 0.5 else -1.0, (-1e300, -1.0), (1e300, 1.0))
+
+
+class TestSimpsonPort:
+    """``_simpson`` is scipy's simpson(y, x=x) for odd N, bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 5, 17, 513, 4097])
+    @pytest.mark.parametrize("spacing", ["uniform", "irregular"])
+    def test_same_bits_as_scipy(self, n, spacing):
+        from scipy.integrate import simpson
+
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = np.linspace(-0.3, 4.1, n) if spacing == "uniform" else np.sort(rng.uniform(-2.0, 3.0, n))
+            y = np.exp(-rng.uniform(0.0, 50.0) * (x - rng.uniform(-1.0, 3.0)) ** 2) + rng.uniform(0.0, 1e-3, n)
+            assert preliminary._simpson(y, x) == float(simpson(y, x=x))
 
 
 class TestBarycentric:

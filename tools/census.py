@@ -1,17 +1,20 @@
-"""Census of the grid ``mle`` and ``full_mle_path`` over a fixed request set.
+"""Census of the grid ``mle``, ``full_mle_path`` and ``bayes`` over a fixed request set.
 
 A request is a built-in model, a learning length N, a grid size and a seed:
 the chain ``simulate(model, theta0, N, seed)``, its ``mle`` over all N
 transitions and its ``full_mle_path`` at the checkpoints N // 3 and N. Each
 request runs three ways: as ``mle`` chooses (natural), with the certified
-argmax forced, and with the full grid scan forced. The full set is the
+argmax forced, and with the full grid scan forced. Its ``bayes`` (uniform
+prior, the same grid size) runs once, as it chooses. The full set is the
 three built-ins x N in {17, 100, 1e3, 1e4} x grid_points in {3, 64, 512,
 513} x seeds 0..49, plus 4096 points for seeds 0..4: 2,460 requests. The
 sample (``--sample``) is 12 of them.
 
 The JSON record (``--out``, or a summary on stdout) holds a sha256 digest of
-the natural estimates' bytes, of the forced certified argmax indices and of
-the flat-likelihood outputs; the refusals by type and message; the
+the natural estimates' bytes, of the forced certified argmax indices, of
+the flat-likelihood outputs and of the ``bayes`` estimates with their
+log_posterior_mass; the refusals by type and message, of ``mle`` and of
+``bayes``; the
 certificate's calls and fallbacks, natural and forced; the passes per
 natural ``mle`` over the N transitions (``_learning_loglik`` and, where the
 tree refines at a score root, ``loglik_grad``); and per request the
@@ -94,8 +97,8 @@ def run(sample: bool) -> dict:
     from mlestep.likelihood import loglik_grad
 
     start = time.perf_counter()
-    digests = {key: hashlib.sha256() for key in ("theta", "certified_index", "flat")}
-    refusals, failures, rows = collections.Counter(), [], []
+    digests = {key: hashlib.sha256() for key in ("theta", "certified_index", "flat", "bayes")}
+    refusals, bayes_refusals, failures, rows = collections.Counter(), collections.Counter(), [], []
     certificate = collections.Counter()
     passes = {"loglik": collections.Counter(), "score": collections.Counter()}
 
@@ -132,6 +135,11 @@ def run(sample: bool) -> dict:
         model = ms.get_model(name)
         traj = ms.simulate(model, MODELS[name], N, seed=seed)
         (natural, est, _), (certified, _, found), (exact, _, _) = three_ways(traj, N, model, grid_points)
+        try:
+            post = ms.bayes(traj, N, model, grid_points=grid_points)
+            digests["bayes"].update(post.theta.tobytes() + repr(post.diagnostics["log_posterior_mass"]).encode())
+        except Exception as exc:
+            bayes_refusals[f"{type(exc).__name__}: {exc}"] += 1
         row = {"model": name, "N": N, "grid_points": grid_points, "seed": seed, "refusal": natural[3]}
         if natural != certified or natural != exact:
             failures.append(f"{name} N={N} grid_points={grid_points} seed={seed}: the three ways disagree")
@@ -169,6 +177,7 @@ def run(sample: bool) -> dict:
         "runtime_s": round(time.perf_counter() - start, 1),
         "digests": {key: d.hexdigest() for key, d in digests.items()},
         "refusals": dict(refusals),
+        "bayes_refusals": dict(bayes_refusals),
         "certificate": dict(certificate),
         "passes_per_natural_mle": {k: {str(n): c for n, c in sorted(v.items(), key=str)} for k, v in passes.items()},
         "failures": failures,
@@ -207,10 +216,11 @@ def compare(mine: dict, other: dict) -> str:
         )
     below = sum(a["loglik"] < b["loglik"] - LIKELIHOOD_TOL * max(1.0, abs(b["loglik"])) for pairs in groups.values() for a, b in pairs)
     lines.append(f"estimates whose loglik lies below the other tree's beyond the tolerance: {below}")
-    for key in ("certified_index", "flat", "theta"):
+    for key in ("certified_index", "flat", "theta", "bayes"):
         same = mine["digests"][key] == other["digests"][key]
         lines.append(f"{key} digest: {'identical' if same else 'differs'}")
-    lines.append(f"refusals: {'identical' if mine['refusals'] == other['refusals'] else 'differ'}")
+    for key in ("refusals", "bayes_refusals"):
+        lines.append(f"{key}: {'identical' if mine[key] == other[key] else 'differ'}")
     lines.append(f"failures here {len(mine['failures'])}, other {len(other['failures'])}")
     lines.append(f"certificate here {mine['certificate']}, other {other['certificate']}")
     lines.append(f"passes here {mine['passes_per_natural_mle']}, other {other['passes_per_natural_mle']}")
