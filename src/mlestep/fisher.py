@@ -21,8 +21,9 @@ inverse. ``_require_positive_definite``, run by ``_checked`` and
 information matrix; ``_reciprocals`` is their exact reduction for 1 x 1
 matrices, run at once over the two-step path's ks.
 
-Only ``noise_information``'s quadrature, for a noise law other than
-``gaussian_noise`` (which stores 1 / sigma^2), imports scipy.integrate.
+The linear algebra is numpy.linalg's. scipy is imported only by
+``noise_information``'s quadrature (scipy.integrate), for a noise law other
+than ``gaussian_noise`` (which stores 1 / sigma^2).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DegenerateInformationError
 from .likelihood import _terms
@@ -176,9 +176,10 @@ def information_terms(theta, x_prev, x_next, model: ModelSpec, method: str):
 def invert_fisher(fm: FisherMatrix) -> np.ndarray:
     """Invert a positive-definite information matrix with conditioning guards.
 
-    Uses a Cholesky solve; refuses matrices with non-finite entries or
-    eigenvalues, indefinite matrices, condition numbers above 1e10, and
-    inverses whose residual exceeds 1e-8.
+    Uses numpy's Cholesky factor L: the inverse is inv(L)^T inv(L), for
+    d = 1 the bits of a Cholesky solve. Refuses matrices with non-finite
+    entries or eigenvalues, indefinite matrices, condition numbers above
+    1e10, and inverses whose residual exceeds 1e-8.
     """
     _require_positive_definite(fm)
     eig = fm.eigenvalues
@@ -188,9 +189,11 @@ def invert_fisher(fm: FisherMatrix) -> np.ndarray:
             f"information matrix condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}",
             matrix=fm.matrix,
         )
-    # _require_positive_definite has already done scipy's finiteness scan
-    chol = linalg.cho_factor(fm.matrix, check_finite=False)
-    inv = linalg.cho_solve(chol, np.eye(fm.dim), check_finite=False)
+    # the inverse Cholesky root, squared: 1/sqrt(I) squares to inf for a
+    # subnormal I, which the residual check below refuses
+    root = np.linalg.inv(np.linalg.cholesky(fm.matrix))
+    with np.errstate(over="ignore"):
+        inv = root.T @ root
     residual = float(np.abs(fm.matrix @ inv - np.eye(fm.dim)).max())
     if residual > 1e-8:
         raise DegenerateInformationError(
@@ -203,7 +206,7 @@ def _reciprocals(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The inverses 1/I of a (B, 1, 1) stack of information matrices, and a
     flag per matrix that ``_checked`` + ``invert_fisher`` would refuse or
     invert to a non-finite value; unflagged, 1/I is their inverse up to the
-    Cholesky solve's rounding.
+    rounding of numpy's Cholesky root, squared.
 
     The guards reduce exactly for a 1 x 1 matrix: it is symmetric, its
     condition number is 1 and 1/I is numpy's LU inverse bit for bit. So I

@@ -161,12 +161,16 @@ class McReport:
 def oracle_information(model: ModelSpec, theta0, n_oracle: int = ORACLE_LENGTH) -> FisherMatrix:
     """Plug-in information at theta0 from one long simulated trajectory.
 
-    Cached per (model name, theta0, n_oracle) because the long run is the
-    expensive part of a study.
+    Cached, as the long run is a study's expensive part, per model name,
+    theta0, n_oracle and the law: S, dS, psi and noise draws at fixed probes.
     """
     _require_numbers(n_oracle=n_oracle)
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    key = (model.name, tuple(theta0.tolist()), n_oracle)
+    theta0 = _check_chain(model, theta0, n_oracle, 1000, 0.0)
+    x = np.array([-2.3, -0.4, 0.0, 0.7, 1.9])
+    with np.errstate(all="ignore"):
+        law = (model.drift.S(theta0, x), model.drift.dS(theta0, x), model.noise.psi(x),
+               model.noise.sampler(np.random.default_rng(0), 4), model.domain.lower, model.domain.upper)
+    key = (model.name, tuple(theta0.tolist()), n_oracle, *(np.asarray(v, dtype=float).tobytes() for v in law))
     if key not in _oracle_cache:
         traj = simulate(model, theta0, n_oracle, seed=_ORACLE_SEED, burn_in=1000)
         _oracle_cache[key] = window_information(theta0, traj, model, "plugin")[1]

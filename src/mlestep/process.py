@@ -131,18 +131,14 @@ def _frozen_correction(
     score_start: int,
     kind: str,
 ) -> EstimatorPath:
-    """Shared engine: correction with the information frozen at the preliminary."""
+    """Shared engine: correction with the information frozen at the
+    preliminary, theta0 + (1/k) I^{-1} sum_{j=score_start..k} at each k."""
     n, N = traj.n, prelim.learning_length
     theta0, scores, inv = _frozen_start(traj, model, prelim, fisher_method)
     ks = _emitted_ks(N, n, stride)
     acc = np.cumsum(scores[score_start - 1 :], axis=0)
-    return EstimatorPath(ks, _frozen_values(theta0, inv, acc, ks, score_start), kind, N, prelim, n)
-
-
-def _frozen_values(theta0, inv, acc, ks, score_start) -> np.ndarray:
-    """theta0 + (1/k) I^{-1} sum_{j=score_start..k} at each k in ks, the sums
-    read off the cumulative score sum ``acc`` from transition score_start."""
-    return theta0[np.newaxis, :] + (acc[ks - score_start] @ inv.T) / ks[:, np.newaxis]
+    thetas = theta0[np.newaxis, :] + (acc[ks - score_start] @ inv.T) / ks[:, np.newaxis]
+    return EstimatorPath(ks, thetas, kind, N, prelim, n)
 
 
 def one_step_path(
@@ -208,12 +204,12 @@ def two_step_path(
 
     For d = 1 the window sums at k < n are interpolated in theta
     (``_interpolated_sums``) over the path's own box: [min, max] of the
-    projected second preliminary values at every k = N+1..n-1, read off the
-    same cumulative score sum as the emitted values, so the box does not
-    depend on the stride. The terminal k = n, d > 1, and paths whose
-    interpolant is not resolved take exact sums, one k at a time
-    (``_exact_sums``). The interpolation evaluates each of its M points
-    (17, 33 or 65) once, about (M + 1) n term evaluations however many
+    projected second preliminary values at every k = N+1..n-1, from the
+    stride-1 ``second_preliminary_path`` the emitted values are taken from,
+    so the box does not depend on the stride. The terminal k = n, d > 1,
+    and paths whose interpolant is not resolved take exact sums, one k at a
+    time (``_exact_sums``). The interpolation evaluates each of its M
+    points (17, 33 or 65) once, about (M + 1) n term evaluations however many
     ks are emitted, and holds a few sums per emitted k, not the points'
     sums; the exact sums cost the sum of the emitted ks: a gain when the ks
     are many (|ks| well above 2 (M + 1) for evenly spread ks), a loss for a
@@ -223,18 +219,14 @@ def two_step_path(
     row is flagged. One pass then walks the flagged rows in k order: an
     interpolated row is recomputed exactly and checked again, and a row
     still flagged goes to ``_checked`` and ``invert_fisher``, which invert it
-    (a Cholesky solve) or refuse it after the projections up to it are
+    (from its Cholesky factor) or refuse it after the projections up to it are
     logged. Which sums serve a k, and its value, depend only on k, n and the
     path, so a stride-s path equals the stride-1 path exactly.
     """
     n, N = traj.n, prelim.learning_length
-    theta0, scores, inv = _frozen_start(traj, model, prelim, fisher_method)
-    acc = np.cumsum(scores, axis=0)
+    every = second_preliminary_path(traj, model, prelim, fisher_method, 1).thetas
     ks = _emitted_ks(N, n, stride)
-    # checked as second_preliminary_path checks it
-    second = EstimatorPath(
-        ks, _frozen_values(theta0, inv, acc, ks, 1), "second-preliminary", N, prelim, n
-    ).thetas
+    second = every[ks - (N + 1)]
     if ks[0] < model.dim:
         raise ValueError("window is shorter than the parameter dimension")
     mids = model.domain.project(second)
@@ -244,7 +236,7 @@ def two_step_path(
     # rows before `exact` take interpolated sums
     exact = 0
     if d == 1 and ks.size > 1:
-        box = model.domain.project(_frozen_values(theta0, inv, acc, np.arange(N + 1, n), 1))
+        box = model.domain.project(every[:-1])
         interpolated = _interpolated_sums(traj, model, fisher_method, ks, mids, (box.min(), box.max()))
         if interpolated is not None:
             exact = ks.size - 1

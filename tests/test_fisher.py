@@ -192,6 +192,26 @@ class TestInvert:
         inv = invert_fisher(fm)
         np.testing.assert_allclose(fm.matrix @ inv, np.eye(4), atol=1e-8)
 
+    def test_scalar_inverse_is_a_cholesky_solve_bit_for_bit(self):
+        # scipy only as the reference: the package inverts with numpy.linalg
+        from scipy.linalg import cho_factor, cho_solve
+
+        for value in 10.0 ** np.random.default_rng(28).uniform(-300.0, 300.0, 2000):
+            matrix = np.array([[value]])
+            expected = cho_solve(cho_factor(matrix), np.eye(1))
+            assert invert_fisher(FisherMatrix(matrix, "observed")).tobytes() == expected.tobytes(), value
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_inverse_within_rounding_of_a_cholesky_solve(self, d):
+        from scipy.linalg import cho_factor, cho_solve
+
+        rng = np.random.default_rng(d)
+        for _ in range(500):
+            a = rng.normal(size=(d, d))
+            fm = FisherMatrix(a @ a.T + 0.1 * np.eye(d), "plugin")
+            expected = cho_solve(cho_factor(fm.matrix), np.eye(d))
+            assert np.abs(invert_fisher(fm) - expected).max() <= 1e-14 * np.abs(expected).max()
+
     def test_indefinite_rejected(self):
         # _checked and invert_fisher refuse it with one message
         matrix = np.diag([1.0, -1.0])

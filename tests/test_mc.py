@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -381,6 +382,31 @@ class TestOracle:
         assert a is b
         assert a.matrix[0, 0] > 0
         assert a.method == "plugin"
+
+    def test_keyed_by_the_law_not_only_by_its_name(self, monkeypatch):
+        # three other laws named "linear", asked for after the built-in's
+        # oracle is cached: each gets the oracle of its own chain
+        n_oracle, sampler = 20_000, ms.gaussian_noise(2.0).sampler
+        others = {
+            "replaced spec": dataclasses.replace(ms.example2_model(), name="linear"),
+            "only the sampler differs": dataclasses.replace(
+                ms.linear_model(), noise=dataclasses.replace(ms.gaussian_noise(), sampler=sampler)),
+        }
+        monkeypatch.setitem(ms.models._REGISTRY, "linear", lambda: dataclasses.replace(
+            ms.example2_model(), name="linear", noise=ms.gaussian_noise(0.5)))
+        others["re-registered name"] = ms.get_model("linear")
+
+        def alone(model):
+            monkeypatch.setattr(mc, "_oracle_cache", {})
+            return ms.oracle_information(model, 0.5, n_oracle)
+
+        expected = {what: alone(model).matrix[0, 0] for what, model in others.items()}
+        builtin = alone(ms.linear_model())
+        assert len({builtin.matrix[0, 0], *expected.values()}) == 4
+        for what, model in others.items():
+            assert ms.oracle_information(model, 0.5, n_oracle).matrix[0, 0] == expected[what], what
+        # a second built-in spec is the same law: still a hit
+        assert ms.oracle_information(ms.linear_model(), 0.5, n_oracle) is builtin
 
     @pytest.mark.parametrize("n_oracle", [2000.7, True, "2000"])
     def test_non_integer_length_refused(self, linear, n_oracle):
