@@ -75,8 +75,6 @@ def kde(traj: Trajectory, grid=None, bandwidth: float | None = None) -> DensityE
     """
     xs = traj.observations[1:]
     n = xs.size
-    if n < 1:
-        raise ValueError("kernel density estimation needs at least one observation")
     if bandwidth is None:
         bandwidth = float(n) ** (-0.2)
     _check_bandwidth(bandwidth)
@@ -93,16 +91,18 @@ def kde(traj: Trajectory, grid=None, bandwidth: float | None = None) -> DensityE
     # whose half ulp exceeds their total.
     # Balanced tiles are one column wide only for a one-point grid, whose
     # column numpy sums pairwise, so its value can move in the last bit.
+    # At a tiny bandwidth z or z * z overflows: the term is then exactly 0.
     chunk_starts = np.arange(_CHUNK, n, _CHUNK)
     tiles = -(-grid.size // _TILE)
-    for g, out in zip(np.array_split(grid, tiles), np.array_split(acc, tiles)):
-        # z is computed below as here, and rounding is monotone, so an
-        # observation left out has |z| > _REACH at every point of the tile
-        picked = np.flatnonzero(((xs - g[0]) / h >= -_REACH) & ((xs - g[-1]) / h <= _REACH))
-        for chunk in np.split(xs[picked], np.searchsorted(picked, chunk_starts)):
-            z = (chunk[:, np.newaxis] - g) / h
-            terms = -0.5 * z * z
-            out += np.exp(terms, out=terms).sum(axis=0)
+    with np.errstate(over="ignore"):
+        for g, out in zip(np.array_split(grid, tiles), np.array_split(acc, tiles)):
+            # z is computed below as here, and rounding is monotone, so an
+            # observation left out has |z| > _REACH at every point of the tile
+            picked = np.flatnonzero(((xs - g[0]) / h >= -_REACH) & ((xs - g[-1]) / h <= _REACH))
+            for chunk in np.split(xs[picked], np.searchsorted(picked, chunk_starts)):
+                z = (chunk[:, np.newaxis] - g) / h
+                terms = -0.5 * z * z
+                out += np.exp(terms, out=terms).sum(axis=0)
     values = acc / (n * h * np.sqrt(2.0 * np.pi))
     return DensityEstimate(grid=grid, values=values, bandwidth=h, n_used=n)
 

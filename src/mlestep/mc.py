@@ -52,7 +52,8 @@ _oracle_cache: dict = {}
 # _BLOCK_BYTES of noise and states: 64 rows at n = 1e4, one row at n = 1e6
 _BLOCK_ROWS = 64
 _BLOCK_BYTES = 16 * 2**20
-_FAILURES = (MlestepError, ValueError, FloatingPointError, np.linalg.LinAlgError)
+# np.linalg.LinAlgError is a ValueError
+_FAILURES = (MlestepError, ValueError, FloatingPointError)
 
 
 @dataclass(frozen=True)

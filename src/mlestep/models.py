@@ -12,21 +12,17 @@ x a scalar or an array:
     dS(theta, x)  -> shape x.shape + (d,)
     d2S(theta, x) -> shape x.shape + (d, d)
 
-A drift S may also broadcast theta: given theta of shape (d, B, 1) and x of
-shape (N,), it returns the (B, N) array whose row b equals S(theta[:, b, 0], x)
-exactly. The built-in drifts do, since they only index theta[0] and use numpy
-arithmetic. ``ModelSpec`` probes for this at construction, and the grid
-preliminaries then evaluate the likelihood for many theta in one call; a drift
-that raises, returns another shape or other values there is evaluated one
-theta at a time, so the convention is optional.
-
-A drift S may also step in python floats: given theta.tolist() and a python
-float x, it returns exactly the value it returns at theta and np.float64(x).
-The built-in drifts do, since they use only +, -, *, / and abs, which python
-floats round as numpy float64 does. ``ModelSpec`` probes for this too, and a
-simulated chain is then stepped in python floats, about 2.5 times cheaper per
-step than numpy scalars; a drift that raises or returns other values there is
-stepped as numpy scalars, so this convention is optional as well.
+The built-in factories mark their specs (``_builtin``), and only a marked
+spec takes three fast paths, each with the general path's bits. The grid
+preliminaries pass theta of shape (1, B, 1) to evaluate the likelihood for B
+values in one call: the built-in drifts only index theta[0] and use numpy
+arithmetic. A simulated chain steps in python floats, about 2.5 times cheaper
+per step than numpy scalars: the built-in drifts use only +, -, *, / and abs,
+which python floats round as numpy float64 does, and their denominators are
+at least 1 (or inf or NaN) on their domains, so no step raises. The grid mle
+certifies its argmax from a Chebyshev interpolant: their log-likelihoods are
+analytic in theta near the box. Any other spec, a ``dataclasses.replace``d
+built-in included, takes the general paths.
 
 All callables must be pure: no hidden state, safe to share across tasks.
 """
@@ -173,15 +169,9 @@ class ModelSpec:
     noise: NoiseDensity
     domain: ParamDomain
     name: str
-    # whether drift.S broadcasts theta and steps in python floats (module
-    # docstring), both set by the probe
-    _broadcasts_theta: bool = field(default=False, init=False, repr=False, compare=False)
-    _steps_floats: bool = field(default=False, init=False, repr=False, compare=False)
-    # whether the conditional log-likelihood is analytic in theta on a
-    # neighbourhood of the box, set only by the built-in factories
-    # (``_analytic``); the grid mle then certifies its argmax from a
-    # Chebyshev interpolant instead of evaluating every grid point
-    _analytic_theta: bool = field(default=False, init=False, repr=False, compare=False)
+    # set only by the built-in factories (``_builtin``): it selects the fast
+    # paths of the module docstring
+    _builtin: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the shape conventions of the module docstring, at a scalar probe x
@@ -193,37 +183,6 @@ class ModelSpec:
                 raise ValueError(
                     f"drift {what} {name} at a probe point has shape {shape}, expected {expected}"
                 )
-        broadcasts, floats = self._probe_drift()
-        object.__setattr__(self, "_broadcasts_theta", broadcasts)
-        object.__setattr__(self, "_steps_floats", floats)
-
-    def _probe_drift(self) -> tuple[bool, bool]:
-        """Whether S at a stacked theta equals S at each theta, and whether S
-        at theta.tolist() and a python float x equals S at theta and a numpy
-        scalar x, each bit for bit."""
-        S = self.drift.S
-        lo, width = self.domain.lower, self.domain.width
-        thetas = lo[:, np.newaxis] + width[:, np.newaxis] * np.array([0.2, 0.45, 0.7, 0.9])
-        x = np.array([-2.3, -0.4, 0.0, 0.7, 1.9])
-        # both conventions are optional: any failure means no
-        with np.errstate(all="ignore"):
-            try:
-                stacked = np.asarray(S(thetas[:, :, np.newaxis], x))
-                single = np.array([S(t, x) for t in thetas.T])
-                broadcasts = stacked.shape == single.shape == (thetas.shape[1], x.size) and bool(
-                    np.array_equal(stacked, single, equal_nan=True)
-                )
-            except Exception:
-                broadcasts = False
-            try:
-                floats = np.array([S(t.tolist(), v) for t in thetas.T for v in x.tolist()], float)
-                scalars = np.array([S(t, v) for t in thetas.T for v in x], float)
-                steps_floats = floats.shape == (x.size * thetas.shape[1],) and (
-                    floats.tobytes() == scalars.tobytes()
-                )
-            except Exception:
-                steps_floats = False
-        return broadcasts, steps_floats
 
     @property
     def dim(self) -> int:
@@ -278,13 +237,14 @@ def gaussian_noise(sigma: float = 1.0) -> NoiseDensity:
 # Module-level functions (not closures) so ModelSpec instances pickle cleanly.
 
 
-def _analytic(spec: ModelSpec) -> ModelSpec:
-    """Mark a built-in spec's likelihood as analytic in theta. Gaussian noise
-    with a drift that is a rational function of theta without a pole on the
-    box qualifies: example1's poles sit at theta = -1/|x| < 0, example2's at
-    theta = x +- i, and linear's drift is a polynomial. A spec built any
-    other way (a custom drift or noise, ``dataclasses.replace``) is unmarked."""
-    object.__setattr__(spec, "_analytic_theta", True)
+def _builtin(spec: ModelSpec) -> ModelSpec:
+    """Mark a built-in spec for the fast paths (module docstring). Its
+    likelihood is analytic in theta: Gaussian noise with a drift rational in
+    theta without a pole on the box, as example1's poles sit at theta =
+    -1/|x| < 0, example2's at theta = x +- i, and linear's drift is a
+    polynomial. A spec built any other way (a custom drift or noise,
+    ``dataclasses.replace``) is unmarked."""
+    object.__setattr__(spec, "_builtin", True)
     return spec
 
 
@@ -338,7 +298,7 @@ def example1_model() -> ModelSpec:
 
     Standard Gaussian noise; the drift gradient is -|x|^3 / (1 + theta |x|)^2.
     """
-    return _analytic(ModelSpec(
+    return _builtin(ModelSpec(
         drift=Drift(_ratio_drift, _ratio_drift_grad, _ratio_drift_hess),
         noise=gaussian_noise(),
         domain=ParamDomain([2.0], [5.0]),
@@ -353,7 +313,7 @@ def example2_model() -> ModelSpec:
     Gaussian noise. The dynamics depend on x - theta only, so theta acts as a
     pure location parameter of the invariant law.
     """
-    return _analytic(ModelSpec(
+    return _builtin(ModelSpec(
         drift=Drift(_shift_drift, _shift_drift_grad, _shift_drift_hess),
         noise=gaussian_noise(),
         domain=ParamDomain([-1.0], [1.0]),
@@ -371,7 +331,7 @@ def linear_model(domain: tuple[float, float] = (-0.9, 0.9)) -> ModelSpec:
     lo, hi = float(domain[0]), float(domain[1])
     if lo <= -1.0 or hi >= 1.0:
         raise ValueError("linear model domain must lie inside (-1, 1)")
-    return _analytic(ModelSpec(
+    return _builtin(ModelSpec(
         drift=Drift(_linear_drift, _linear_drift_grad, _linear_drift_hess),
         noise=gaussian_noise(),
         domain=ParamDomain([lo], [hi]),

@@ -121,12 +121,12 @@ def _grid_loglik(grid: np.ndarray, traj: Trajectory, N: int, model: ModelSpec) -
 
 def _theta_sums(thetas: np.ndarray, traj: Trajectory, N: int, model: ModelSpec) -> np.ndarray:
     """``_learning_loglik`` at each of the scalar thetas, the same bits, in
-    blocks: a drift that broadcasts theta (see ``mlestep.models``) gets
-    blocks of B = _GRID_TERMS // N values, as theta of shape (1, B, 1); any
-    other drift gets one plain theta vector per call."""
+    blocks: a built-in spec (``mlestep.models``) gets blocks of B =
+    _GRID_TERMS // N values, as theta of shape (1, B, 1); any other spec
+    gets one plain theta vector per call."""
     obs = traj.observations
     xp, xn = obs[:N], obs[1 : N + 1]
-    size = max(1, _GRID_TERMS // N) if model._broadcasts_theta else 1
+    size = max(1, _GRID_TERMS // N) if model._builtin else 1
     values = np.empty(thetas.size)
     for start in range(0, thetas.size, size):
         block = thetas[start : start + size]
@@ -179,14 +179,14 @@ class _Barycentric:
 
 
 def _certifies(model: ModelSpec, N: int, grid_points: int) -> bool:
-    """Whether ``mle`` tries ``_certified_argmax``: the likelihood is
-    analytic in theta, grid_points > 132, N >= 128 and the scan is at least
-    4 blocks of ``_GRID_TERMS`` terms; up to 1024 points the blocks imply
-    N >= 128. Below N = 128 the interpolation costs more than the scan on
+    """Whether ``mle`` tries ``_certified_argmax``: the spec is a built-in,
+    whose likelihood is analytic in theta (``mlestep.models``), grid_points
+    > 132, N >= 128 and the scan is at least 4 blocks of ``_GRID_TERMS``
+    terms; up to 1024 points the blocks imply N >= 128. Below N = 128 the interpolation costs more than the scan on
     512 points (1.7-2.6x at N = 64), and at N = 100 on 1e5 points example2
     took 0.15 s certified against 0.10 s scanned; on 4096 points it is
     cheaper from N = 64 (README, "Cost model")."""
-    return model._analytic_theta and grid_points > 132 and N >= 128 and N * grid_points >= 4 * _GRID_TERMS
+    return model._builtin and grid_points > 132 and N >= 128 and N * grid_points >= 4 * _GRID_TERMS
 
 
 def _certified_argmax(grid: np.ndarray, traj: Trajectory, N: int, model: ModelSpec) -> tuple | None:

@@ -154,27 +154,21 @@ def simulate_paths(
 def _scalar_chain(model: ModelSpec, theta, noise_row, x_init, states) -> None:
     """Write every generated state of one chain to ``states``.
 
-    The chain steps in python floats if the drift passed the model's float
-    probe (models module docstring), else as numpy scalars. Both are several
-    times cheaper per step than a 1-element array, and python floats about
-    2.5 times cheaper than numpy scalars. Both round +, -, * and / as IEEE 754
-    requires, so the states are the same bits.
+    A built-in spec steps in python floats (models module docstring), any
+    other as numpy scalars. Both are several times cheaper per step than a
+    1-element array, and python floats about 2.5 times cheaper than numpy
+    scalars. Both round +, -, * and / as IEEE 754 requires, so the states
+    are the same bits.
     """
     S = model.drift.S
     with np.errstate(over="ignore", invalid="ignore"):
-        if model._steps_floats:
-            try:
-                _float_chain(S, theta.tolist(), noise_row, float(x_init), states, np.ndarray.tolist)
-                return
-            except (ArithmeticError, ValueError, TypeError):
-                # python floats raise on ** overflow, division by zero and math
-                # domain errors, and a complex state fails to store, where numpy
-                # gives inf or nan: the numpy scalar chain below reproduces
-                # every state, or the error
-                pass
-        # numpy scalars keep overflow as inf instead of raising; numpy scalar
-        # noise keeps a drift that returns python floats stepping in numpy
-        _float_chain(S, theta, noise_row, np.float64(x_init), states, iter)
+        if model._builtin:
+            _float_chain(S, theta.tolist(), noise_row, float(x_init), states, np.ndarray.tolist)
+        else:
+            # numpy scalars keep overflow as inf instead of raising; numpy
+            # scalar noise keeps a drift that returns python floats stepping
+            # in numpy
+            _float_chain(S, theta, noise_row, np.float64(x_init), states, iter)
 
 
 def _float_chain(S, theta, noise_row, x, states, scalars) -> None:

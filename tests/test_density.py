@@ -117,6 +117,17 @@ class TestKde:
         assert np.all(every > 0.0)
         assert np.all(every <= _PHI_12 / h)
 
+    def test_tiny_bandwidth_overflows_to_zero_terms_silently(self, linear):
+        # z * z overflows for every observation but those on a grid point:
+        # each such term is exactly 0, and the suite fails on a warning
+        traj = ms.simulate(linear, 0.5, 50, seed=2)
+        h = 1e-200
+        est = kde(traj, bandwidth=h)
+        assert np.all(np.isfinite(est.values)) and np.any(est.values > 0.0)
+        with np.errstate(over="ignore"):
+            every = _every_term_sum(traj.observations[1:], est.grid, h)
+        assert np.array_equal(est.values, every)
+
     @pytest.mark.parametrize("grid", [[0.0, np.nan], [-np.inf, 0.0], [0.0, np.inf], 0.5, [],
                                       [[0.0, 1.0]], [1.0, 0.0], [0.0, 0.0, 1.0], ["a", "b"]])
     def test_rejects_bad_grid_before_the_sum(self, monkeypatch, linear, grid):

@@ -43,6 +43,14 @@ class TestNoiseInformation:
         )
 
 
+    def test_zero_score_is_refused(self):
+        noise = ms.gaussian_noise()
+        flat = ms.NoiseDensity(g=noise.g, log_g=noise.log_g, psi=lambda u: 0.0 * u,
+                               dpsi=noise.dpsi, sampler=noise.sampler, support=noise.support)
+        with pytest.raises(ValueError, match="noise information integral evaluated to 0.0"):
+            noise_information(flat)
+
+
 class TestFisherMatrixType:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -19,6 +19,12 @@ class TestParamDomain:
         with pytest.raises(ValueError):
             ParamDomain([], [])
 
+    def test_rejects_unequal_lengths_and_infinite_bounds(self):
+        with pytest.raises(ValueError, match="lower and upper must be vectors of equal length"):
+            ParamDomain([0.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="domain bounds must be finite"):
+            ParamDomain([0.0], [np.inf])
+
     def test_contains_and_project(self):
         dom = ParamDomain([0.0, -1.0], [1.0, 1.0])
         assert dom.contains([0.5, 0.0])
@@ -224,48 +230,34 @@ class TestRegistry:
             )
         assert "expected" in str(err.value)
 
-    @pytest.mark.parametrize(
-        "S,broadcasts",
-        [
-            (lambda theta, x: theta[0] * x, True),
-            (lambda theta, x: float(theta[0]) * np.asarray(x), False),  # raises
-            (lambda theta, x: np.sum(theta) * x, False),  # another shape
-            (lambda theta, x: theta[0] * x + (np.size(theta) - 1), False),  # other values
-        ],
-        ids=["broadcasts", "raises", "shape", "values"],
-    )
-    def test_theta_broadcast_probed(self, linear, S, broadcasts):
-        from dataclasses import replace
-
-        from mlestep.models import ModelSpec
-
-        model = ModelSpec(
-            drift=replace(linear.drift, S=S), noise=linear.noise, domain=linear.domain,
-            name="probe",
-        )
-        assert model._broadcasts_theta is broadcasts
-
-    @pytest.mark.parametrize(
-        "S",
-        [
-            lambda theta, x: theta[0] * x + 0.0 * theta.shape[0],  # raises on a list
-            lambda theta, x: theta[0] * x + (type(x) is float),  # other values
-        ],
-        ids=["raises", "values"],
-    )
-    def test_float_stepping_probed(self, linear, S):
-        from dataclasses import replace
-
-        from mlestep.models import ModelSpec
-
-        model = ModelSpec(
-            drift=replace(linear.drift, S=S), noise=linear.noise, domain=linear.domain,
-            name="probe",
-        )
-        assert not model._steps_floats
-
     def test_builtin_drifts_step_in_floats_and_broadcast(self, example1, example2, linear):
         for model in (example1, example2, linear):
-            assert model._steps_floats and model._broadcasts_theta
+            assert model._builtin
             # a python float state stays one, at a python float's cost per op
             assert type(model.drift.S(model.domain.midpoint().tolist(), 0.7)) is float
+
+    @pytest.mark.parametrize("name,theta", [("example1", 2.5), ("example2", 0.5), ("linear", 0.5)])
+    def test_unmarked_copies_give_the_builtins_bits(self, name, theta):
+        # the fast paths a built-in takes give the bits of the general paths
+        # that a spec built from its own parts, or replaced, takes
+        from dataclasses import replace
+
+        from mlestep.models import ModelSpec
+
+        builtin = ms.get_model(name)
+        copies = [ModelSpec(drift=builtin.drift, noise=builtin.noise, domain=builtin.domain,
+                            name="copy")]
+        if name == "example2":
+            copies.append(replace(builtin, name="replaced"))
+        traj = ms.simulate(builtin, theta, 1000, seed=6)
+        for copy in copies:
+            assert builtin._builtin and not copy._builtin
+            for N in (17, 1000):
+                for estimator in (ms.mle, ms.bayes):
+                    got, want = estimator(traj, N, copy), estimator(traj, N, builtin)
+                    assert got.theta.tobytes() == want.theta.tobytes()
+                    assert got.diagnostics == want.diagnostics
+            for rows in (3, 17):
+                seeds = list(range(rows))
+                got = ms.simulate_paths(copy, theta, 300, seeds)
+                assert got.tobytes() == ms.simulate_paths(builtin, theta, 300, seeds).tobytes()

@@ -112,6 +112,11 @@ class TestLearningInterval:
         with pytest.raises(ValueError, match="grid_points must be an integer"):
             estimator(traj, linear, grid_points)
 
+    def test_fewer_than_three_grid_points_refused(self, linear):
+        traj = ms.simulate(linear, 0.5, 40, seed=3)
+        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+            mle(traj, 20, linear, grid_points=2)
+
     @pytest.mark.parametrize("estimator", [mle, bayes, emm])
     def test_accepts_numpy_integers(self, linear, estimator):
         traj = ms.simulate(linear, 0.5, 40, seed=3)
@@ -287,7 +292,7 @@ class TestGridBlocks:
     @settings(max_examples=12)
     def test_blocks_equal_one_theta_per_call(self, name, N, grid_points):
         model, traj = ms.get_model(name), _long_traj(name)
-        assert model._broadcasts_theta
+        assert model._builtin
         grid = preliminary._grid(model, grid_points)
         blocked = preliminary._grid_loglik(grid, traj, N, model)
         single = np.array(
@@ -323,7 +328,7 @@ class TestGridBlocks:
             domain=linear.domain,
             name="scalar-theta",
         )
-        assert not model._broadcasts_theta and linear._broadcasts_theta
+        assert not model._builtin and linear._builtin
         traj = ms.simulate(linear, 0.5, 300, seed=5)
         # the same drift values as linear's, so the same bits either way
         for estimator in (mle, bayes):
@@ -409,6 +414,20 @@ class TestCertifiedArgmax:
         with pytest.raises(EstimationError, match="-inf"):
             _forced(True, lambda: mle(traj, 3, model))
 
+    def test_box_too_narrow_for_33_points_takes_the_scan(self, monkeypatch):
+        # 1e-14 wide: the Chebyshev points of a 512-point grid collide, so
+        # the certificate gives up and the scan flags the flat likelihood
+        model = ms.linear_model((0.5, 0.5 + 1e-14))
+        traj = ms.simulate(model, 0.5 + 5e-15, 1000, seed=1)
+        assert preliminary._certifies(model, 1000, 512)
+        outcomes, certify = [], preliminary._certified_argmax
+        monkeypatch.setattr(preliminary, "_certified_argmax",
+                            lambda *args: outcomes.append(certify(*args)) or outcomes[-1])
+        got = mle(traj, 1000, model)
+        assert outcomes == [None]
+        _assert_same_mle(got, _forced(False, lambda: mle(traj, 1000, model))[0])
+        assert got.diagnostics["flat_likelihood"] is True
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_custom_drift_nan_between_points_raises(self, linear):
         # NaN at one interior grid value that no Chebyshev point hits: an
@@ -427,7 +446,7 @@ class TestCertifiedArgmax:
             name="nan-at-one-point",
         )
         traj = ms.simulate(linear, 0.5, 1000, seed=3)
-        assert not model._analytic_theta
+        assert not model._builtin
         with pytest.raises(EstimationError, match=re.escape(f"NaN at theta={bad} ")):
             mle(traj, 1000, model)
 

@@ -39,6 +39,10 @@ def fixed_prelim(theta, N):
 
 
 class TestEstimatorPathType:
+    def test_rejects_no_ks(self):
+        with pytest.raises(ValueError, match="non-empty and aligned"):
+            EstimatorPath(np.array([], dtype=int), np.zeros((0, 1)), "one-step", 2, None, 10)
+
     def test_rejects_non_increasing_ks(self):
         with pytest.raises(ValueError, match="increasing"):
             EstimatorPath(np.array([5, 5]), np.zeros((2, 1)), "one-step", 2, None, 10)

@@ -141,20 +141,36 @@ class TestSimulate:
 
     def test_drift_refusing_a_list_theta_steps_as_numpy_scalars(self):
         model = _linear_with(_array_theta_S, "array-theta")
-        assert not model._steps_floats
+        assert not model._builtin
         traj = ms.simulate(model, 0.5, 500, seed=4, burn_in=20, x_init=1.5)
         expected = _numpy_scalar_states(model, 0.5, 500, 4, 20, 1.5)
         assert traj.observations.tobytes() == expected.tobytes()
 
     def test_float_step_that_raises_is_stepped_as_numpy_scalars(self):
         model = _linear_with(_steep_S, "steep")
-        assert model._steps_floats
+        assert not model._builtin
         with pytest.raises(OverflowError):
             _steep_S([0.5], 6.0)
         traj = ms.simulate(model, 0.5, 500, seed=4, burn_in=0, x_init=6.0)
         expected = _numpy_scalar_states(model, 0.5, 500, 4, 0, 6.0)
         assert np.all(np.isfinite(expected))
         assert traj.observations.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "linear"])
+    def test_builtin_float_steps_never_raise(self, name):
+        # why a built-in's python float chain needs no numpy retry: at either
+        # end of its domain and from any state, finite or not, a step in
+        # python floats raises nothing and gives the numpy scalar step's bits
+        model = ms.get_model(name)
+        states = [0.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+        for theta in (model.domain.lower, model.domain.upper):
+            floats = [model.drift.S(theta.tolist(), x) + 0.5 for x in states]
+            with np.errstate(all="ignore"):
+                scalars = [model.drift.S(theta, np.float64(x)) + 0.5 for x in states]
+            assert all(type(x) is float for x in floats)
+            got, want = np.array(floats), np.array(scalars)
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
 
     def test_zero_drift_gives_iid_noise(self):
         model = zero_model()
@@ -187,6 +203,8 @@ class TestSimulate:
             ms.simulate(linear, 0.5, 10, seed=0, burn_in=-1)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             ms.simulate_paths(linear, 0.5, 10, seeds=[0, -1])
+        with pytest.raises(ValueError, match="at least one seed is required"):
+            ms.simulate_paths(linear, 0.5, 10, seeds=[])
         # refused by name, not truncated or left to a TypeError
         for kwargs, field in (
             (dict(n=10.5), "n must be an integer"),
