@@ -71,7 +71,8 @@ def kde(traj: Trajectory, grid=None, bandwidth: float | None = None) -> DensityE
     below exp(-72), so a value differs from the direct O(n * grid) sum by at
     most phi(12) / h = exp(-72) / (h * sqrt(2 pi)) ~ 2.1e-32 / h plus last-bit
     rounding; on a grid of two or more points, a value of at least
-    2**53 * phi(12) / h is that of the direct sum bit for bit.
+    2**53 * phi(12) / h is that of the direct sum bit for bit. A bandwidth
+    at which a value overflows raises ValueError naming it and n.
     """
     xs = traj.observations[1:]
     n = xs.size
@@ -103,7 +104,11 @@ def kde(traj: Trajectory, grid=None, bandwidth: float | None = None) -> DensityE
                 z = (chunk[:, np.newaxis] - g) / h
                 terms = -0.5 * z * z
                 out += np.exp(terms, out=terms).sum(axis=0)
-    values = acc / (n * h * np.sqrt(2.0 * np.pi))
+    # below about 1e-308 / n a value 1 / (n h sqrt(2 pi)) overflows
+    with np.errstate(over="ignore"):
+        values = acc / (n * h * np.sqrt(2.0 * np.pi))
+    if not np.isfinite(values).all():
+        raise ValueError(f"bandwidth {h} is too small for n={n}: a density value overflows")
     return DensityEstimate(grid=grid, values=values, bandwidth=h, n_used=n)
 
 

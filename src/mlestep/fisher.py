@@ -19,7 +19,8 @@ transitions and its checked information; ``invert_fisher`` gives the guarded
 inverse. ``_require_positive_definite``, run by ``_checked`` and
 ``invert_fisher``, and ``invert_fisher``'s own checks hold every guard on an
 information matrix; ``_reciprocals`` is their exact reduction for 1 x 1
-matrices, run at once over the two-step path's ks.
+matrices, run at once over the two-step path's ks; its 1/I is
+``invert_fisher``'s LU inverse bit for bit, one rule for every matrix.
 
 The linear algebra is numpy.linalg's. scipy is imported only by
 ``noise_information``'s quadrature (scipy.integrate), for a noise law other
@@ -176,10 +177,10 @@ def information_terms(theta, x_prev, x_next, model: ModelSpec, method: str):
 def invert_fisher(fm: FisherMatrix) -> np.ndarray:
     """Invert a positive-definite information matrix with conditioning guards.
 
-    Uses numpy's Cholesky factor L: the inverse is inv(L)^T inv(L), for
-    d = 1 the bits of a Cholesky solve. Refuses matrices with non-finite
-    entries or eigenvalues, indefinite matrices, condition numbers above
-    1e10, and inverses whose residual exceeds 1e-8.
+    numpy's LU inverse, for d = 1 exactly 1/I. Refuses matrices with
+    non-finite entries or eigenvalues, indefinite matrices, condition
+    numbers above 1e10, and inverses whose residual exceeds 1e-8 (a
+    subnormal I inverts to inf).
     """
     _require_positive_definite(fm)
     eig = fm.eigenvalues
@@ -189,11 +190,7 @@ def invert_fisher(fm: FisherMatrix) -> np.ndarray:
             f"information matrix condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}",
             matrix=fm.matrix,
         )
-    # the inverse Cholesky root, squared: 1/sqrt(I) squares to inf for a
-    # subnormal I, which the residual check below refuses
-    root = np.linalg.inv(np.linalg.cholesky(fm.matrix))
-    with np.errstate(over="ignore"):
-        inv = root.T @ root
+    inv = np.linalg.inv(fm.matrix)
     residual = float(np.abs(fm.matrix @ inv - np.eye(fm.dim)).max())
     if residual > 1e-8:
         raise DegenerateInformationError(
@@ -203,14 +200,14 @@ def invert_fisher(fm: FisherMatrix) -> np.ndarray:
 
 
 def _reciprocals(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The inverses 1/I of a (B, 1, 1) stack of information matrices, and a
-    flag per matrix that ``_checked`` + ``invert_fisher`` would refuse or
-    invert to a non-finite value; unflagged, 1/I is their inverse up to the
-    rounding of numpy's Cholesky root, squared.
+    """``invert_fisher`` batched over a (B, 1, 1) stack of information
+    matrices: the inverses 1/I, and a flag per matrix that ``_checked`` +
+    ``invert_fisher`` would refuse or invert to a non-finite value;
+    unflagged, 1/I is their inverse bit for bit.
 
     The guards reduce exactly for a 1 x 1 matrix: it is symmetric, its
-    condition number is 1 and 1/I is numpy's LU inverse bit for bit. So I
-    passes exactly when I + I is finite (``FisherMatrix``'s symmetrization
+    condition number is 1 and numpy's LU inverse is 1/I. So I passes
+    exactly when I + I is finite (``FisherMatrix``'s symmetrization
     overflows from about 9e307), I > 0 and |I (1/I) - 1| <= 1e-8.
     """
     values = matrices[:, 0, 0]

@@ -343,18 +343,6 @@ def mle(traj: Trajectory, N: int, model: ModelSpec, grid_points: int = 512) -> P
     return PreliminaryEstimate(np.array([theta]), "mle", N, {"loglik": value, "flat_likelihood": False})
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """scipy's ``simpson(y, x=x)`` for an odd number of points x, maybe
-    irregular: the same operations in the same order, so the same bits."""
-    h = np.diff(x)
-    h0, h1 = h[:-1:2], h[1::2]
-    hsum, hprod = h0 + h1, h0 * h1
-    ratio = np.divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
-    inv = np.divide(1.0, ratio, out=np.zeros_like(ratio), where=ratio != 0)
-    spread = np.divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
-    return float(np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - inv) + y[1:-1:2] * (hsum * spread) + y[2::2] * (2.0 - ratio))))
-
-
 def bayes(
     traj: Trajectory,
     N: int,
@@ -365,9 +353,10 @@ def bayes(
     """Posterior mean over the parameter box under the prior (default uniform).
 
     The posterior weights combine the conditional likelihood of the first N
-    transitions with the prior on a uniform grid; integration is Simpson
-    quadrature on weights rescaled by the maximum log-weight, so very small
-    likelihood values do not underflow. The likelihood is evaluated at every
+    transitions with the prior on a uniform grid of an odd number of points;
+    integration is Simpson's rule, weights h/3 (1, 4, 2, ..., 4, 1), on
+    weights rescaled by the maximum log-weight, so very small likelihood
+    values do not underflow. The likelihood is evaluated at every
     grid value, and a NaN or +inf there raises EstimationError as in
     ``mle``, as does a prior that raises; a prior value that is negative or
     not finite raises ValueError.
@@ -388,7 +377,10 @@ def bayes(
     if not np.isfinite(peak):
         raise EstimationError("all posterior weights underflowed")
     w = np.exp(logw - peak)
-    den, num = _simpson(w, grid), _simpson(w * grid, grid)
+    simpson = np.full(grid.size, 2.0)
+    simpson[1::2], simpson[[0, -1]] = 4.0, 1.0
+    simpson *= (grid[-1] - grid[0]) / (3.0 * (grid.size - 1))  # h/3
+    den, num = float(simpson @ w), float(simpson @ (w * grid))
     if not np.isfinite(den) or den <= 0.0:
         raise EstimationError("posterior mass quadrature failed")
     theta = model.domain.project(np.array([num / den]))

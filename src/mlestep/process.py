@@ -219,8 +219,7 @@ def two_step_path(
     row is flagged. One pass then walks the flagged rows in k order: an
     interpolated row is recomputed exactly and checked again, and a row
     still flagged goes to ``_checked`` and ``invert_fisher``, which invert it
-    (from its Cholesky factor) or refuse it after the projections up to it are
-    logged. Which sums serve a k, and its value, depend only on k, n and the
+    or refuse it after the projections up to it are logged. Which sums serve a k, and its value, depend only on k, n and the
     path, so a stride-s path equals the stride-1 path exactly.
     """
     n, N = traj.n, prelim.learning_length

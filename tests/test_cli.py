@@ -410,6 +410,16 @@ class TestKdeCommand:
         assert "bandwidth" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bandwidth_at_which_a_value_overflows_fails_cleanly(self, tmp_path, capsys):
+        code = run_cli(
+            "kde", "--model", "example2", "--theta", "0.5", "--n", "50", "--seed", "50",
+            "--bandwidth", "1e-320", "--outdir", str(tmp_path),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: bandwidth 1e-320 is too small for n=50: a density value overflows\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("source", [
         ("--model", "example1", "--theta", "2.5", "--n", "300000"),
         ("--input", "chain.json"),

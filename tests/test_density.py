@@ -128,6 +128,15 @@ class TestKde:
             every = _every_term_sum(traj.observations[1:], est.grid, h)
         assert np.array_equal(est.values, every)
 
+    def test_bandwidth_at_which_a_value_overflows_is_refused_by_name(self, example2):
+        # 1 / (n h sqrt(2 pi)) overflows at a grid point on an observation;
+        # 1e-310 does not on this chain (largest value 7.98e307)
+        traj = ms.simulate(example2, 0.5, 50, seed=50)
+        with pytest.raises(ValueError, match=r"^bandwidth 1e-320 is too small for n=50: a density value overflows$"):
+            kde(traj, bandwidth=1e-320)
+        est = kde(traj, bandwidth=1e-310)
+        assert np.isfinite(est.values).all() and est.values.max() > 7.9e307
+
     @pytest.mark.parametrize("grid", [[0.0, np.nan], [-np.inf, 0.0], [0.0, np.inf], 0.5, [],
                                       [[0.0, 1.0]], [1.0, 0.0], [0.0, 0.0, 1.0], ["a", "b"]])
     def test_rejects_bad_grid_before_the_sum(self, monkeypatch, linear, grid):

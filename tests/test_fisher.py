@@ -200,14 +200,16 @@ class TestInvert:
         inv = invert_fisher(fm)
         np.testing.assert_allclose(fm.matrix @ inv, np.eye(4), atol=1e-8)
 
-    def test_scalar_inverse_is_a_cholesky_solve_bit_for_bit(self):
-        # scipy only as the reference: the package inverts with numpy.linalg
-        from scipy.linalg import cho_factor, cho_solve
-
-        for value in 10.0 ** np.random.default_rng(28).uniform(-300.0, 300.0, 2000):
-            matrix = np.array([[value]])
-            expected = cho_solve(cho_factor(matrix), np.eye(1))
-            assert invert_fisher(FisherMatrix(matrix, "observed")).tobytes() == expected.tobytes(), value
+    def test_scalar_inverse_is_the_reciprocal_bit_for_bit(self):
+        # one rule for every information matrix: for d = 1 the inverse is
+        # 1/I, the unflagged output of the two-step path's _reciprocals
+        values = 10.0 ** np.random.default_rng(30).uniform(-300.0, 300.0, 20_000)
+        inverses, flagged = _reciprocals(values[:, np.newaxis, np.newaxis])
+        assert not flagged.any()
+        np.testing.assert_array_equal(inverses[:, 0, 0], 1.0 / values)
+        for value, inverse in zip(values, inverses):
+            got = invert_fisher(FisherMatrix(np.array([[value]]), "observed"))
+            assert got.tobytes() == inverse.tobytes() == np.array([[1.0 / value]]).tobytes(), value
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_inverse_within_rounding_of_a_cholesky_solve(self, d):

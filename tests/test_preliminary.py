@@ -670,19 +670,23 @@ class TestBrentPort:
             preliminary._brent(lambda t: 1.0 if t > 0.5 else -1.0, (-1e300, -1.0), (1e300, 1.0))
 
 
-class TestSimpsonPort:
-    """``_simpson`` is scipy's simpson(y, x=x) for odd N, bit for bit."""
+class TestSimpsonWeights:
+    """``bayes`` integrates by Simpson's rule, exact for cubics."""
 
-    @pytest.mark.parametrize("n", [3, 5, 17, 513, 4097])
-    @pytest.mark.parametrize("spacing", ["uniform", "irregular"])
-    def test_same_bits_as_scipy(self, n, spacing):
-        from scipy.integrate import simpson
+    @pytest.mark.parametrize("grid_points", [3, 4, 5, 6, 17, 64, 512, 513, 1025, 4096, 4097])
+    def test_exact_posterior_mean_for_a_cubic(self, grid_points):
+        # a flat likelihood and the prior 1 + t + t^2: the posterior mean is
+        # a ratio of the integrals of a cubic and a quadratic over the box
+        model = zero_model()
+        traj = make_traj(ms.simulate(ms.linear_model(), 0.0, 40, seed=2).observations, 0.0, "zero")
+        est = bayes(traj, 40, model, prior=lambda t: 1.0 + t + t * t, grid_points=grid_points)
+        lo, hi = preliminary._grid(model, 3)[[0, -1]]
 
-        rng = np.random.default_rng(n)
-        for _ in range(20):
-            x = np.linspace(-0.3, 4.1, n) if spacing == "uniform" else np.sort(rng.uniform(-2.0, 3.0, n))
-            y = np.exp(-rng.uniform(0.0, 50.0) * (x - rng.uniform(-1.0, 3.0)) ** 2) + rng.uniform(0.0, 1e-3, n)
-            assert preliminary._simpson(y, x) == float(simpson(y, x=x))
+        def integral(*coefficients):
+            return sum(c * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1) for j, c in enumerate(coefficients))
+
+        want = integral(0.0, 1.0, 1.0, 1.0) / integral(1.0, 1.0, 1.0)
+        assert est.theta[0] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestBarycentric:

@@ -294,10 +294,9 @@ def _two_step_outcome(monkeypatch, path_fn, *args):
 class TestTwoStepEngine:
     """two_step_path against ``helpers.two_step_reference``, the per-k loop.
 
-    The engine's score and information sums are sequential prefix sums, the
-    reference's pairwise and BLAS sums, and the engine inverts d = 1 by 1/I
-    where the reference uses Cholesky, so values agree to rounding: within 1e-12 of
-    the path's scale, since single values may sit near zero.
+    The engine's score and information sums are sequential prefix sums and
+    the reference's pairwise and BLAS sums, so values agree to rounding:
+    within 1e-12 of the path's scale, since single values may sit near zero.
     """
 
     @staticmethod
@@ -706,6 +705,14 @@ class TestPipeline:
         assert path is None and prelim.learning_length == learning_length(300, 0.5)
         prelim, path = Pipeline(0.5, "mle", "full-mle").run(traj, example2)
         assert prelim is None and path.kind == "full-mle"
+
+    def test_recurrent_runs_without_a_stride(self, example2):
+        traj = ms.simulate(example2, 0.5, 2000, seed=4)
+        N = learning_length(2000, 0.75)
+        prelim, path = Pipeline(0.75, "mle", "recurrent").run(traj, example2)
+        want = recurrent_path(traj, example2, mle(traj, N, example2), "observed")
+        assert path.kind == "recurrent" and prelim.learning_length == path.N == N
+        assert path.ks.tobytes() == want.ks.tobytes() and path.thetas.tobytes() == want.thetas.tobytes()
 
 
 class TestSerialization:

@@ -1,4 +1,4 @@
-"""Census of the grid ``mle``, ``full_mle_path`` and ``bayes`` over a fixed request set.
+"""Census of the grid ``mle``, ``full_mle_path`` and ``bayes``, or of the estimator paths, over a fixed request set.
 
 A request is a built-in model, a learning length N, a grid size and a seed:
 the chain ``simulate(model, theta0, N, seed)``, its ``mle`` over all N
@@ -18,13 +18,29 @@ log_posterior_mass; the refusals by type and message, of ``mle`` and of
 certificate's calls and fallbacks, natural and forced; the passes per
 natural ``mle`` over the N transitions (``_learning_loglik`` and, where the
 tree refines at a score root, ``loglik_grad``); and per request the
-estimate, its diagnostics and the score |sum of loglik_grad| at it.
+estimate, its diagnostics, the score |sum of loglik_grad| at it, and the
+``bayes`` theta and log_posterior_mass.
+
+The path set (``--paths``) is the three built-ins x n in {300, 2000} x
+seeds 0..3 x delta in {0.375, 0.75} x the preliminaries mle, bayes and emm
+(144 requests, as ``Pipeline`` runs them with the default grid), each
+followed by the observed, plugin and factorized information x the one-step,
+second-preliminary and two-step paths at stride 1 and the recurrent path
+(1,728 requests): 1,872 in all. Its sample (``--paths --sample``) is n =
+300 and seed 0: 234 requests. Its record holds a sha256 digest of each
+process's ks and theta bytes and of the preliminaries' theta and
+diagnostics, the refusals by type and message per process, a digest and
+count of the INFO log lines, and per path its theta bytes (base64).
 
 ``--compare OTHER_TREE`` runs the same set from the tree OTHER_TREE (a
-checkout with ``src/mlestep``) in a second process and prints, per model
-and N, the largest |delta theta| between the two trees' estimates and the
-median and largest |score| at each tree's answers, then which digests and
-refusals differ.
+checkout with ``src/mlestep``) in a second process and prints the
+differences. For the mle set: per model and N, the largest |delta theta|
+between the two trees' estimates and the median and largest |score| at
+each tree's answers; the largest |delta| of the ``bayes`` theta and
+log_posterior_mass, absolute, in the value's ulp and relative in units of
+eps; then which digests and refusals differ. For the path set: per process (and per preliminary), how
+many paths differ and the largest |delta|, absolute and relative to the
+path's largest |value|; then which digests, refusals and INFO lines differ.
 
 Exit status 1 if, in the tree run here, the three ways disagree on an
 estimate, its diagnostics or a refusal, or an estimate lies outside the
@@ -33,14 +49,17 @@ max(1, |maximum|).
 
     python tools/census.py --sample
     python tools/census.py --out census.json --compare ../parent
+    python tools/census.py --paths --compare ../parent
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import collections
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -59,6 +78,17 @@ def requests(sample: bool) -> list[tuple[str, int, int, int]]:
         return [(m, N, g, 0) for m in MODELS for N in (17, 1000) for g in (3, 512)]
     full = [(m, N, g, s) for m in MODELS for N in (17, 100, 1000, 10_000) for g in (3, 64, 512, 513) for s in range(50)]
     return full + [(m, N, 4096, s) for m in MODELS for N in (17, 100, 1000, 10_000) for s in range(5)]
+
+
+PRELIMINARIES = ("mle", "bayes", "emm")
+METHODS = ("observed", "plugin", "factorized")
+PROCESSES = ("one-step", "second-preliminary", "two-step", "recurrent")
+
+
+def path_requests(sample: bool) -> list[tuple[str, int, int, float, str]]:
+    """The path set's preliminaries: model, n, seed, delta, preliminary."""
+    ns, seeds = ((300,), (0,)) if sample else ((300, 2000), range(4))
+    return [(m, n, s, delta, prelim) for m in MODELS for n in ns for s in seeds for delta in (0.375, 0.75) for prelim in PRELIMINARIES]
 
 
 class _Spy:
@@ -135,12 +165,13 @@ def run(sample: bool) -> dict:
         model = ms.get_model(name)
         traj = ms.simulate(model, MODELS[name], N, seed=seed)
         (natural, est, _), (certified, _, found), (exact, _, _) = three_ways(traj, N, model, grid_points)
+        row = {"model": name, "N": N, "grid_points": grid_points, "seed": seed, "refusal": natural[3]}
         try:
             post = ms.bayes(traj, N, model, grid_points=grid_points)
             digests["bayes"].update(post.theta.tobytes() + repr(post.diagnostics["log_posterior_mass"]).encode())
+            row.update(bayes_theta=float(post.theta[0]), bayes_mass=post.diagnostics["log_posterior_mass"])
         except Exception as exc:
             bayes_refusals[f"{type(exc).__name__}: {exc}"] += 1
-        row = {"model": name, "N": N, "grid_points": grid_points, "seed": seed, "refusal": natural[3]}
         if natural != certified or natural != exact:
             failures.append(f"{name} N={N} grid_points={grid_points} seed={seed}: the three ways disagree")
         digests["certified_index"].update(repr(found).encode())
@@ -185,6 +216,80 @@ def run(sample: bool) -> dict:
     }
 
 
+class _Lines(logging.Handler):
+    """Keeps the message of every record it handles."""
+
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.lines = []
+
+    def emit(self, record) -> None:
+        self.lines.append(record.getMessage())
+
+
+def run_paths(sample: bool) -> dict:
+    """The path census record of the tree that ``mlestep`` is imported from."""
+    import mlestep as ms
+    from mlestep.process import PROCESS_KINDS
+
+    start = time.perf_counter()
+    digests = {key: hashlib.sha256() for key in ("preliminary", *PROCESSES, "info")}
+    refusals = {key: collections.Counter() for key in ("preliminary", *PROCESSES)}
+    rows, info_lines = [], 0
+    logger, handler = logging.getLogger("mlestep"), _Lines()
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    logger.addHandler(handler)
+
+    def attempt(key: dict, kind: str, call, *args):
+        """call(*args) as request ``key``: its result, or None and its refusal
+        counted under ``kind``; its INFO lines are digested."""
+        nonlocal info_lines
+        handler.lines.clear()
+        try:
+            result, refusal = call(*args), None
+        except Exception as exc:
+            result, refusal = None, f"{type(exc).__name__}: {exc}"
+            refusals[kind][refusal] += 1
+        info_lines += len(handler.lines)
+        digests["info"].update(repr((key, handler.lines)).encode())
+        rows.append(dict(key, refusal=refusal, info=len(handler.lines)))
+        return result
+
+    try:
+        for name, n, seed, delta, kind in path_requests(sample):
+            model = ms.get_model(name)
+            traj = ms.simulate(model, MODELS[name], n, seed=seed)
+            key = {"model": name, "n": n, "seed": seed, "delta": delta, "preliminary": kind}
+            outcome = attempt(key, "preliminary", ms.Pipeline(delta, kind, "none").run, traj, model)
+            if outcome is None:
+                continue
+            prelim = outcome[0]
+            digests["preliminary"].update(prelim.theta.tobytes() + repr(prelim.diagnostics).encode())
+            rows[-1]["theta"] = base64.b64encode(prelim.theta.tobytes()).decode()
+            for method in METHODS:
+                for process in PROCESSES:
+                    strided = () if process == "recurrent" else (1,)
+                    path = attempt(dict(key, method=method, process=process), process,
+                                   PROCESS_KINDS[process], traj, model, prelim, method, *strided)
+                    if path is not None:
+                        digests[process].update(path.ks.tobytes() + path.thetas.tobytes())
+                        rows[-1]["theta"] = base64.b64encode(path.thetas.tobytes()).decode()
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+    return {
+        "set": "paths-sample" if sample else "paths",
+        "requests": len(rows),
+        "runtime_s": round(time.perf_counter() - start, 1),
+        "digests": {key: d.hexdigest() for key, d in digests.items()},
+        "refusals": {key: dict(c) for key, c in refusals.items()},
+        "info_lines": info_lines,
+        "results": rows,
+    }
+
+
 def _summary(record: dict) -> dict:
     return {key: value for key, value in record.items() if key != "results"}
 
@@ -216,6 +321,13 @@ def compare(mine: dict, other: dict) -> str:
         )
     below = sum(a["loglik"] < b["loglik"] - LIKELIHOOD_TOL * max(1.0, abs(b["loglik"])) for pairs in groups.values() for a, b in pairs)
     lines.append(f"estimates whose loglik lies below the other tree's beyond the tolerance: {below}")
+    for key in ("bayes_theta", "bayes_mass"):
+        pairs = [(a[key], b[key]) for a, b in zip(mine["results"], other["results"]) if key in a and key in b]
+        # |delta| in the value's ulp, and relative to the value in units of eps
+        moved = np.array([(abs(x - y), abs(x - y) / np.spacing(max(abs(x), abs(y))), abs(x - y) / max(abs(x), abs(y)) / np.finfo(float).eps)
+                          for x, y in pairs if x != y]).reshape(-1, 3)
+        worst = moved.max(axis=0, initial=0.0)
+        lines.append(f"{key}: {len(moved)} of {len(pairs)} moved, max|delta| {worst[0]:.2g} ({worst[1]:.3g} ulp, {worst[2]:.3g} eps relative)")
     for key in ("certified_index", "flat", "theta", "bayes"):
         same = mine["digests"][key] == other["digests"][key]
         lines.append(f"{key} digest: {'identical' if same else 'differs'}")
@@ -227,9 +339,52 @@ def compare(mine: dict, other: dict) -> str:
     return "\n".join(lines)
 
 
+def _thetas(row: dict):
+    import numpy as np
+
+    return np.frombuffer(base64.b64decode(row["theta"])) if "theta" in row else None
+
+
+def compare_paths(mine: dict, other: dict) -> str:
+    """Per process and per preliminary, how many outputs differ and the
+    largest |delta|, absolute and relative to the larger of the two
+    outputs' largest |value|; then the digests, refusals and INFO lines."""
+    import numpy as np
+
+    table = collections.defaultdict(lambda: [0, 0, 0.0, 0.0])
+    for a, b in zip(mine["results"], other["results"]):
+        key = {k: v for k, v in a.items() if k not in ("refusal", "info", "theta")}
+        assert key == {k: v for k, v in b.items() if k not in ("refusal", "info", "theta")}
+        x, y = _thetas(a), _thetas(b)
+        delta = relative = 0.0
+        if x is not None and y is not None:
+            delta = float(np.max(np.abs(x - y)))
+            relative = delta / max(float(np.max(np.abs(x))), float(np.max(np.abs(y))), np.finfo(float).tiny)
+        differs = delta > 0.0 or a["refusal"] != b["refusal"] or a["info"] != b["info"]
+        for group in (a.get("process", "preliminary"), f"  {a.get('process', 'preliminary')} after {a['preliminary']}"):
+            entry = table[group]
+            entry[0], entry[1] = entry[0] + 1, entry[1] + differs
+            entry[2], entry[3] = max(entry[2], delta), max(entry[3], relative)
+    lines = ["process                             requests  differ  max|delta|  max|delta| / max|value|"]
+    for group in ("preliminary", *PROCESSES):
+        for name in (group, *(f"  {group} after {kind}" for kind in PRELIMINARIES)):
+            if name in table:
+                count, moved, delta, relative = table[name]
+                lines.append(f"{name:35s} {count:<9d} {moved:<7d} {delta:<11.2g} {relative:.2g}")
+    for key in mine["digests"]:
+        same = mine["digests"][key] == other["digests"][key]
+        lines.append(f"{key} digest: {'identical' if same else 'differs'}")
+    for key in mine["refusals"]:
+        lines.append(f"{key} refusals: {'identical' if mine['refusals'][key] == other['refusals'][key] else 'differ'}"
+                     f" ({sum(mine['refusals'][key].values())} here, {sum(other['refusals'][key].values())} other)")
+    lines.append(f"INFO lines here {mine['info_lines']}, other {other['info_lines']}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sample", action="store_true", help="run the 12-request sample, not the full set")
+    parser.add_argument("--sample", action="store_true", help="run the set's sample, not the full set")
+    parser.add_argument("--paths", action="store_true", help="run the path set, not the mle set")
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1], help="the checkout to import mlestep from")
     parser.add_argument("--out", type=Path, help="write the JSON record here")
     parser.add_argument("--compare", type=Path, metavar="OTHER_TREE", help="also run OTHER_TREE and print the differences")
@@ -238,10 +393,10 @@ def main(argv=None) -> int:
     if args.compare is not None:
         fd, tmp = tempfile.mkstemp(suffix=".json")
         os.close(fd)
-        command = [sys.executable, __file__, "--tree", str(args.compare), "--out", tmp] + ["--sample"] * args.sample
+        command = [sys.executable, __file__, "--tree", str(args.compare), "--out", tmp] + ["--sample"] * args.sample + ["--paths"] * args.paths
         other = (subprocess.Popen(command, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL), Path(tmp))
     sys.path.insert(0, str(args.tree.resolve() / "src"))
-    record = run(args.sample)
+    record = (run_paths if args.paths else run)(args.sample)
     record["tree"] = str(args.tree)
     if args.out is not None:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
@@ -254,10 +409,11 @@ def main(argv=None) -> int:
         if other_record is None:
             print(f"the census of {args.compare} failed", file=sys.stderr)
             return 1
-        print(compare(record, other_record))
-    for failure in record["failures"]:
+        print((compare_paths if args.paths else compare)(record, other_record))
+    failures = record.get("failures", [])
+    for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
-    return 1 if record["failures"] else 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
