@@ -90,9 +90,10 @@ def noise_information(noise: NoiseDensity) -> float:
     """Integral of psi(u)^2 g(u) over the noise support window.
 
     Adaptive quadrature; 1.0 for the standard Gaussian. Raises if the result
-    is non-finite or non-positive. The factorized ``information_terms`` run it
-    once per NoiseDensity without a value (``gaussian_noise`` stores 1 / sigma^2)
-    and keep it there. Only then is scipy.integrate imported: 0.4 s, once.
+    is non-finite or non-positive. The factorized ``information_terms`` and
+    the information oracle run it once per NoiseDensity without a value
+    (``gaussian_noise`` stores 1 / sigma^2) and keep it there. Only then is
+    scipy.integrate imported: 0.4 s, once.
     """
     from scipy import integrate
 
@@ -104,6 +105,14 @@ def noise_information(noise: NoiseDensity) -> float:
     if not np.isfinite(value) or value <= 0.0:
         raise ValueError(f"noise information integral evaluated to {value}")
     return float(value)
+
+
+def _stored_noise_information(noise: NoiseDensity) -> float:
+    """The noise information I_g, computed by ``noise_information`` once per
+    NoiseDensity without a stored value and kept there."""
+    if noise._information is None:
+        object.__setattr__(noise, "_information", noise_information(noise))
+    return noise._information
 
 
 def _require_positive_definite(fm: FisherMatrix, theta=None, n: int | None = None) -> None:
@@ -164,10 +173,8 @@ def information_terms(theta, x_prev, x_next, model: ModelSpec, method: str):
         scores, _ = _terms(theta, x_prev, x_next, model)
         return scores, scores[:, :, np.newaxis] * scores[:, np.newaxis, :]
     if method == "factorized":
-        if model.noise._information is None:
-            object.__setattr__(model.noise, "_information", noise_information(model.noise))
         scores, outer = _terms(theta, x_prev, x_next, model, "outer")
-        return scores, model.noise._information * outer
+        return scores, _stored_noise_information(model.noise) * outer
     if method != "observed":
         raise ValueError(f"unknown information method {method!r}; expected one of {FISHER_METHODS}")
     scores, hess = _terms(theta, x_prev, x_next, model, "hessian")

@@ -2,7 +2,8 @@
 
 A study runs M independent replications of simulate -> preliminary ->
 process, collects the terminal errors normalized by sqrt(n), and compares
-their spread against the inverse of a long-run reference information matrix.
+their spread against the inverse of a reference information matrix: the
+configured one, or the information tabulated by ``oracle_information``.
 Replications use seeds base_seed + i, so a report is a pure function of its
 configuration.
 
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MlestepError, StudyError
-from .fisher import FisherMatrix, invert_fisher, window_information
+from .fisher import FisherMatrix, _checked, _stored_noise_information, invert_fisher
 from .models import ModelSpec, _finite_reals, _require_numbers, get_model
 from .process import STRIDED_PROCESSES, Pipeline
 from .simulate import Trajectory, _check_chain, _write_csv, _write_json, simulate, simulate_paths
@@ -44,12 +45,10 @@ QUANTILE_LEVELS = (5, 25, 50, 75, 95)
 # norm.ppf(levels / 100) gives, not symmetric in the last digit
 _GAUSSIAN_Z = np.array([-1.6448536269514729, -0.6744897501960817, 0.0, 0.6744897501960817, 1.6448536269514722])
 
-ORACLE_LENGTH = 1_000_000
-_ORACLE_SEED = 20_240_001
 _oracle_cache: dict = {}
 
 # a block simulates at most _BLOCK_ROWS rows together and holds at most about
-# _BLOCK_BYTES of noise and states: 64 rows at n = 1e4, one row at n = 1e6
+# _BLOCK_BYTES of noise and states: 64 rows at n = 1e4, 10 rows at n = 1e5
 _BLOCK_ROWS = 64
 _BLOCK_BYTES = 16 * 2**20
 # np.linalg.LinAlgError is a ValueError
@@ -72,7 +71,7 @@ class McConfig:
     burn_in: int = 1000
     x_init: float = 0.0
     grid_points: int = Pipeline.grid_points
-    # explicit d x d reference information; skips the long oracle run when set
+    # explicit d x d reference information; skips oracle_information when set
     reference_information: tuple | None = None
     spec: Pipeline = field(init=False, repr=False, compare=False)
 
@@ -159,23 +158,82 @@ class McReport:
         return errors.T @ errors / errors.shape[0]
 
 
-def oracle_information(model: ModelSpec, theta0, n_oracle: int = ORACLE_LENGTH) -> FisherMatrix:
-    """Plug-in information at theta0 from one long simulated trajectory.
+def oracle_information(model: ModelSpec, theta0, n_oracle=None) -> FisherMatrix:
+    """The information I(theta0) = I_g E[dS dS^T(theta0, X)], X under the
+    chain's invariant law, tabulated from the invariant-density equation.
 
-    Cached, as the long run is a study's expensive part, per model name,
-    theta0, n_oracle and the law: S, dS, psi and noise draws at fixed probes.
+    A Nystrom solve (_stationary) on a graded grid of half-width L: L starts
+    at 12 sigma, sigma the noise support's width / 24 (1 for the standard
+    normal), and doubles, at most 5 times, until I moves by less than 1e-6
+    relative and the mass beyond the half-window before is below 1e-6. A law
+    the grid cannot resolve (unsettled, or a stationary vector that is not
+    finite and nonnegative) raises MlestepError naming the model and L.
+    Cached per theta0 and law: S, dS and g at fixed probes, I_g, the noise
+    support and the domain. ``n_oracle`` is deprecated and ignored.
     """
-    _require_numbers(n_oracle=n_oracle)
-    theta0 = _check_chain(model, theta0, n_oracle, 1000, 0.0)
+    if n_oracle is not None:
+        _require_numbers(n_oracle=n_oracle)
+        warnings.warn("oracle_information's n_oracle is deprecated and ignored", FutureWarning, 2)
+    theta0 = _check_chain(model, theta0, 1, 0, 0.0, "theta0")
+    noise_info = _stored_noise_information(model.noise)
     x = np.array([-2.3, -0.4, 0.0, 0.7, 1.9])
     with np.errstate(all="ignore"):
-        law = (model.drift.S(theta0, x), model.drift.dS(theta0, x), model.noise.psi(x),
-               model.noise.sampler(np.random.default_rng(0), 4), model.domain.lower, model.domain.upper)
-    key = (model.name, tuple(theta0.tolist()), n_oracle, *(np.asarray(v, dtype=float).tobytes() for v in law))
+        law = (model.drift.S(theta0, x), model.drift.dS(theta0, x), model.noise.g(x), noise_info,
+               model.noise.support, model.domain.lower, model.domain.upper)
+    key = (tuple(theta0.tolist()), *(np.asarray(v, dtype=float).tobytes() for v in law))
     if key not in _oracle_cache:
-        traj = simulate(model, theta0, n_oracle, seed=_ORACLE_SEED, burn_in=1000)
-        _oracle_cache[key] = window_information(theta0, traj, model, "plugin")[1]
+        _oracle_cache[key] = _tabulated_information(model, theta0, noise_info)
     return _oracle_cache[key]
+
+
+def _tabulated_information(model: ModelSpec, theta0: np.ndarray, noise_info: float) -> FisherMatrix:
+    """``oracle_information``'s doubling of the half-window, uncached."""
+    where = f"the invariant law of model {model.name!r} at theta0={theta0.tolist()}"
+    lo, hi = model.noise.support
+    sigma = (hi - lo) / 24.0
+    # the first grid is centred at 0, the later ones at its mean, so that the
+    # fine part of the grid covers the law's centre wherever theta0 puts it
+    centre, half, previous = 0.0, 12.0 * sigma, None
+    for _ in range(6):
+        x, q = _stationary(model, theta0, centre, half, sigma)
+        # q sums to 1: an entry below -1e-12 is no rounding
+        if not (np.isfinite(q).all() and q.min() >= -1e-12):
+            raise MlestepError(f"{where} gives a stationary vector that is not finite and "
+                               f"nonnegative on the half-window {half:g}")
+        with np.errstate(all="ignore"):
+            grad = model.drift.dS(theta0, x)
+            info = noise_info * np.einsum("j,ja,jb->ab", q, grad, grad)
+        if previous is None:
+            centre = float(q @ x)
+        elif (np.abs(info - previous).max() <= 1e-6 * np.abs(info).max()
+              and q[np.abs(x - centre) > 0.5 * half].sum() <= 1e-6):
+            return _checked(info, "oracle")
+        previous, half = info, 2.0 * half
+    raise MlestepError(f"{where} is not resolved by the half-window {0.5 * half:g}: the "
+                       "information or the mass beyond the window before has not settled")
+
+
+def _stationary(model: ModelSpec, theta0: np.ndarray, centre: float, half: float, sigma: float):
+    """The nodes x and the stationary vector q (sum 1) of the chain on a grid
+    over [centre - half, centre + half]: x = centre + h_inf u - (h_inf - h_0)
+    a tanh(u / a) at integer u, spaced h_0 = 0.06 sigma at the centre and
+    h_inf = 0.3 sigma in the tails, with weights w = dx/du. The kernel
+    P_ij = w_i g(x_i - S(theta0, x_j)), its columns normalised, has q as the
+    solution of (P - 1) q = 0 with its first row replaced by sum(q) = 1, NaN
+    where the kernel is not finite."""
+    fine, coarse, bend = 0.06 * sigma, 0.3 * sigma, 6.0
+    steps = int(np.ceil((half + (coarse - fine) * bend) / coarse))
+    u = np.arange(-steps, steps + 1, dtype=float)
+    x = centre + coarse * u - (coarse - fine) * bend * np.tanh(u / bend)
+    with np.errstate(all="ignore"):
+        kernel = model.noise.g(x[:, np.newaxis] - model.drift.S(theta0, x))
+        kernel *= (fine + (coarse - fine) * np.tanh(u / bend) ** 2)[:, np.newaxis]
+        kernel /= kernel.sum(axis=0)
+    kernel[np.diag_indices(x.size)] -= 1.0
+    kernel[0] = 1.0
+    rhs = np.zeros(x.size)
+    rhs[0] = 1.0
+    return x, np.linalg.solve(kernel, rhs)
 
 
 def _replicate(cfg: McConfig, traj: Trajectory, model: ModelSpec) -> np.ndarray:

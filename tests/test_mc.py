@@ -375,22 +375,68 @@ class TestBias:
                                    rtol=1e-12, atol=1e-12)
 
 
+def _drifting_S(theta, x):
+    return x + theta[0]
+
+
+def _drifting_dS(theta, x):
+    return np.ones(np.shape(x) + (1,))
+
+
+def _drifting_d2S(theta, x):
+    return np.zeros(np.shape(x) + (1, 1))
+
+
 class TestOracle:
     def test_cached_and_positive(self, example2):
         a = ms.oracle_information(example2, 0.5)
         b = ms.oracle_information(example2, 0.5)
         assert a is b
         assert a.matrix[0, 0] > 0
-        assert a.method == "plugin"
+        assert a.method == "oracle"
+
+    def test_linear_is_exact(self, linear):
+        # the stationary law is N(0, 1 / (1 - theta^2)), so I = 1 / (1 - 0.25)
+        assert abs(ms.oracle_information(linear, 0.5).matrix[0, 0] - 4.0 / 3.0) < 1e-10
+
+    def test_example2_is_a_location_family(self, example2):
+        values = [ms.oracle_information(example2, theta).matrix[0, 0] for theta in (-0.9, 0.0, 0.9)]
+        assert max(values) - min(values) < 1e-7
+
+    def test_two_parameters_symmetric_positive_definite(self):
+        info = ms.oracle_information(cos_model(), [0.2, 0.1]).matrix
+        assert info.shape == (2, 2)
+        assert info[0, 1] == info[1, 0]
+        assert np.linalg.eigvalsh(info)[0] > 0.1
+
+    @pytest.mark.parametrize("name, theta", [("example1", 2.5), ("example2", 0.5)])
+    def test_within_one_percent_of_a_simulated_plug_in(self, name, theta):
+        model = ms.get_model(name)
+        traj = ms.simulate(model, theta, 1_000_000, seed=20_240_001, burn_in=1000)
+        simulated = ms.window_information(theta, traj, model, "plugin")[1].matrix[0, 0]
+        tabulated = ms.oracle_information(model, theta).matrix[0, 0]
+        assert tabulated == pytest.approx(simulated, rel=0.01)
+
+    def test_transient_law_refused(self):
+        # X_j = X_{j-1} + theta + eps has no invariant law: its mass runs off
+        # every window, while I = 1 at every window
+        model = ModelSpec(Drift(_drifting_S, _drifting_dS, _drifting_d2S), ms.gaussian_noise(),
+                          ParamDomain([0.5], [1.5]), "drifting")
+        with pytest.raises(ms.MlestepError, match="'drifting' .* not resolved by the half-window 384"):
+            ms.oracle_information(model, 1.0)
+
+    def test_out_of_domain_theta0_refused(self, example2):
+        with pytest.raises(ValueError, match="theta0 .* is not interior"):
+            ms.oracle_information(example2, 1.5)
 
     def test_keyed_by_the_law_not_only_by_its_name(self, monkeypatch):
         # three other laws named "linear", asked for after the built-in's
-        # oracle is cached: each gets the oracle of its own chain
-        n_oracle, sampler = 20_000, ms.gaussian_noise(2.0).sampler
+        # oracle is cached: each gets the oracle of its own law
+        noise = dataclasses.replace(ms.gaussian_noise(), g=ms.gaussian_noise(2.0).g)
+        object.__setattr__(noise, "_information", 1.0)
         others = {
             "replaced spec": dataclasses.replace(ms.example2_model(), name="linear"),
-            "only the sampler differs": dataclasses.replace(
-                ms.linear_model(), noise=dataclasses.replace(ms.gaussian_noise(), sampler=sampler)),
+            "only the density g differs": dataclasses.replace(ms.linear_model(), noise=noise),
         }
         monkeypatch.setitem(ms.models._REGISTRY, "linear", lambda: dataclasses.replace(
             ms.example2_model(), name="linear", noise=ms.gaussian_noise(0.5)))
@@ -398,19 +444,24 @@ class TestOracle:
 
         def alone(model):
             monkeypatch.setattr(mc, "_oracle_cache", {})
-            return ms.oracle_information(model, 0.5, n_oracle)
+            return ms.oracle_information(model, 0.5)
 
         expected = {what: alone(model).matrix[0, 0] for what, model in others.items()}
         builtin = alone(ms.linear_model())
         assert len({builtin.matrix[0, 0], *expected.values()}) == 4
         for what, model in others.items():
-            assert ms.oracle_information(model, 0.5, n_oracle).matrix[0, 0] == expected[what], what
+            assert ms.oracle_information(model, 0.5).matrix[0, 0] == expected[what], what
         # a second built-in spec is the same law: still a hit
-        assert ms.oracle_information(ms.linear_model(), 0.5, n_oracle) is builtin
+        assert ms.oracle_information(ms.linear_model(), 0.5) is builtin
+
+    def test_length_deprecated_and_ignored(self, linear):
+        with pytest.warns(FutureWarning, match="n_oracle"):
+            info = ms.oracle_information(linear, 0.5, 20_000)
+        assert info is ms.oracle_information(linear, 0.5)
 
     @pytest.mark.parametrize("n_oracle", [2000.7, True, "2000"])
     def test_non_integer_length_refused(self, linear, n_oracle):
-        # truncated by int(), True would run one step: I ~ 0.017, not 4/3
+        # deprecated, but still refused as before rather than truncated by int()
         with pytest.raises(ValueError, match="n_oracle must be an integer"):
             ms.oracle_information(linear, 0.5, n_oracle)
 
