@@ -45,8 +45,6 @@ QUANTILE_LEVELS = (5, 25, 50, 75, 95)
 # norm.ppf(levels / 100) gives, not symmetric in the last digit
 _GAUSSIAN_Z = np.array([-1.6448536269514729, -0.6744897501960817, 0.0, 0.6744897501960817, 1.6448536269514722])
 
-_oracle_cache: dict = {}
-
 # a block simulates at most _BLOCK_ROWS rows together and holds at most about
 # _BLOCK_BYTES of noise and states: 64 rows at n = 1e4, 10 rows at n = 1e5
 _BLOCK_ROWS = 64
@@ -166,50 +164,43 @@ def oracle_information(model: ModelSpec, theta0, n_oracle=None) -> FisherMatrix:
     at 12 sigma, sigma the noise support's width / 24 (1 for the standard
     normal), and doubles, at most 5 times, until I moves by less than 1e-6
     relative and the mass beyond the half-window before is below 1e-6. A law
-    the grid cannot resolve (unsettled, or a stationary vector that is not
-    finite and nonnegative) raises MlestepError naming the model and L.
-    Cached per theta0 and law: S, dS and g at fixed probes, I_g, the noise
-    support and the domain. ``n_oracle`` is deprecated and ignored.
+    the grid cannot resolve raises MlestepError naming the model and L: I
+    unsettled after 5 doublings, a mass beyond the half-window before that
+    is above 1e-6 and no smaller than at the doubling before (a transient
+    law), or a stationary vector that is not finite and nonnegative.
+    ``n_oracle`` is deprecated and ignored.
     """
     if n_oracle is not None:
         _require_numbers(n_oracle=n_oracle)
         warnings.warn("oracle_information's n_oracle is deprecated and ignored", FutureWarning, 2)
     theta0 = _check_chain(model, theta0, 1, 0, 0.0, "theta0")
     noise_info = _stored_noise_information(model.noise)
-    x = np.array([-2.3, -0.4, 0.0, 0.7, 1.9])
-    with np.errstate(all="ignore"):
-        law = (model.drift.S(theta0, x), model.drift.dS(theta0, x), model.noise.g(x), noise_info,
-               model.noise.support, model.domain.lower, model.domain.upper)
-    key = (tuple(theta0.tolist()), *(np.asarray(v, dtype=float).tobytes() for v in law))
-    if key not in _oracle_cache:
-        _oracle_cache[key] = _tabulated_information(model, theta0, noise_info)
-    return _oracle_cache[key]
-
-
-def _tabulated_information(model: ModelSpec, theta0: np.ndarray, noise_info: float) -> FisherMatrix:
-    """``oracle_information``'s doubling of the half-window, uncached."""
     where = f"the invariant law of model {model.name!r} at theta0={theta0.tolist()}"
     lo, hi = model.noise.support
     sigma = (hi - lo) / 24.0
     # the first grid is centred at 0, the later ones at its mean, so that the
     # fine part of the grid covers the law's centre wherever theta0 puts it
-    centre, half, previous = 0.0, 12.0 * sigma, None
+    centre, half, info, tail = 0.0, 6.0 * sigma, None, np.inf
     for _ in range(6):
+        half *= 2.0
         x, q = _stationary(model, theta0, centre, half, sigma)
         # q sums to 1: an entry below -1e-12 is no rounding
         if not (np.isfinite(q).all() and q.min() >= -1e-12):
             raise MlestepError(f"{where} gives a stationary vector that is not finite and "
                                f"nonnegative on the half-window {half:g}")
+        previous, previous_tail = info, tail
         with np.errstate(all="ignore"):
             grad = model.drift.dS(theta0, x)
             info = noise_info * np.einsum("j,ja,jb->ab", q, grad, grad)
         if previous is None:
             centre = float(q @ x)
-        elif (np.abs(info - previous).max() <= 1e-6 * np.abs(info).max()
-              and q[np.abs(x - centre) > 0.5 * half].sum() <= 1e-6):
+            continue
+        tail = q[np.abs(x - centre) > 0.5 * half].sum()
+        if np.abs(info - previous).max() <= 1e-6 * np.abs(info).max() and tail <= 1e-6:
             return _checked(info, "oracle")
-        previous, half = info, 2.0 * half
-    raise MlestepError(f"{where} is not resolved by the half-window {0.5 * half:g}: the "
+        if tail > 1e-6 and tail >= previous_tail:
+            break
+    raise MlestepError(f"{where} is not resolved by the half-window {half:g}: the "
                        "information or the mass beyond the window before has not settled")
 
 

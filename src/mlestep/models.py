@@ -147,8 +147,9 @@ class Drift:
 class NoiseDensity:
     """Noise law: density g, log-density, score psi = g'/g, and a sampler.
 
-    ``support`` is the window used by numeric quadratures; outside it the
-    density mass must be negligible. ``sampler(rng, size=None)`` draws from g.
+    ``support`` is the window of ``noise_information``'s panels, split at 0
+    if it holds 0: outside it the mass must be negligible, and psi^2 g may
+    kink only at 0 and the ends. ``sampler(rng, size=None)`` draws from g.
     """
 
     g: Callable

@@ -21,18 +21,14 @@ def test_every_exported_name_exists(name):
 _FOOTPRINT = """
 import sys
 
+# from here on, importing scipy or any of its submodules raises ImportError
+sys.modules["scipy"] = None
+
 import numpy as np
 
 import mlestep as ms
 import mlestep.cli
 
-
-def loaded():
-    # scipy itself or any of its submodules
-    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
-
-
-assert loaded() == [], ("on import", loaded())
 model = ms.get_model("example2")
 traj = ms.simulate(model, 0.5, 2000, seed=1)
 N = ms.learning_length(2000, 0.375)
@@ -40,7 +36,6 @@ prelim = ms.mle(traj, N, model)
 ms.bayes(traj, N, model)
 ms.one_step_path(traj, model, prelim, "factorized")
 ms.two_step_path(traj, model, prelim, "factorized")
-assert loaded() == [], ("after the built-in estimates", loaded())
 
 # the logistic law: smooth, not Gaussian, noise information 1/3
 logistic = ms.NoiseDensity(
@@ -53,15 +48,15 @@ logistic = ms.NoiseDensity(
 )
 custom = ms.ModelSpec(drift=model.drift, noise=logistic, domain=model.domain, name="logistic")
 ms.one_step_path(traj, custom, prelim, "factorized")
-assert "scipy.integrate" in loaded(), loaded()
 assert logistic._information == ms.noise_information(logistic)
-assert abs(logistic._information - 1.0 / 3.0) < 1e-9
+assert abs(logistic._information - 1.0 / 3.0) < 1e-12
 """
 
 
 def test_import_loads_no_scipy_stats_optimize_or_integrate():
-    # no scipy module at all until a non-Gaussian law's quadrature; a fresh
-    # interpreter, since the suite itself has imported scipy
+    # the package runs with scipy blocked, built-in laws and a non-Gaussian
+    # law's quadrature alike; a fresh interpreter, since the suite itself
+    # has imported scipy
     src = str(Path(mlestep.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env, capture_output=True, text=True, timeout=120)
