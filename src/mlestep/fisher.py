@@ -215,16 +215,19 @@ def invert_fisher(fm: FisherMatrix) -> np.ndarray:
 
 
 def _reciprocals(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``invert_fisher`` batched over a (B, 1, 1) stack of information
+    """``invert_fisher`` batched over a (B, d, d) stack of information
     matrices: the inverses 1/I, and a flag per matrix that ``_checked`` +
     ``invert_fisher`` would refuse or invert to a non-finite value;
-    unflagged, 1/I is their inverse bit for bit.
+    unflagged, 1/I is their inverse bit for bit. For d > 1 every matrix is
+    flagged, and its inverse left to those two.
 
     The guards reduce exactly for a 1 x 1 matrix: it is symmetric, its
     condition number is 1 and numpy's LU inverse is 1/I. So I passes
     exactly when I + I is finite (``FisherMatrix``'s symmetrization
     overflows from about 9e307), I > 0 and |I (1/I) - 1| <= 1e-8.
     """
+    if matrices.shape[1] > 1:
+        return np.empty_like(matrices), np.ones(len(matrices), dtype=bool)
     values = matrices[:, 0, 0]
     with np.errstate(all="ignore"):
         inverses = 1.0 / matrices

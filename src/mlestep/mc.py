@@ -55,7 +55,9 @@ _FAILURES = (MlestepError, ValueError, FloatingPointError)
 
 @dataclass(frozen=True)
 class McConfig:
-    """Configuration of one Monte Carlo study; ``spec`` is its pipeline."""
+    """Configuration of one Monte Carlo study; ``spec`` is its pipeline and
+    ``model`` the registered model, resolved here: a worker process started
+    by spawn or forkserver holds only the built-ins in its registry."""
 
     model_name: str
     theta0: np.ndarray
@@ -72,6 +74,7 @@ class McConfig:
     # explicit d x d reference information; skips oracle_information when set
     reference_information: tuple | None = None
     spec: Pipeline = field(init=False, repr=False, compare=False)
+    model: ModelSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Pipeline and _check_chain below own the rules of the fields they take
@@ -90,6 +93,7 @@ class McConfig:
         ))
         self.spec.learning_length(self.n)
         model = get_model(self.model_name)
+        object.__setattr__(self, "model", model)
         _check_chain(model, theta0, self.n, self.burn_in, self.x_init, "theta0")
         d = model.dim
         if self.reference_information is not None:
@@ -249,7 +253,7 @@ def _run_block(cfgs: tuple, start: int, stop: int) -> list[list[tuple]]:
     seed, so that only the failing rows fail, with simulate's message.
     """
     head = cfgs[0]
-    model = get_model(head.model_name)
+    model = head.model
     seeds = [int(head.base_seed + i) for i in range(start, stop)]
     sim = dict(burn_in=head.burn_in, x_init=head.x_init)
     try:
@@ -327,7 +331,7 @@ def _reference_inverse(cfg: McConfig) -> np.ndarray:
     if cfg.reference_information is not None:
         reference = FisherMatrix(np.asarray(cfg.reference_information, dtype=float), "reference")
     else:
-        reference = oracle_information(get_model(cfg.model_name), cfg.theta0)
+        reference = oracle_information(cfg.model, cfg.theta0)
     return invert_fisher(reference)
 
 

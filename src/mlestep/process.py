@@ -202,61 +202,50 @@ def two_step_path(
 
         theta_k = theta2_k + (1/k) I(theta2_k)^{-1} sum_{j=1..k} loglik_grad
 
-    For d = 1 the window sums at k < n are interpolated in theta
-    (``_interpolated_sums``) over the path's own box: [min, max] of the
-    projected second preliminary values at every k = N+1..n-1, from the
-    stride-1 ``second_preliminary_path`` the emitted values are taken from,
-    so the box does not depend on the stride. The terminal k = n, d > 1,
-    and paths whose interpolant is not resolved take exact sums, one k at a
-    time (``_exact_sums``). The interpolation evaluates each of its M
-    points (17, 33 or 65) once, about (M + 1) n term evaluations however many
-    ks are emitted, and holds a few sums per emitted k, not the points'
-    sums; the exact sums cost the sum of the emitted ks: a gain when the ks
-    are many (|ks| well above 2 (M + 1) for evenly spread ks), a loss for a
-    coarse stride.
-    For d = 1 the information at each k is inverted as 1/I, and
-    ``_reciprocals`` flags the rows the guards would refuse; for d > 1 every
-    row is flagged. One pass then walks the flagged rows in k order: an
-    interpolated row is recomputed exactly and checked again, and a row
-    still flagged goes to ``_checked`` and ``invert_fisher``, which invert it
-    or refuse it after the projections up to it are logged. Which sums serve a k, and its value, depend only on k, n and the
-    path, so a stride-s path equals the stride-1 path exactly.
+    The stride-1 ``second_preliminary_path`` is projected once and the
+    emitted values are read from it. For d = 1 the sums at k < n are
+    interpolated in theta (``_interpolated_sums``: about (M + 1) n term
+    evaluations however many ks are emitted) over the path's own box, [min,
+    max] of the projected values at k = N+1..n-1 whatever the stride. Their
+    1/I is taken at once (``_reciprocals``, which flags what the guards
+    would refuse, and every row for d > 1). A near-singular or flagged
+    interpolated row is marked for exact sums, and so is every other row:
+    the terminal k = n, and every row for d > 1 or an unresolved interpolant.
+
+    One walk in k order then logs each projected value, takes each marked
+    row's exact sums (``_exact_sums``, k term evaluations) and checks them
+    again, and sends a row still flagged to ``_checked`` and
+    ``invert_fisher``, which invert it or refuse it after the projections
+    up to it are logged. Which sums serve a k, and its value, depend only on
+    k, n and the path, so a stride-s path equals the stride-1 path exactly.
     """
-    n, N = traj.n, prelim.learning_length
+    n, N, d = traj.n, prelim.learning_length, model.dim
     every = second_preliminary_path(traj, model, prelim, fisher_method, 1).thetas
     ks = _emitted_ks(N, n, stride)
-    second = every[ks - (N + 1)]
-    if ks[0] < model.dim:
+    if ks[0] < d:
         raise ValueError("window is shorter than the parameter dimension")
-    mids = model.domain.project(second)
-    d = model.dim
-    totals, infos = np.empty((ks.size, d)), np.empty((ks.size, d, d))
-    near = np.zeros(ks.size, dtype=bool)
-    # rows before `exact` take interpolated sums
-    exact = 0
+    projected = model.domain.project(every)
+    second, mids = every[ks - (N + 1)], projected[ks - (N + 1)]
+    totals, infos = np.empty((ks.size, d)), np.zeros((ks.size, d, d))
+    exact = np.ones(ks.size, dtype=bool)
     if d == 1 and ks.size > 1:
-        box = model.domain.project(every[:-1])
+        box = projected[:-1]
         interpolated = _interpolated_sums(traj, model, fisher_method, ks, mids, (box.min(), box.max()))
         if interpolated is not None:
-            exact = ks.size - 1
-            totals[:exact, 0], infos[:exact, 0, 0], near[:exact] = interpolated
-    totals[exact:], infos[exact:] = _exact_sums(traj, model, fisher_method, ks[exact:], mids[exact:])
-    if d == 1:
-        inverses, flagged = _reciprocals(infos)
-    else:
-        inverses, flagged = np.empty_like(infos), np.ones(ks.size, dtype=bool)
-    flagged |= near
+            totals[:-1, 0], infos[:-1, 0, 0], exact[:-1] = interpolated
+    inverses, flagged = _reciprocals(infos)
+    exact |= flagged
     moved = np.any(mids != second, axis=1)
     # in k order, so the projections up to a refused k are logged before it
-    for r in np.flatnonzero(flagged | moved).tolist():
+    for r in np.flatnonzero(exact | moved).tolist():
         if moved[r]:
             logger.info(
                 "second preliminary estimate at k=%s %s projected into the domain", ks[r], second[r]
             )
-        if flagged[r] and r < exact:
-            rows = slice(r, r + 1)
-            totals[rows], infos[rows] = _exact_sums(traj, model, fisher_method, ks[rows], mids[rows])
-            inverses[rows], flagged[rows] = _reciprocals(infos[rows])
+        if exact[r]:
+            totals[r], infos[r] = _exact_sums(traj, model, fisher_method, int(ks[r]), mids[r])
+            row = slice(r, r + 1)
+            inverses[row], flagged[row] = _reciprocals(infos[row])
         if flagged[r]:
             inverses[r] = invert_fisher(_checked(infos[r], fisher_method, mids[r], ks[r]))
     thetas = mids + (inverses @ totals[:, :, np.newaxis])[:, :, 0] / ks[:, np.newaxis]
@@ -264,19 +253,14 @@ def two_step_path(
 
 
 def _exact_sums(
-    traj: Trajectory, model: ModelSpec, fisher_method: str, ks: np.ndarray, mids: np.ndarray
+    traj: Trajectory, model: ModelSpec, fisher_method: str, k: int, mid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score sums (K, d) and mean information (K, d, d) over transitions
-    1..k at each k's own projected value, one k at a time. Each is a
-    sequential prefix sum read at its end, so the bits do not depend on
-    which other ks are computed."""
+    """Score sum (d,) and mean information (d, d) over transitions 1..k at
+    k's projected value ``mid``. Each is a sequential prefix sum read at its
+    end, so the bits do not depend on which other ks are computed."""
     obs = traj.observations
-    totals, infos = np.empty((ks.size, model.dim)), np.empty((ks.size, model.dim, model.dim))
-    for b, k in enumerate(ks.tolist()):
-        scores, terms = information_terms(mids[b], obs[:k], obs[1 : k + 1], model, fisher_method)
-        totals[b] = np.cumsum(scores, axis=0, out=scores)[-1]
-        infos[b] = np.cumsum(terms, axis=0, out=terms)[-1] / k
-    return totals, infos
+    scores, terms = information_terms(mid, obs[:k], obs[1 : k + 1], model, fisher_method)
+    return np.cumsum(scores, axis=0, out=scores)[-1], np.cumsum(terms, axis=0, out=terms)[-1] / k
 
 
 def _interpolated_sums(

@@ -155,6 +155,32 @@ def cos_model():
         name="cos",
     )
 
+
+def _trig_S(theta, x):
+    return theta[0] * x + theta[1] * np.cos(x) + theta[2] * np.sin(x)
+
+
+def _trig_dS(theta, x):
+    x = np.asarray(x, dtype=float)
+    return np.stack([x, np.cos(x), np.sin(x)], axis=-1)
+
+
+def _trig_d2S(theta, x):
+    return np.zeros(np.shape(x) + (3, 3))
+
+
+def trig_model():
+    """Three-parameter fixture theta_1 x + theta_2 cos(x) + theta_3 sin(x),
+    linear in theta: its observed information is the positive-definite mean
+    of dS dS^T."""
+    return ModelSpec(
+        drift=Drift(_trig_S, _trig_dS, _trig_d2S),
+        noise=gaussian_noise(),
+        domain=ParamDomain([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5]),
+        name="trig",
+    )
+
+
 def _kink_S(theta, x):
     return 0.5 * (x + theta[0]) + 0.2 * np.abs(theta[0] - x)
 

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -40,6 +42,8 @@ def silent_linear_model():
 register_model("silent-linear", silent_linear_model)
 register_model("cubic", cubic_model)
 register_model("cos", cos_model)
+# registered in this process: a spawned worker's registry lacks it
+register_model("renamed-linear", lambda: dataclasses.replace(ms.linear_model(), name="renamed-linear"))
 
 
 class TestMcConfig:
@@ -169,6 +173,17 @@ class TestRunStudy:
             par = ms.run_study(cfg, workers=2)
             np.testing.assert_array_equal(seq.terminal_errors, par.terminal_errors)
             assert seq.failures == par.failures
+
+    def test_registered_model_runs_in_spawned_workers(self, monkeypatch):
+        # a spawned worker imports mlestep afresh, so its registry holds the
+        # built-ins only: the study's model travels in its config
+        spawned = functools.partial(mc.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", spawned)
+        cfg = ms.McConfig("renamed-linear", 0.5, 200, 0.6, replications=4,
+                          reference_information=((4.0 / 3.0,),))
+        par = ms.run_study(cfg, workers=2)
+        assert par.replications_used == 4
+        np.testing.assert_array_equal(par.terminal_errors, ms.run_study(cfg).terminal_errors)
 
     @given(
         replications=st.integers(2, 9),
@@ -457,6 +472,12 @@ class TestOracle:
             assert ms.oracle_information(model, 0.5).matrix[0, 0] == expected[what], what
         # a second built-in spec is the same law
         np.testing.assert_array_equal(ms.oracle_information(ms.linear_model(), 0.5).matrix, builtin.matrix)
+
+    def test_unstable_law_refused(self):
+        # theta x^3 sends an outer node's mass far off the grid: its kernel
+        # column sums to zero, normalises to NaN, and so does the solve
+        with pytest.raises(ms.MlestepError, match="'cubic' .* not finite and nonnegative on the half-window 12$"):
+            ms.oracle_information(cubic_model(), 0.5)
 
     def test_length_deprecated_and_ignored(self, linear):
         with pytest.warns(FutureWarning, match="n_oracle"):

@@ -414,6 +414,27 @@ class TestCertifiedArgmax:
         with pytest.raises(EstimationError, match="-inf"):
             _forced(True, lambda: mle(traj, 3, model))
 
+    @pytest.mark.parametrize("contested_sum", [np.nan, -1.25], ids=["nan", "flat"])
+    def test_fallbacks_after_the_contested_sums(self, linear, monkeypatch, contested_sum):
+        # _theta_sums patched: the 33 point sums peak at the grid's middle,
+        # so only the values beside it are contested; their exact sums then
+        # come back NaN, or level with the interpolant's smallest value, a
+        # range within the flat threshold, so the full scan decides
+        grid = preliminary._grid(linear, 512)
+        traj = ms.simulate(linear, 0.5, 100, seed=0)
+        centre, width, sizes = 0.5 * (grid[0] + grid[-1]), grid[-1] - grid[0], []
+
+        def theta_sums(thetas, *args):
+            sizes.append(thetas.size)
+            if len(sizes) == 1:
+                return -1.0 - ((thetas - centre) / width) ** 2
+            return np.full(thetas.size, contested_sum)
+
+        monkeypatch.setattr(preliminary, "_theta_sums", theta_sums)
+        assert preliminary._certified_argmax(grid, traj, 100, linear) is None
+        assert sizes[0] == 33 and 0 < sizes[1] <= preliminary._CERTIFY_CONTESTED
+        assert len(sizes) == 2
+
     def test_box_too_narrow_for_33_points_takes_the_scan(self, monkeypatch):
         # 1e-14 wide: the Chebyshev points of a 512-point grid collide, so
         # the certificate gives up and the scan flags the flat likelihood

@@ -30,6 +30,7 @@ from helpers import (
     make_traj,
     noiseless_linear_traj,
     pair_model,
+    trig_model,
     two_step_reference,
 )
 
@@ -380,6 +381,16 @@ class TestTwoStepEngine:
             assert errors[1][:3] == errors[0][:3]
             np.testing.assert_allclose(errors[1][3], errors[0][3], rtol=1e-12)
 
+    def test_window_shorter_than_the_dimension_refused(self):
+        # three parameters and N = 1: the first window, k = 2, holds two
+        # transitions, too few for a 3 x 3 information
+        model = trig_model()
+        traj = ms.simulate(model, [0.2, 0.1, -0.1], 200, seed=0)
+        prelim = fixed_prelim([0.2, 0.1, -0.1], 1)
+        assert second_preliminary_path(traj, model, prelim, "observed", 1).ks[0] == 2
+        with pytest.raises(ValueError, match="window is shorter than the parameter dimension"):
+            two_step_path(traj, model, prelim, "observed", 1)
+
     @staticmethod
     def _evaluated_points(monkeypatch) -> list:
         """The Chebyshev points whose prefix sums are taken, in order."""
@@ -425,9 +436,9 @@ class TestTwoStepEngine:
         seen = []
         exact_sums = process_module._exact_sums
 
-        def spy(traj, model, fisher_method, ks, mids):
-            seen.extend(ks.tolist())
-            return exact_sums(traj, model, fisher_method, ks, mids)
+        def spy(traj, model, fisher_method, k, mid):
+            seen.append(k)
+            return exact_sums(traj, model, fisher_method, k, mid)
 
         monkeypatch.setattr(process_module, "_exact_sums", spy)
         return seen
