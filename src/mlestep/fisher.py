@@ -175,11 +175,14 @@ def information_terms(theta, x_prev, x_next, model: ModelSpec, method: str):
     """Score terms (L, d) of L paired observations, and the (L, d, d) terms
     whose mean is ``method``'s estimator above: one evaluation by the kernel
     of ``loglik_grad`` and ``loglik_hess``, so the scores and the observed
-    terms equal theirs (negated) bit for bit. A method outside
+    terms equal theirs (negated) bit for bit. A theta block (d, B, 1) gives
+    (B, L, d) and (B, L, d, d), row b the call at theta[:, b, 0]; terms that
+    do not depend on theta (the linear drift's factorized ones) come once,
+    (L, d, d), and broadcast against the rows. A method outside
     ``FISHER_METHODS`` raises ValueError."""
     if method == "plugin":
         scores, _ = _terms(theta, x_prev, x_next, model)
-        return scores, scores[:, :, np.newaxis] * scores[:, np.newaxis, :]
+        return scores, scores[..., :, np.newaxis] * scores[..., np.newaxis, :]
     if method == "factorized":
         scores, outer = _terms(theta, x_prev, x_next, model, "outer")
         return scores, _stored_noise_information(model.noise) * outer

@@ -19,7 +19,9 @@ evaluated:
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +102,15 @@ def _emitted_ks(N: int, n: int, stride: int | None) -> np.ndarray:
     return ks
 
 
+def _rows(ks: np.ndarray, start: int):
+    """The positions ks - start of the emitted ks in an array indexed from
+    k = start: a slice when the ks are contiguous (stride 1), which reads
+    the same values as the index array without gathering them."""
+    if ks[-1] - ks[0] == ks.size - 1:
+        return slice(ks[0] - start, ks[-1] - start + 1)
+    return ks - start
+
+
 def _into_domain(theta: np.ndarray, model: ModelSpec, what: str) -> np.ndarray:
     proj = model.domain.project(theta)
     if not np.array_equal(proj, theta):
@@ -137,7 +148,7 @@ def _frozen_correction(
     theta0, scores, inv = _frozen_start(traj, model, prelim, fisher_method)
     ks = _emitted_ks(N, n, stride)
     acc = np.cumsum(scores[score_start - 1 :], axis=0)
-    thetas = theta0[np.newaxis, :] + (acc[ks - score_start] @ inv.T) / ks[:, np.newaxis]
+    thetas = theta0[np.newaxis, :] + (acc[_rows(ks, score_start)] @ inv.T) / ks[:, np.newaxis]
     return EstimatorPath(ks, thetas, kind, N, prelim, n)
 
 
@@ -212,12 +223,13 @@ def two_step_path(
     interpolated row is marked for exact sums, and so is every other row:
     the terminal k = n, and every row for d > 1 or an unresolved interpolant.
 
-    One walk in k order then logs each projected value, takes each marked
-    row's exact sums (``_exact_sums``, k term evaluations) and checks them
-    again, and sends a row still flagged to ``_checked`` and
-    ``invert_fisher``, which invert it or refuse it after the projections
-    up to it are logged. Which sums serve a k, and its value, depend only on
-    k, n and the path, so a stride-s path equals the stride-1 path exactly.
+    One walk in k order then logs each projected value (its rows are
+    walked only when INFO is on), takes each marked row's exact sums
+    (``_exact_sums``, k term evaluations) and checks them again, and sends
+    a row still flagged to ``_checked`` and ``invert_fisher``, which invert
+    it or refuse it after the projections up to it are logged. Which sums
+    serve a k, and its value, depend only on k, n and the path, so a
+    stride-s path equals the stride-1 path exactly.
     """
     n, N, d = traj.n, prelim.learning_length, model.dim
     every = second_preliminary_path(traj, model, prelim, fisher_method, 1).thetas
@@ -225,7 +237,8 @@ def two_step_path(
     if ks[0] < d:
         raise ValueError("window is shorter than the parameter dimension")
     projected = model.domain.project(every)
-    second, mids = every[ks - (N + 1)], projected[ks - (N + 1)]
+    rows = _rows(ks, N + 1)
+    second, mids = every[rows], projected[rows]
     totals, infos = np.empty((ks.size, d)), np.zeros((ks.size, d, d))
     exact = np.ones(ks.size, dtype=bool)
     if d == 1 and ks.size > 1:
@@ -235,8 +248,9 @@ def two_step_path(
             totals[:-1, 0], infos[:-1, 0, 0], exact[:-1] = interpolated
     inverses, flagged = _reciprocals(infos)
     exact |= flagged
-    moved = np.any(mids != second, axis=1)
-    # in k order, so the projections up to a refused k are logged before it
+    # a projection is logged only when INFO is on; in k order, so the
+    # projections up to a refused k are logged before it
+    moved = np.any(mids != second, axis=1) if logger.isEnabledFor(logging.INFO) else np.zeros_like(exact)
     for r in np.flatnonzero(exact | moved).tolist():
         if moved[r]:
             logger.info(
@@ -292,8 +306,9 @@ def _interpolated_sums(
     n = int(ks[-1])
     xp, xn = traj.observations[:n], traj.observations[1 : n + 1]
     x = mids[:-1, 0]
+    at = _rows(ks, 1)
     if lo == hi:
-        totals, infos = _prefix_sums(lo, xp, xn, model, fisher_method, ks[:-1] - 1)
+        totals, infos = _prefix_sums(lo, xp, xn, model, fisher_method, at)[:, :-1]
         return totals, infos / ks[:-1], np.zeros(x.size, dtype=bool)
     fold = _Barycentric(lo, hi, x, (2,))
     if np.any(np.diff(fold.points) <= 0.0):
@@ -305,9 +320,10 @@ def _interpolated_sums(
         for i in picked:
             if i in ends:
                 continue
-            sums = _prefix_sums(fold.points[i], xp, xn, model, fisher_method, ks - 1)
-            if not np.isfinite(sums[:, -1]).all():
+            sums = _prefix_sums(fold.points[i], xp, xn, model, fisher_method, at)
+            if not (math.isfinite(sums[0, -1]) and math.isfinite(sums[1, -1])):
                 return None
+            # a copy: a view would hold the point's whole prefix sums
             ends[i], sums = sums[:, [0, -1]], sums[:, :-1]
             fold.add(i, sums)
             np.maximum(scale, np.abs(sums[1]), out=scale)
@@ -318,21 +334,32 @@ def _interpolated_sums(
 
 
 def _prefix_sums(node: float, x_prev, x_next, model: ModelSpec, fisher_method: str, at) -> np.ndarray:
-    """Score and information sums over the transitions up to each index in
-    ``at`` at one point, (2, at.size)."""
+    """Score and information sums over the transitions up to each index
+    ``at`` selects (an index array or a slice) at one point, (2, ·)."""
     scores, terms = information_terms(np.array([node]), x_prev, x_next, model, fisher_method)
-    return np.stack([np.cumsum(row)[at] for row in (scores[:, 0], terms[:, 0, 0])])
+    sums = np.empty((2, scores.shape[0]))
+    np.cumsum(scores[:, 0], out=sums[0])
+    np.cumsum(terms[:, 0, 0], out=sums[1])
+    return sums[:, at]
+
+
+@functools.cache
+def _chebyshev_basis(M: int) -> np.ndarray:
+    """The (M, M) matrix taking values at the M Chebyshev points to their
+    series' coefficients, up to a common factor and the halved end ones;
+    built once per M and read-only."""
+    j = np.arange(M)
+    basis = np.cos(np.pi * np.outer(j, j) / (M - 1))
+    basis[:, [0, -1]] *= 0.5
+    basis.flags.writeable = False
+    return basis
 
 
 def _resolved(values: np.ndarray) -> bool:
     """Whether the Chebyshev series through the values at the M points
     (axis 0) have decayed: in each, the last M // 8 coefficients lie below
     _TAIL_TOL of the largest."""
-    m = values.shape[0] - 1
-    j = np.arange(m + 1)
-    basis = np.cos(np.pi * np.outer(j, j) / m)
-    basis[:, [0, -1]] *= 0.5
-    coefficients = np.abs(np.tensordot(basis, values, axes=1))
+    coefficients = np.abs(np.tensordot(_chebyshev_basis(values.shape[0]), values, axes=1))
     coefficients[[0, -1]] *= 0.5
     tail = coefficients[-(values.shape[0] // 8) :].max(axis=0)
     return bool(np.all(tail <= _TAIL_TOL * coefficients.max(axis=0)))

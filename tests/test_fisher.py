@@ -191,6 +191,31 @@ class TestOneEngine:
             assert np.array_equal(window_scores, grad)
             assert np.array_equal(info.matrix, FisherMatrix(terms.mean(axis=0), method).matrix)
 
+    @pytest.mark.parametrize("factory,theta", [
+        (ms.example1_model, 2.5),
+        (ms.example2_model, 0.5),
+        (ms.linear_model, 0.5),
+    ], ids=["example1", "example2", "linear"])
+    def test_theta_block_rows_equal_the_scalar_calls(self, factory, theta):
+        # theta as a block (d, B, 1), as the likelihood module takes it: row
+        # b of each method's terms is its call at the b-th value. The plugin
+        # terms are (B, L, 1, 1), not (B, L, L, 1); the linear drift's
+        # factorized terms do not depend on theta and come once, (L, 1, 1)
+        model = factory()
+        obs = ms.simulate(model, theta, 300, seed=5).observations
+        xp, xn = obs[:-1], obs[1:]
+        values = theta + np.array([-0.2, 0.0, 0.1, 0.3])
+        rows = (values.size, xp.size, 1)
+        for method in FISHER_METHODS:
+            scores, terms = information_terms(values[np.newaxis, :, np.newaxis], xp, xn, model, method)
+            assert scores.shape == rows
+            assert terms.shape[-3:] == (xp.size, 1, 1)
+            terms = np.broadcast_to(terms, rows + (1,))
+            for b, value in enumerate(values):
+                row_scores, row_terms = information_terms([value], xp, xn, model, method)
+                assert np.array_equal(scores[b], row_scores)
+                assert np.array_equal(terms[b], row_terms)
+
 
 class TestMethodNames:
     """A method outside FISHER_METHODS is refused by name, never run as the

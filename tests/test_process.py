@@ -381,6 +381,33 @@ class TestTwoStepEngine:
             assert errors[1][:3] == errors[0][:3]
             np.testing.assert_allclose(errors[1][3], errors[0][3], rtol=1e-12)
 
+    @pytest.mark.parametrize("seed,n,fisher_method,refused_at",
+                             [(2, 2000, "plugin", None), (18, 300, "observed", 78)], ids=["mle", "refused"])
+    def test_same_outcome_whether_projections_are_logged(
+        self, example1, monkeypatch, caplog, seed, n, fisher_method, refused_at
+    ):
+        # the projected rows are walked only when INFO is on (seed 2 projects
+        # 561 of its rows, seed 18 67 before its refusal); the thetas, or the
+        # refusal's type, message and k, do not depend on it
+        traj = ms.simulate(example1, 2.5, n, seed=seed)
+        prelim = mle(traj, learning_length(n, 0.375), example1)
+        outcomes, logged = [], []
+        for level in (logging.INFO, logging.WARNING):
+            caplog.clear()
+            with caplog.at_level(level, logger="mlestep.process"):
+                outcomes.append(_two_step_outcome(monkeypatch, two_step_path, traj, example1, prelim, fisher_method, 1))
+            logged.append(sum(rec.getMessage().startswith("second preliminary estimate at k=") for rec in caplog.records))
+        assert logged[0] > 0 and logged[1] == 0
+        (info_path, info_err), (quiet_path, quiet_err) = outcomes
+        if refused_at is None:
+            assert info_err is None and quiet_err is None
+            np.testing.assert_array_equal(quiet_path.ks, info_path.ks)
+            np.testing.assert_array_equal(quiet_path.thetas, info_path.thetas)
+        else:
+            assert info_path is None and quiet_path is None
+            assert quiet_err[:3] == info_err[:3]
+            assert quiet_err[0] == refused_at
+
     def test_window_shorter_than_the_dimension_refused(self):
         # three parameters and N = 1: the first window, k = 2, holds two
         # transitions, too few for a 3 x 3 information
